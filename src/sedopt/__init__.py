@@ -20,9 +20,9 @@ from .analytic import (
     threshold_sensitivity_sign,
 )
 from .errors import (
+    ConvergenceError,
     DomainError,
     InputError,
-    InstabilityError,
     NoInteriorThresholdError,
     SedoptError,
     StructureError,

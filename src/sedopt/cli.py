@@ -49,7 +49,7 @@ class RunConfig:
     lam_upper: float | None = None
     # solver
     n: int = 301
-    dt: float | None = None
+    dt: float | None = None  # dt and t_end are accepted and ignored
     t_end: float = 90.0
     tol: float = 1e-9
     resolutions: list[int] = field(default_factory=lambda: [51, 101, 201, 401, 801])
@@ -80,7 +80,7 @@ class RunConfig:
 
 def default_realistic_config() -> RunConfig:
     """The realistic dam-downstream setting: weekly observations on average,
-    daily decision time-scale, 301 vertices, dt = 2.5e-5 day, T = 90 day."""
+    daily decision time-scale, 301 vertices."""
     return RunConfig(
         command="solve",
         delta=0.2,
@@ -88,8 +88,6 @@ def default_realistic_config() -> RunConfig:
         d=0.01,
         lam=1.0 / 7.0,
         n=301,
-        dt=2.5e-5,
-        t_end=90.0,
         tol=1e-9,
     )
 
@@ -158,24 +156,25 @@ def _run_solve(config: RunConfig, outdir: Path) -> None:
         )
     else:
         result = pde.solve_stationary(chain, rates, costs, grid, solver)
+    summary = {
+        "step_change": result.step_change,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "min_seen": result.min_seen,
+        "max_seen": result.max_seen,
+        "cost_rate": result.cost_rate,
+        "residual_history": list(result.residual_history),
+        "policy_changes": list(result.policy_changes),
+        "notes": list(result.notes),
+    }
+    _write_text(outdir / "solve_result.json", json.dumps(summary, indent=1) + "\n")
+    result.check_converged()
     policy = pde.extract_policy(result.field)
 
     _write_atomic(outdir / "value_field.csv",
                   lambda p: pde.write_value_field_csv(result.field, p))
     _write_atomic(outdir / "free_boundary.csv",
                   lambda p: pde.write_free_boundary_csv(chain, policy, p))
-    summary = {
-        "step_change": result.step_change,
-        "iterations": result.iterations,
-        "pseudo_time": result.pseudo_time,
-        "converged": result.converged,
-        "tol_warning": result.tol_warning,
-        "min_seen": result.min_seen,
-        "max_seen": result.max_seen,
-        "cost_rate": result.cost_rate,
-        "notes": list(result.notes),
-    }
-    _write_text(outdir / "solve_result.json", json.dumps(summary, indent=1) + "\n")
 
 
 def _run_exact(config: RunConfig, outdir: Path) -> None:
@@ -235,11 +234,7 @@ def _run_convergence(config: RunConfig, outdir: Path) -> None:
     problem = analytic.ScalarProblem(
         S=config.S, delta=config.delta, c=config.c, d=config.d, lam=config.lam
     )
-    solver = pde.SolverConfig(
-        dt=config.dt if config.dt is not None else 1.0 / 800.0,
-        t_end=config.t_end, tol=config.tol,
-    )
-    rows = pde.convergence_study(problem, config.resolutions, solver)
+    rows = pde.convergence_study(problem, config.resolutions, config.solver_config())
     lines = ["n,linf_error,l1_error,linf_rate,l1_rate,ybar,ybar_error"]
     for r in rows:
         lines.append(
@@ -292,9 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def solver(p):
         p.add_argument("--n", type=int, default=None, help="grid vertex count")
-        p.add_argument("--dt", type=parse_rate, default=None)
-        p.add_argument("--t-end", dest="t_end", type=parse_rate, default=None)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--dt", type=parse_rate, default=None, help="ignored")
+        p.add_argument("--t-end", dest="t_end", type=parse_rate, default=None, help="ignored")
+        p.add_argument("--tol", type=float, default=None, help="bound on max |residual|")
 
     p = sub.add_parser("identify", help="estimate a regime chain from a discharge CSV")
     common(p)

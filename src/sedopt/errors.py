@@ -24,12 +24,5 @@ class NoInteriorThresholdError(DomainError):
     """No replenishment threshold exists strictly inside (0, 1)."""
 
 
-class InstabilityError(SedoptError, RuntimeError):
-    """The pseudo-time iteration produced non-finite values.
-
-    Carries the stable step-size estimate in :attr:`cfl_bound`.
-    """
-
-    def __init__(self, message: str, cfl_bound: float):
-        super().__init__(message)
-        self.cfl_bound = cfl_bound
+class ConvergenceError(SedoptError, RuntimeError):
+    """A steady-state solve stopped before its residual reached the tolerance."""

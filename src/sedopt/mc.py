@@ -145,9 +145,9 @@ def _run_path(
     taus = _poisson_times(rng_obs, costs.lam, horizon)
     switches = path.start_times
     # switching and observation draws are continuous, so coincidences are
-    # a null event; guard the assumption anyway
-    if taus.size and switches.size > 1:
-        assert not np.intersect1d(taus, switches[1:]).size
+    # a null event; the event order below relies on it
+    if taus.size and switches.size > 1 and np.intersect1d(taus, switches[1:]).size:
+        raise StructureError("an observation coincides with a regime switch")
 
     delta = costs.delta
     t = 0.0

@@ -9,9 +9,11 @@ degenerate elliptic with a nonlocal intervention term:
 The advection coefficient S_i 1{y>0} is nonnegative, so the local
 Lax-Friedrichs numerical Hamiltonian with dissipation S_i reduces exactly
 to upwinding with the left-biased derivative, reconstructed at third order
-by WENO. Forward-Euler pseudo-time marching from zero drives the system to
-steady state; with delta = 0 the iterate drifts at the effective cost rate
-instead of converging, which is the long-horizon (ergodic) mode.
+by WENO. The discrete system is solved from zero by damped defect
+correction: each update solves with the first-order upwind operator under
+the current replenish set, the matrix of Howard's policy iteration, until
+the residual falls below a tolerance. With delta = 0 the same iteration
+solves for a relative value and the long-run cost rate (the ergodic mode).
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.typing import NDArray
+from scipy.sparse.linalg import splu
 
 from .analytic import ScalarProblem, evaluate_candidate, solve_smooth_pasting
-from .errors import InputError, InstabilityError, StructureError
+from .errors import ConvergenceError, InputError, StructureError
 from .regime import RegimeChain
 
 __all__ = [
@@ -133,23 +137,17 @@ class ThresholdPolicy:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Pseudo-time marching controls.
+    """Steady-state solver controls: stop once max |residual| <= tol.
 
-    dt = None takes the CFL-derived default
-    0.8 h / (max_i S_i + h (delta + lam + max_i sum_j nu_ij)).
+    `dt` and `t_end` are accepted for compatibility and ignored.
     """
 
     dt: float | None = None
     t_end: float = 365.0 / 2.0
     tol: float = 1e-10
     weno_eps: float = 1e-6
-    project_bounds: bool = True
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
-            raise InputError("dt must be positive")
-        if self.t_end <= 0 or not math.isfinite(self.t_end):
-            raise InputError("t_end must be positive and finite")
         if self.tol <= 0:
             raise InputError("tol must be positive")
         if self.weno_eps <= 0:
@@ -158,31 +156,26 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
-    """Converged field plus marching diagnostics."""
+    """Solved field plus iteration diagnostics, per iterate from v = 0 on."""
 
     field: ValueField
-    step_change: float
-    iterations: int
-    pseudo_time: float
+    step_change: float  # sup norm of the last update
+    iterations: int  # updates made
     converged: bool
-    tol_warning: bool
-    min_seen: float
+    min_seen: float  # bounds over every iterate
     max_seen: float
-    cost_rate: float | None = None  # drift per pseudo-day; the ergodic cost rate
+    residual_history: tuple[float, ...]  # max |residual| of each iterate
+    policy_changes: tuple[int, ...]  # replenish decisions flipped since the last iterate
+    cost_rate: float | None = None  # ergodic mode: long-run cost per day
     notes: tuple[str, ...] = field(default_factory=tuple)
 
-
-def cfl_time_step(chain: RegimeChain, rates, costs: CostSpec, grid: Grid) -> float:
-    """Default stable step: 0.4 h / (max S + h (delta + lam + max outflow)).
-
-    The margin is deliberately tight: forward Euler composed with the
-    upwind-biased third-order reconstruction develops a persistent
-    oscillation (the steady-state residual stalls around 1e-4) when the
-    step exceeds roughly half of the first-order advective limit.
-    """
-    out = float(chain.rates.sum(axis=1).max()) if chain.count else 0.0
-    top = float(np.max(rates)) if np.size(rates) else 0.0
-    return 0.4 * grid.h / (top + grid.h * (costs.delta + costs.lam + out))
+    def check_converged(self) -> None:
+        """Raise :class:`ConvergenceError` unless the solve converged."""
+        if not self.converged:
+            raise ConvergenceError(
+                f"max |residual| {self.residual_history[-1]:.3e} stalled above tol "
+                f"after {self.iterations} iterations"
+            )
 
 
 def weno3_left_derivative(values, h: float, weno_eps: float = 1e-6):
@@ -259,6 +252,61 @@ def residual(fld: ValueField, weno_eps: float = 1e-6) -> NDArray[np.float64]:
     )
 
 
+def _upwind_factorizer(switching, rates, costs: CostSpec, grid: Grid, ergodic: bool):
+    """Return factor(replenish), the sparse LU of the first-order upwind
+    Jacobian J of the residual under that replenish set.
+
+    J has delta + outflow on the diagonal, +-S_i / h upwind advection for
+    k >= 1, -nu_ij regime switching and lam (row k - column of the last
+    vertex) on the replenish set, with (i, k) at row i * n + k. Ergodic
+    mode borders it with a column of ones (the cost rate) and a row that
+    pins (regime 0, y = 1). Every row k < n - 1 holds a structural (k, last
+    vertex) entry, so the pattern is built once and each factorization
+    rewrites only the data array.
+    """
+    count, n = rates.size, grid.n
+    size = count * n
+    idx = np.arange(size).reshape(count, n)
+    src, dst = np.nonzero(switching)
+    diag = costs.delta + np.repeat(switching.sum(axis=1), n)
+    diag.reshape(count, n)[:, 1:] += rates[:, None] / grid.h
+    blocks = [
+        (idx, idx, diag),
+        (idx[:, :-1], np.repeat(idx[:, -1], n - 1), np.zeros(count * (n - 1))),
+        (idx[:, 1:], idx[:, :-1], -np.repeat(rates / grid.h, n - 1)),
+        (idx[src], idx[dst], -np.repeat(switching[src, dst], n)),
+    ]
+    if ergodic:
+        blocks += [(np.arange(size), np.full(size, size), np.ones(size)),
+                   (np.array([size]), idx[:1, -1], np.ones(1))]
+    rows, cols, base = (np.concatenate([np.ravel(b[part]) for b in blocks]) for part in range(3))
+    matrix = sp.csc_matrix((np.arange(1.0, rows.size + 1), (rows, cols)),
+                           shape=(size + ergodic, size + ergodic))
+    order = matrix.data.astype(np.intp) - 1  # csc slot -> entry index
+    last = slice(size, size + count * (n - 1))
+
+    def factor(replenish: NDArray[np.bool_]):
+        values = base.copy()
+        values[:size] += costs.lam * replenish.ravel()
+        values[last] = -costs.lam * replenish[:, :-1].ravel()
+        matrix.data = values[order]
+        try:
+            return splu(matrix)
+        except RuntimeError as exc:  # exactly singular: no unique fixed point
+            raise StructureError(f"steady-state system is singular: {exc}") from exc
+
+    return factor
+
+
+# Each update is damped by this factor: undamped, the iteration can lock
+# into a two-cycle between WENO3 weight configurations.
+_RELAXATION = 0.9
+# A solve whose residual has not halved within this many iterations has
+# stalled. Slow phases of over a hundred iterations occur on coarse grids
+# before the iteration finds the fixed point.
+_STALL_WINDOW = 500
+
+
 def solve_stationary(
     chain: RegimeChain,
     rates,
@@ -266,19 +314,21 @@ def solve_stationary(
     grid: Grid,
     config: SolverConfig | None = None,
 ) -> SolveResult:
-    """March P <- P - dt * residual(P) from zero until steady (or t_end).
+    """Solve residual(v) = 0 by defect correction from v = 0.
 
-    Discounted mode (delta > 0) converges when the sup-norm step change
-    drops below `tol`; failing to reach it by t_end sets `tol_warning`.
-    Ergodic mode (delta = 0) runs the full horizon and reports the terminal
-    drift per pseudo-day as `cost_rate`. Non-finite iterates abort with the
-    stable step estimate in the error.
+    Each iteration sets v <- v - 0.9 J^-1 residual(v), where J, the
+    first-order upwind Jacobian under the current replenish set, is a
+    weakly chained diagonally dominant M-matrix as in Howard's policy
+    iteration. The WENO3 residual is unchanged, so the fixed point is that
+    of the third-order scheme. J is refactored only when the replenish set
+    changes.
 
-    With `project_bounds` (the default) each Euler step is projected onto
-    the closed range [0, 1/delta] of the true solution; the reconstruction
-    is not monotone, so raw steps undershoot 0 by ~1e-6 near the transient
-    front. Any fixed point strictly inside the range is untouched by the
-    projection.
+    Discounted mode (delta > 0) converges once max |residual| <= tol.
+    Ergodic mode (delta = 0) solves residual(w) + u = 0 for the cost rate u
+    and the relative value w, pinned to 0 at (regime 0, y = 1); it needs a
+    chain with one closed class. A residual that does not halve within
+    `_STALL_WINDOW` iterations (round-off above tol, say) ends the solve
+    with `converged = False`.
     """
     config = config or SolverConfig()
     rates = np.asarray(rates, dtype=float)
@@ -286,44 +336,46 @@ def solve_stationary(
         raise StructureError(f"rates shape {rates.shape} != ({chain.count},)")
     if rates.size and rates.min() < 0:
         raise InputError("transport rates must be >= 0")
+    ergodic = costs.delta == 0.0
+    if ergodic and len(closed := chain.closed_classes()) > 1:
+        raise StructureError(f"the ergodic solve needs one closed class of regimes, found {closed}")
 
-    cfl = cfl_time_step(chain, rates, costs, grid)
-    dt = config.dt if config.dt is not None else cfl
     y = grid.vertices
     cost_vec = costs.c * (1.0 - y) + costs.d
     switching = chain.rates
     outflow = switching.sum(axis=1)
+    factor = _upwind_factorizer(switching, rates, costs, grid, ergodic)
 
-    upper = math.inf if costs.delta == 0.0 else 1.0 / costs.delta
     v = np.zeros((chain.count, grid.n))
-    min_seen, max_seen = 0.0, 0.0
-    steps = max(1, int(math.ceil(config.t_end / dt)))
-    step_change = math.inf
-    converged = False
-    it = 0
-    for it in range(1, steps + 1):
+    cost_rate = min_seen = max_seen = step_change = 0.0
+    replenish = np.zeros(v.shape, dtype=bool)
+    history: list[float] = []
+    changes: list[int] = []
+    lu = None
+    while True:
         res = _residual_arrays(
             v, rates, switching, outflow, cost_vec, costs, grid.h, config.weno_eps
-        )
-        nxt = v - dt * res
-        if config.project_bounds:
-            np.clip(nxt, 0.0, upper, out=nxt)
-        step_change = float(np.max(np.abs(nxt - v)))
-        v = nxt
-        if not math.isfinite(step_change):
-            raise InstabilityError(
-                f"pseudo-time iteration diverged at step {it} (dt={dt:.3g}); "
-                f"the CFL-stable step for this problem is about {cfl:.3g}",
-                cfl_bound=cfl,
-            )
+        ) + cost_rate
+        now = v > v[:, -1:] + cost_vec
+        changes.append(int(np.count_nonzero(now != replenish)))
+        replenish = now
+        history.append(float(np.max(np.abs(res))))
+        converged = history[-1] <= config.tol
+        earlier_best = min(history[:-_STALL_WINDOW], default=math.inf)
+        if converged or not history[-1] <= 0.5 * earlier_best:  # stalled or not finite
+            break
+        if lu is None or changes[-1]:
+            lu = factor(replenish)
+        # in ergodic mode the pin row's residual is w(0, 1) = 0, kept by every update
+        step = _RELAXATION * lu.solve(np.append(res.ravel(), [0.0] if ergodic else []))
+        v -= step[:v.size].reshape(v.shape)
+        if ergodic:
+            cost_rate -= step[-1]
+        step_change = float(np.max(np.abs(step[:v.size])))
         min_seen = min(min_seen, float(v.min()))
         max_seen = max(max_seen, float(v.max()))
-        if step_change < config.tol:
-            converged = True
-            break
 
     fld = ValueField(values=v, grid=grid, chain=chain, rates=rates, costs=costs)
-    ergodic = costs.delta == 0.0
     notes: tuple[str, ...] = ()
     # monotonicity in storage is expected but not guaranteed by the scheme;
     # flag violations instead of failing
@@ -334,13 +386,13 @@ def solve_stationary(
     return SolveResult(
         field=fld,
         step_change=step_change,
-        iterations=it,
-        pseudo_time=it * dt,
+        iterations=len(history) - 1,
         converged=converged,
-        tol_warning=(not converged) and not ergodic,
         min_seen=min_seen,
         max_seen=max_seen,
-        cost_rate=(step_change / dt) if ergodic else None,
+        residual_history=tuple(history),
+        policy_changes=tuple(changes),
+        cost_rate=float(cost_rate) if ergodic else None,
         notes=notes,
     )
 
@@ -402,7 +454,8 @@ def convergence_study(
     Solves the stationary system at each resolution, measures the l-inf and
     l1 (vertex mean) errors against the exact candidate, extracts the
     threshold, and attaches observed orders log_{N2/N1}(e1/e2) between
-    consecutive rows.
+    consecutive rows. A solve that does not converge raises
+    :class:`ConvergenceError`.
     """
     resolutions = [int(n) for n in resolutions]
     if not resolutions:
@@ -411,7 +464,6 @@ def convergence_study(
         if n1 == n2:
             raise InputError(f"duplicate resolution {n1}: convergence rate undefined")
 
-    config = config or SolverConfig(dt=1.0 / 800.0)
     exact = solve_smooth_pasting(problem)
     chain = single_regime_chain()
     costs = CostSpec(delta=problem.delta, c=problem.c, d=problem.d, lam=problem.lam)
@@ -421,6 +473,7 @@ def convergence_study(
     for n in resolutions:
         grid = Grid(n)
         result = solve_stationary(chain, rates, costs, grid, config)
+        result.check_converged()
         err = result.field.values[0] - evaluate_candidate(exact, grid.vertices)
         linf = float(np.max(np.abs(err)))
         l1 = float(np.mean(np.abs(err)))

@@ -101,6 +101,13 @@ class RegimeChain:
             "reachable with the rest"
         )
 
+    def closed_classes(self) -> list[list[int]]:
+        """Communicating classes that no positive switching rate leaves."""
+        n_comp, labels = connected_components(csr_matrix(self.rates), connection="strong")
+        src, dst = np.nonzero(self.rates)
+        leaky = set(labels[src][labels[src] != labels[dst]].tolist())
+        return [np.flatnonzero(labels == c).tolist() for c in range(n_comp) if c not in leaky]
+
     def to_dict(self) -> dict:
         return {
             "discharges": self.discharges.tolist(),

@@ -10,6 +10,7 @@ from sedopt.analytic import (
     evaluate_candidate,
     solve_smooth_pasting,
 )
+from sedopt import mc
 from sedopt.errors import DomainError, InputError, StructureError
 from sedopt.mc import (
     estimate_cost,
@@ -166,6 +167,17 @@ class TestSimulateControlled:
         with pytest.raises(StructureError):
             simulate_controlled(three_regime_chain(), np.zeros(3),
                                 ThresholdPolicy(boundaries=np.array([0.5])),
+                                BENCH_COSTS, 1.0, 10.0, seed=0)
+
+    def test_observation_at_a_switch_rejected(self, monkeypatch):
+        # a null event for continuous draws, but the event order relies on it
+        path = RegimePath(start_times=np.array([0.0, 1.0]), regimes=np.array([0, 1]),
+                          horizon=10.0, count=3)
+        monkeypatch.setattr(mc, "sample_regime_path", lambda *args: path)
+        monkeypatch.setattr(mc, "_poisson_times", lambda *args: np.array([1.0]))
+        with pytest.raises(StructureError, match="coincides"):
+            simulate_controlled(three_regime_chain(), np.full(3, 0.1),
+                                ThresholdPolicy(boundaries=np.full(3, 0.5)),
                                 BENCH_COSTS, 1.0, 10.0, seed=0)
 
 

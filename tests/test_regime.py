@@ -47,6 +47,15 @@ class TestRegimeChain:
         np.testing.assert_allclose(q.sum(axis=1), 0.0, atol=1e-15)
         assert q[0, 1] == 1.0 and q[0, 0] == -1.0
 
+    def test_closed_classes(self):
+        q = np.array([1.0, 2.0, 3.0])
+        transient = RegimeChain(discharges=q, rates=np.array(
+            [[0.0, 1.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.8, 0.0]]))
+        assert transient.closed_classes() == [[1, 2]]
+        isolated = RegimeChain(discharges=q, rates=np.zeros((3, 3)))
+        assert isolated.closed_classes() == [[0], [1], [2]]
+        assert two_regime_chain().closed_classes() == [[0, 1]]
+
     def test_json_round_trip(self, tmp_path):
         chain = two_regime_chain()
         path = tmp_path / "chain.json"
