@@ -168,6 +168,10 @@ def _run_solve(config: RunConfig, outdir: Path) -> None:
         "notes": list(result.notes),
     }
     _write_text(outdir / "solve_result.json", json.dumps(summary, indent=1) + "\n")
+    if not result.converged:
+        # a later `simulate --policy` must not pick up an earlier run's policy
+        for stale in ("value_field.csv", "free_boundary.csv"):
+            (outdir / stale).unlink(missing_ok=True)
     result.check_converged()
     policy = pde.extract_policy(result.field)
 
@@ -220,6 +224,9 @@ def _run_simulate(config: RunConfig, outdir: Path) -> None:
         "n_paths": est.n_paths,
         "horizon": est.horizon,
         "truncation_bound": est.truncation_bound,
+        "events_per_path": est.events_per_path,
+        "replenishments_per_path": est.replenishments_per_path,
+        "depleted_fraction": est.depleted_fraction,
     }
     _write_text(outdir / "cost_estimate.json", json.dumps(record, indent=1) + "\n")
     if config.per_path:

@@ -5,7 +5,8 @@ and sticks at zero, so every path is integrated exactly: depletion times
 are closed-form hitting times and the discounted depletion penalty is an
 exact exponential integral over the recorded depletion intervals. No
 time-stepping error enters, which is what makes the estimator a trustworthy
-independent check of the analytic and finite difference solutions.
+independent check of the analytic and finite difference solutions. All
+paths of a run advance together in numpy, one event per path per step.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from numpy.typing import NDArray
 from .analytic import ScalarProblem, evaluate_candidate, solve_smooth_pasting
 from .errors import DomainError, InputError, StructureError
 from .pde import CostSpec, ThresholdPolicy, single_regime_chain
-from .regime import RegimeChain, RegimePath, sample_regime_path
+from .regime import RegimeChain, RegimePath
+from .regime import sample_regime_path  # noqa: F401  perfbench/run.py traces it here
 
 __all__ = [
     "StoragePath",
@@ -58,6 +60,7 @@ class PathRecord:
     actions: NDArray[np.float64]  # replenished amount at each observation (0 = none)
     storage: StoragePath
     depletion: list[tuple[float, float]]
+    cost: float  # realized cost, discounted (ergodic: undivided)
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,9 @@ class CostEstimate:
     n_paths: int
     horizon: float
     truncation_bound: float
+    events_per_path: float  # regime switches plus observations
+    replenishments_per_path: float
+    depleted_fraction: float  # share of path time spent at zero storage
     samples: tuple[float, ...] | None = None  # per-path costs, on request
 
     def __post_init__(self):
@@ -76,11 +82,25 @@ class CostEstimate:
             raise InputError("standard error cannot be negative")
 
 
-def _discounted_interval(delta: float, t0: float, t1: float) -> float:
+def _discounted_interval(delta: float, t0, t1):
     # integral of e^{-delta s} over [t0, t1]
     if delta == 0.0:
         return t1 - t0
-    return (math.exp(-delta * t0) - math.exp(-delta * t1)) / delta
+    return (np.exp(-delta * t0) - np.exp(-delta * t1)) / delta
+
+
+def _decay(t, y, rate, target):
+    """Closed-form linear decay from storage y at time t to time `target`
+    at a constant rate, stuck at 0.
+
+    Returns the storage at `target` and the time it hits 0 (NaN where it
+    was already 0 or stays positive).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_hit = t + y / rate
+    empty = t_hit <= target
+    y_end = np.where(empty, 0.0, np.maximum(y - rate * (target - t), 0.0))
+    return y_end, np.where(empty & (y > 0.0), t_hit, np.nan)
 
 
 def simulate_storage(regime_path: RegimePath, rates, y0: float) -> StoragePath:
@@ -101,143 +121,145 @@ def simulate_storage(regime_path: RegimePath, rates, y0: float) -> StoragePath:
     values = [float(y0)]
     y = float(y0)
     for t0, t1, i in regime_path.spans():
-        rate = rates[i]
-        if y > 0.0 and rate > 0.0:
-            t_hit = t0 + y / rate
-            if t_hit < t1:
-                times.append(t_hit)
-                values.append(0.0)
-                y = 0.0
-            else:
-                y = max(0.0, y - rate * (t1 - t0))
+        y, t_hit = map(float, _decay(t0, y, rates[i], t1))
+        if not math.isnan(t_hit):
+            times.append(t_hit)
+            values.append(0.0)
         times.append(t1)
         values.append(y)
     return StoragePath(times=np.asarray(times), values=np.asarray(values))
 
 
-def _poisson_times(rng: np.random.Generator, lam: float, horizon: float) -> NDArray[np.float64]:
-    block = max(16, int(lam * horizon * 1.5) + 8)
-    gaps = rng.exponential(1.0 / lam, size=block)
-    times = np.cumsum(gaps)
-    while times[-1] < horizon:
-        gaps = rng.exponential(1.0 / lam, size=block)
-        times = np.concatenate([times, times[-1] + np.cumsum(gaps)])
-    return times[times < horizon]
+def _streams(seed) -> list[np.random.Generator]:
+    """Independent regime and observation generators from one seed."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
 
 
-def _run_path(
-    chain: RegimeChain,
-    rates: NDArray[np.float64],
-    boundaries: NDArray[np.float64] | None,
-    costs: CostSpec,
-    y0: float,
-    initial_regime: int,
-    horizon: float,
-    rng_regime: np.random.Generator,
-    rng_obs: np.random.Generator,
-    record: bool,
-) -> tuple[float, PathRecord | None]:
-    """Simulate one path; return its realized discounted (or raw) cost.
+def _next_switch(rng: np.random.Generator, t, out_rates):
+    """Next switch times after t: exponential(1) / out-rate, or never."""
+    hold = rng.exponential(size=t.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(out_rates > 0.0, t + hold / out_rates, np.inf)
 
-    `boundaries = None` is the null control: no replenishment ever.
-    """
-    path = sample_regime_path(chain, initial_regime, horizon, rng_regime)
-    taus = _poisson_times(rng_obs, costs.lam, horizon)
-    switches = path.start_times
-    # switching and observation draws are continuous, so coincidences are
-    # a null event; the event order below relies on it
-    if taus.size and switches.size > 1 and np.intersect1d(taus, switches[1:]).size:
-        raise StructureError("an observation coincides with a regime switch")
 
-    delta = costs.delta
-    t = 0.0
-    y = float(y0)
-    seg = 0  # current segment index in the regime path
-    depl_start: float | None = 0.0 if y == 0.0 else None
-    cost = 0.0
+class _Recorder:
+    """Event log of a one-path run, turned into a PathRecord."""
 
-    actions = np.zeros(taus.size)
-    bt: list[float] = [0.0]
-    by: list[float] = [y]
-    depletions: list[tuple[float, float]] = []
+    def __init__(self, y0: float, regime: int):
+        self.starts, self.regimes, self.observations, self.actions = [0.0], [regime], [], []
+        self.points, self.depletion = [(0.0, float(y0))], []
 
-    def advance(target: float) -> None:
-        """Decay y over [t, target]; the regime is constant on it."""
-        nonlocal t, y, depl_start
-        rate = rates[path.regimes[seg]]
-        if y > 0.0 and rate > 0.0:
-            t_hit = t + y / rate
-            if t_hit <= target:
-                y = 0.0
-                depl_start = t_hit
-                if record:
-                    bt.append(t_hit)
-                    by.append(0.0)
-            else:
-                y -= rate * (target - t)
-        t = target
+    def step(self, t, t_hit, y, switched_to, observed, acted, closed_since) -> None:
+        """One event at t: the zero-hitting time before it (NaN if none),
+        the storage before any replenishment, the regime entered (None
+        unless a switch), and the start of the depletion interval the event
+        closes (NaN if none). An event that is neither is the horizon."""
+        if not math.isnan(t_hit):
+            self.points.append((t_hit, 0.0))
+        if not math.isnan(closed_since):
+            self.depletion.append((closed_since, t))
+        if observed:
+            self.observations.append(t)
+            self.actions.append(1.0 - y if acted else 0.0)
+            if acted and y < 1.0:
+                self.points += [(t, y), (t, 1.0)]
+            return
+        if switched_to is not None:
+            self.starts.append(t)
+            self.regimes.append(switched_to)
+        self.points.append((t, y))
 
-    next_switch = 1  # switches[0] is time 0
-    next_obs = 0
-    while True:
-        t_switch = switches[next_switch] if next_switch < switches.size else math.inf
-        t_obs = taus[next_obs] if next_obs < taus.size else math.inf
-        t_event = min(t_switch, t_obs, horizon)
-        advance(t_event)
-        if t_event == horizon:
-            break
-        if t_switch < t_obs:
-            seg += 1
-            next_switch += 1
-            if record:
-                bt.append(t)
-                by.append(y)
-        else:
-            if boundaries is not None and y <= boundaries[path.regimes[seg]]:
-                eta = 1.0 - y
-                actions[next_obs] = eta
-                if depl_start is not None:
-                    cost += _discounted_interval(delta, depl_start, t)
-                    if record:
-                        depletions.append((depl_start, t))
-                    depl_start = None
-                if eta > 0.0:
-                    discount = math.exp(-delta * t) if delta > 0.0 else 1.0
-                    cost += discount * (costs.c * eta + costs.d)
-                    if record:
-                        bt.append(t)
-                        by.append(y)
-                    y = 1.0
-                    if record:
-                        bt.append(t)
-                        by.append(1.0)
-            next_obs += 1
-
-    if depl_start is not None:
-        cost += _discounted_interval(delta, depl_start, horizon)
-        if record:
-            depletions.append((depl_start, horizon))
-
-    rec = None
-    if record:
-        bt.append(horizon)
-        by.append(y)
-        rec = PathRecord(
-            regime_path=path,
-            observations=taus,
-            actions=actions,
-            storage=StoragePath(times=np.asarray(bt), values=np.asarray(by)),
-            depletion=depletions,
+    def record(self, count: int, horizon: float, cost: float) -> PathRecord:
+        times, values = np.array(self.points).T
+        return PathRecord(
+            regime_path=RegimePath(start_times=np.asarray(self.starts),
+                                   regimes=np.asarray(self.regimes),
+                                   horizon=float(horizon), count=count),
+            observations=np.asarray(self.observations, dtype=float),
+            actions=np.asarray(self.actions, dtype=float),
+            storage=StoragePath(times=times, values=values),
+            depletion=self.depletion,
+            cost=cost,
         )
-    return cost, rec
 
 
-def _check_policy(policy: ThresholdPolicy | None, chain: RegimeChain) -> NDArray[np.float64] | None:
-    if policy is None:
-        return None
-    if policy.boundaries.size != chain.count:
+def _simulate(chain: RegimeChain, rates, policy: ThresholdPolicy | None, costs: CostSpec,
+              y0: float, initial_regime: int, horizon: float, n_paths: int, seed,
+              recorder: _Recorder | None = None):
+    """Advance n_paths paths together, one event per live path per step.
+
+    Returns the realized cost per path (undivided in ergodic mode), the
+    event (switch and observation) and replenishment counts over all paths
+    and the path-days spent at zero storage.
+
+    A path's state is its time, storage, regime, next switch, next
+    observation, depletion start (NaN when not depleted) and cost. Each
+    step moves every live path to its next event (switch, observation or
+    the horizon) by the closed-form decay and applies the event. Paths at
+    the horizon leave the arrays. Which paths draw at a step never depends
+    on the storage, so every policy sees the same drivers for one seed.
+    `policy = None` is the null control: no replenishment ever.
+    """
+    if not 0.0 <= y0 <= 1.0:
+        raise InputError("initial storage must lie in [0, 1]")
+    if not 0 <= initial_regime < chain.count:
+        raise InputError(f"initial regime {initial_regime} out of range")
+    if policy is not None and policy.boundaries.size != chain.count:
         raise StructureError("policy size does not match the chain")
-    return policy.boundaries
+    rates = np.asarray(rates, dtype=float)
+    rng_regime, rng_obs = _streams(seed)
+    delta, lam, out_rates = costs.delta, costs.lam, chain.out_rates
+    thresholds = np.full(chain.count, -np.inf) if policy is None else policy.boundaries
+
+    path = np.arange(n_paths)
+    t = np.zeros(n_paths)
+    y = np.full(n_paths, float(y0))
+    regime = np.full(n_paths, int(initial_regime))
+    t_switch = _next_switch(rng_regime, t, out_rates[regime])
+    t_obs = rng_obs.exponential(size=n_paths) / lam
+    depleted_since = np.full(n_paths, 0.0 if y0 == 0.0 else np.nan)
+    cost, samples = np.zeros(n_paths), np.empty(n_paths)
+    events = replenishments = 0
+    depleted_time = 0.0  # path-days at zero storage
+    while path.size:
+        t_next = np.minimum(np.minimum(t_switch, t_obs), horizon)
+        y, t_hit = _decay(t, y, rates[regime], t_next)
+        depleted_since = np.where(np.isnan(t_hit), depleted_since, t_hit)
+        t = t_next
+        live = t < horizon
+        # switching and observation draws are continuous, so coincidences
+        # are a null event; the event order below relies on it
+        if np.any(live & (t_switch == t_obs)):
+            raise StructureError("an observation coincides with a regime switch")
+        switch = np.flatnonzero(live & (t_switch < t_obs))
+        observe = np.flatnonzero(live & (t_obs < t_switch))
+        regime[switch] = chain.jump(regime[switch], rng_regime.random(switch.size))
+        t_switch[switch] = _next_switch(rng_regime, t[switch], out_rates[regime[switch]])
+        t_obs[observe] = t[observe] + rng_obs.exponential(size=observe.size) / lam
+
+        acted = observe[y[observe] <= thresholds[regime[observe]]]
+        # a depletion interval ends at a replenishing observation or the horizon
+        closing = np.concatenate([acted, np.flatnonzero(~live)])
+        closing = closing[~np.isnan(depleted_since[closing])]
+        cost[closing] += _discounted_interval(delta, depleted_since[closing], t[closing])
+        depleted_time += float(np.sum(t[closing] - depleted_since[closing]))
+        filled = acted[y[acted] < 1.0]
+        cost[filled] += np.exp(-delta * t[filled]) * (costs.c * (1.0 - y[filled]) + costs.d)
+        if recorder is not None:
+            recorder.step(t[0], t_hit[0], y[0], regime[0] if switch.size else None,
+                          observe.size > 0, acted.size > 0,
+                          depleted_since[0] if closing.size else np.nan)
+        y[filled] = 1.0
+        depleted_since[closing] = np.nan
+        events += switch.size + observe.size
+        replenishments += filled.size
+
+        if not live.all():
+            samples[path[~live]] = cost[~live]
+            path, t, y, regime, t_switch, t_obs, depleted_since, cost = (
+                a[live] for a in (path, t, y, regime, t_switch, t_obs, depleted_since, cost)
+            )
+    return samples, events, replenishments, depleted_time
 
 
 def simulate_controlled(
@@ -252,31 +274,17 @@ def simulate_controlled(
 ) -> PathRecord:
     """One controlled trajectory under the threshold rule, fully recorded.
 
-    The regime chain and the observation stream are driven by two
-    independent generators spawned from one seed, so paths are reproducible
-    and the two noise sources stay independent. `policy = None` never
-    replenishes (the null control).
+    It is a one-path run of the same engine as `estimate_cost`. The regime
+    chain and the observation stream are driven by two independent
+    generators spawned from one seed, so paths are reproducible, the two
+    noise sources stay independent and every policy sees the same drivers.
+    `policy = None` never replenishes (the null control).
     """
     if horizon <= 0:
         raise InputError("horizon must be positive")
-    if not 0.0 <= y0 <= 1.0:
-        raise InputError("initial storage must lie in [0, 1]")
-    rates = np.asarray(rates, dtype=float)
-    boundaries = _check_policy(policy, chain)
-    stream_regime, stream_obs = np.random.SeedSequence(seed).spawn(2)
-    _, rec = _run_path(
-        chain,
-        rates,
-        boundaries,
-        costs,
-        y0,
-        initial_regime,
-        horizon,
-        np.random.default_rng(stream_regime),
-        np.random.default_rng(stream_obs),
-        record=True,
-    )
-    return rec
+    recorder = _Recorder(y0, initial_regime)
+    cost = _simulate(chain, rates, policy, costs, y0, initial_regime, horizon, 1, seed, recorder)[0]
+    return recorder.record(chain.count, horizon, float(cost[0]))
 
 
 def estimate_cost(
@@ -298,36 +306,25 @@ def estimate_cost(
     truncation bound e^{-delta T}/delta caps the tail lost to the finite
     horizon. Ergodic mode (delta = 0) instead returns the time-averaged
     cost per day over [0, horizon]. Summation is compensated so the result
-    does not depend on accumulation order.
+    does not depend on accumulation order. The estimate also reports what
+    the paths saw: events and replenishments per path and the share of
+    time spent depleted.
     """
     if n_paths < 2:
         raise InputError("need at least 2 paths for a standard error")
-    if not 0.0 <= y0 <= 1.0:
-        raise InputError("initial storage must lie in [0, 1]")
     if horizon <= 0 or not math.isfinite(horizon):
         if costs.delta == 0.0:
             raise DomainError(
                 "ergodic cost-rate estimation needs a finite positive horizon"
             )
         raise InputError("horizon must be finite and positive")
-    rates = np.asarray(rates, dtype=float)
-    boundaries = _check_policy(policy, chain)
-
-    stream_regime, stream_obs = np.random.SeedSequence(seed).spawn(2)
-    rng_regime = np.random.default_rng(stream_regime)
-    rng_obs = np.random.default_rng(stream_obs)
-
+    samples, events, replenishments, depleted_time = _simulate(
+        chain, rates, policy, costs, y0, initial_regime, horizon, n_paths, seed)
     ergodic = costs.delta == 0.0
-    samples = []
-    for _ in range(n_paths):
-        cost, _ = _run_path(
-            chain, rates, boundaries, costs, y0, initial_regime, horizon,
-            rng_regime, rng_obs, record=False,
-        )
-        samples.append(cost / horizon if ergodic else cost)
-
+    if ergodic:
+        samples = samples / horizon
     mean = math.fsum(samples) / n_paths
-    var = math.fsum((x - mean) ** 2 for x in samples) / (n_paths - 1)
+    var = math.fsum((samples - mean) ** 2) / (n_paths - 1)
     return CostEstimate(
         mean=mean,
         stderr=math.sqrt(var / n_paths),
@@ -336,7 +333,10 @@ def estimate_cost(
         truncation_bound=(
             math.exp(-costs.delta * horizon) / costs.delta if not ergodic else math.nan
         ),
-        samples=tuple(samples) if keep_samples else None,
+        events_per_path=events / n_paths,
+        replenishments_per_path=replenishments / n_paths,
+        depleted_fraction=depleted_time / (n_paths * horizon),
+        samples=tuple(samples.tolist()) if keep_samples else None,
     )
 
 

@@ -13,6 +13,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,11 @@ __all__ = [
 ]
 
 SECONDS_PER_DAY = 86400.0
+
+
+def _read_only(a: NDArray) -> NDArray:
+    a.flags.writeable = False  # cached and shared by every caller
+    return a
 
 
 @dataclass(frozen=True)
@@ -78,10 +84,34 @@ class RegimeChain:
     def count(self) -> int:
         return self.discharges.size
 
+    @cached_property
+    def out_rates(self) -> NDArray[np.float64]:
+        """Total switching rate out of each regime (0 for an absorbing one)."""
+        return _read_only(self.rates.sum(axis=1))
+
+    @cached_property
+    def jump_table(self) -> NDArray[np.float64]:
+        """Cumulative embedded-chain probabilities, one row per regime.
+
+        Each row is divided by its own last cumulative sum, so every entry
+        from the last positive rate on is exactly 1: a zero-probability
+        target, the diagonal included, cannot be reached by rounding.
+        Absorbing rows are all 1; no jump is ever drawn from them.
+        """
+        cum = np.cumsum(self.rates, axis=1)
+        total = cum[:, -1:]
+        return _read_only(np.divide(cum, total, out=np.ones_like(cum), where=total > 0))
+
+    def jump(self, regimes, u):
+        """Regimes entered by embedded-chain jumps from `regimes`, one
+        uniform u in [0, 1) per jump."""
+        u = np.asarray(u, dtype=float)
+        return np.count_nonzero(u[..., None] >= self.jump_table[regimes], axis=-1)
+
     def generator(self) -> NDArray[np.float64]:
         """Generator matrix Q: off-diagonal rates, diagonal -row sums."""
         q = self.rates.copy()
-        np.fill_diagonal(q, -self.rates.sum(axis=1))
+        np.fill_diagonal(q, -self.out_rates)
         return q
 
     def check_irreducible(self) -> None:
@@ -327,15 +357,17 @@ def sample_regime_path(
 ) -> RegimePath:
     """Simulate the chain on [0, horizon] (exponential holds, embedded jumps).
 
-    An absorbing regime (zero outgoing rate) yields a path that simply stays
-    there; that is a valid single-segment result, not an error.
+    Holding times are exponential(1) / out-rate and each jump takes one
+    uniform through `RegimeChain.jump`. An absorbing regime (zero outgoing
+    rate) yields a path that simply stays there; that is a valid
+    single-segment result, not an error.
     """
     if horizon <= 0:
         raise InputError("horizon must be positive")
     if not 0 <= initial < chain.count:
         raise InputError(f"initial regime {initial} out of range")
     rng = np.random.default_rng(seed)
-    out_rates = chain.rates.sum(axis=1)
+    out_rates = chain.out_rates
 
     times = [0.0]
     visited = [int(initial)]
@@ -344,10 +376,10 @@ def sample_regime_path(
         rate = out_rates[i]
         if rate <= 0.0:
             break
-        t += rng.exponential(1.0 / rate)
+        t += rng.exponential() / rate
         if t >= horizon:
             break
-        i = int(rng.choice(chain.count, p=chain.rates[i] / rate))
+        i = int(chain.jump(i, rng.random()))
         times.append(t)
         visited.append(i)
     return RegimePath(

@@ -255,6 +255,35 @@ def test_criterion_9_coarse_realistic_properties():
             f"unimodal in regime: {unimodal}, {elapsed:.1f}s")
 
 
+def test_multi_regime_policy_verified_by_monte_carlo():
+    # the paper's independent check of criterion 6, on the multi-regime
+    # policy: simulated cost of the extracted free boundary against the
+    # value field, allowing 3 se of noise plus the field's change under
+    # refinement (an O(h) bound)
+    chain = coarse_chain()
+    rates = rates_for_chain(chain, SedimentProperties())
+    costs = CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0)
+    coarse, fine = (solve_stationary(chain, rates, costs, Grid(n), SolverConfig(tol=1e-9))
+                    for n in (101, 201))
+    assert coarse.converged and fine.converged
+    policy = extract_policy(coarse.field)
+
+    def field_at(res, regime, y0):
+        return float(np.interp(y0, res.field.grid.vertices, res.field.values[regime]))
+
+    details, ok = [], True
+    for k, (regime, y0) in enumerate(((0, 1.0), (2, 0.6), (5, 0.3), (7, 0.0))):
+        est = estimate_cost(chain, rates, policy, costs, y0, 200.0, 20_000,
+                            seed=300 + k, initial_regime=regime)
+        target = field_at(coarse, regime, y0)
+        bound = 3.0 * est.stderr + abs(target - field_at(fine, regime, y0))
+        ok &= abs(est.mean - target) <= bound
+        details.append(f"regime {regime}, y0={y0}: {est.mean:.5f} vs {target:.5f} "
+                       f"({abs(est.mean - target) / est.stderr:.1f} se)")
+    print("MULTI-REGIME MC:", "; ".join(details))
+    assert ok, "; ".join(details)
+
+
 def test_criterion_10_ambiguity_reduction():
     chain = coarse_chain()
     rates = rates_for_chain(chain, SedimentProperties())

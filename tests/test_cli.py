@@ -127,6 +127,17 @@ class TestSolveSimulate:
         assert summary["converged"] is False
         assert not (out / "free_boundary.csv").exists()
 
+    def test_failed_solve_removes_earlier_policy(self, chain_file, tmp_path):
+        out = tmp_path / "solve"
+        assert self.solve(chain_file, out) == 0
+        assert (out / "free_boundary.csv").exists()
+        status = run_cli(
+            "solve", "--chain", chain_file, "--n", "21", "--tol", "1e-30", "--outdir", out,
+        )
+        assert status == 1
+        assert not (out / "free_boundary.csv").exists()
+        assert not (out / "value_field.csv").exists()
+
     @pytest.mark.parametrize("n, seed", [(301, 0), (31, 2), (31, 109), (61, 0)])
     def test_realistic_chain(self, tmp_path, n, seed):
         # 43 regimes on 2.5 m^3/s bins, nearest-neighbour switching with
@@ -205,6 +216,10 @@ class TestSolveSimulate:
         record = json.loads((sim / "cost_estimate.json").read_text())
         assert record["n_paths"] == 64
         assert record["mean"] >= 0.0
+        # what the paths saw: switches plus Poisson(50/7) observations each
+        assert record["events_per_path"] > 50.0 / 7.0
+        assert 0.0 < record["replenishments_per_path"] < record["events_per_path"]
+        assert 0.0 <= record["depleted_fraction"] < 1.0
         lines = (sim / "paths.csv").read_text().splitlines()
         assert lines[0] == "path,cost"
         assert len(lines) == 65

@@ -170,15 +170,66 @@ class TestSimulateControlled:
                                 BENCH_COSTS, 1.0, 10.0, seed=0)
 
     def test_observation_at_a_switch_rejected(self, monkeypatch):
-        # a null event for continuous draws, but the event order relies on it
-        path = RegimePath(start_times=np.array([0.0, 1.0]), regimes=np.array([0, 1]),
-                          horizon=10.0, count=3)
-        monkeypatch.setattr(mc, "sample_regime_path", lambda *args: path)
-        monkeypatch.setattr(mc, "_poisson_times", lambda *args: np.array([1.0]))
-        with pytest.raises(StructureError, match="coincides"):
-            simulate_controlled(three_regime_chain(), np.full(3, 0.1),
-                                ThresholdPolicy(boundaries=np.full(3, 0.5)),
-                                BENCH_COSTS, 1.0, 10.0, seed=0)
+        # a null event for continuous draws, but the event order relies on it:
+        # with every exponential draw 1, the first switch (rate 1) and the
+        # first observation (lambda 1) both fall at t = 1
+        class Constant:
+            def exponential(self, size):
+                return np.ones(size)
+
+            def random(self, size):
+                return np.zeros(size)
+
+        monkeypatch.setattr(mc, "_streams", lambda seed: [Constant(), Constant()])
+        chain = RegimeChain(discharges=np.array([1.0, 2.0]),
+                            rates=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        costs = CostSpec(delta=0.2, c=0.1, d=0.1, lam=1.0)
+        for run in (
+            lambda: simulate_controlled(chain, np.full(2, 0.1), None, costs, 1.0, 10.0),
+            lambda: estimate_cost(chain, np.full(2, 0.1), None, costs, 1.0, 10.0, 4),
+        ):
+            with pytest.raises(StructureError, match="coincides"):
+                run()
+
+    def test_common_random_numbers(self):
+        chain = three_regime_chain()
+        rates = np.array([0.0, 0.08, 0.5])
+        costs = CostSpec(delta=0.2, c=0.1, d=0.05, lam=0.3)
+        a, b = (
+            simulate_controlled(chain, rates, ThresholdPolicy(boundaries=b), costs,
+                                0.4, 200.0, seed=12)
+            for b in (np.array([0.3, 0.5, 0.7]), np.array([0.9, 0.0, 0.1]))
+        )
+        assert a.regime_path.regimes.size > 10
+        np.testing.assert_array_equal(a.regime_path.start_times, b.regime_path.start_times)
+        np.testing.assert_array_equal(a.regime_path.regimes, b.regime_path.regimes)
+        np.testing.assert_array_equal(a.observations, b.observations)
+        assert not np.array_equal(a.actions, b.actions)
+
+    def test_record_matches_engine(self):
+        chain = three_regime_chain()
+        rates = np.array([0.0, 0.08, 0.5])
+        policy = ThresholdPolicy(boundaries=np.array([0.3, 0.5, 0.7]))
+        costs = CostSpec(delta=0.2, c=0.1, d=0.05, lam=0.3)
+        for seed in range(5):
+            rec = simulate_controlled(chain, rates, policy, costs, 0.0, 100.0, seed=seed)
+            acted = rec.actions > 0.0
+            assert acted.any() and rec.depletion
+            recomputed = math.fsum(
+                math.exp(-0.2 * tau) * (costs.c * eta + costs.d)
+                for tau, eta in zip(rec.observations[acted], rec.actions[acted])
+            ) + math.fsum(
+                (math.exp(-0.2 * t0) - math.exp(-0.2 * t1)) / 0.2 for t0, t1 in rec.depletion
+            )
+            assert abs(rec.cost - recomputed) < 1e-12
+            # each observation applies the threshold of the regime it falls in
+            held = np.array([rec.regime_path.regime_at(tau) for tau in rec.observations])
+            before = np.where(acted, 1.0 - rec.actions, rec.storage.at(rec.observations))
+            np.testing.assert_array_equal(acted, before <= policy.boundaries[held])
+            # the storage curve sits at zero on the depletion intervals (the
+            # right end is the jump to full storage)
+            for t0, t1 in rec.depletion:
+                assert np.all(rec.storage.at(np.linspace(t0, t1, 7)[:-1]) == 0.0)
 
 
 class TestEstimateCost:
@@ -246,6 +297,21 @@ class TestEstimateCost:
         with pytest.raises(InputError):
             estimate_cost(CHAIN_1, BENCH_RATES, None, BENCH_COSTS, 1.0, math.inf,
                           n_paths=10, seed=0)
+
+    def test_diagnostics(self):
+        # single regime, y0 = 1: the null control is depleted from day 20 on
+        null = estimate_cost(CHAIN_1, BENCH_RATES, None, BENCH_COSTS, 1.0, 200.0,
+                             n_paths=400, seed=3)
+        assert null.replenishments_per_path == 0.0
+        assert null.depleted_fraction == pytest.approx(0.9, rel=1e-12)
+        mean_obs = BENCH_COSTS.lam * 200.0
+        assert abs(null.events_per_path - mean_obs) < 3.0 * math.sqrt(mean_obs / 400)
+        # same observations; a full threshold replenishes at every one
+        full = estimate_cost(CHAIN_1, BENCH_RATES, ThresholdPolicy(boundaries=np.array([1.0])),
+                             BENCH_COSTS, 1.0, 200.0, n_paths=400, seed=3)
+        assert full.events_per_path == null.events_per_path
+        assert full.replenishments_per_path == full.events_per_path
+        assert full.depleted_fraction < null.depleted_fraction
 
     def test_keep_samples(self):
         est = estimate_cost(CHAIN_1, BENCH_RATES, None, BENCH_COSTS, 1.0, 50.0,

@@ -226,6 +226,28 @@ class TestSampleRegimePath:
         path = sample_regime_path(chain, initial=0, horizon=5.0, seed=3)
         assert len(path.start_times) == 1
 
+    def test_jump_table(self):
+        rates = np.array([
+            [0.0, 0.3, 0.0, 0.7],
+            [0.0, 0.0, 0.0, 0.0],
+            [0.1, 0.2, 0.0, 0.0],
+            [1.0, 1.0, 1.0, 0.0],
+        ]) / 3.0
+        chain = RegimeChain(discharges=np.arange(1.0, 5.0), rates=rates)
+        table = chain.jump_table
+        # exactly 1 from the last positive rate on; an absorbing row is all 1
+        assert table[0, 3] == table[2, 1] == table[3, 2] == 1.0
+        assert np.all(table[1] == 1.0)
+        np.testing.assert_allclose(chain.out_rates, [1.0 / 3.0, 0.0, 0.1, 1.0])
+        # neither end of [0, 1) reaches a zero-probability target
+        start = np.array([0, 2, 3])
+        assert chain.jump(start, np.zeros(3)).tolist() == [1, 0, 0]
+        assert chain.jump(start, np.full(3, np.nextafter(1.0, 0.0))).tolist() == [3, 1, 2]
+        assert int(chain.jump(0, 0.5)) == 3
+        u = np.random.default_rng(0).random(200_000)
+        freq = np.bincount(chain.jump(np.zeros(u.size, dtype=int), u), minlength=4) / u.size
+        assert np.max(np.abs(freq - [0.0, 0.3, 0.0, 0.7])) < 0.005
+
     def test_same_seed_same_path(self):
         chain = two_regime_chain()
         a = sample_regime_path(chain, 0, 50.0, seed=11)
