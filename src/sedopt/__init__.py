@@ -9,6 +9,7 @@ verification), `cli` (command line).
 
 from .analytic import (
     BENCHMARK,
+    CostSpec,
     ErgodicSolution,
     ScalarProblem,
     SmoothSolution,
@@ -37,7 +38,6 @@ from .mc import (
     simulate_storage,
 )
 from .pde import (
-    CostSpec,
     Grid,
     SolveResult,
     SolverConfig,
@@ -55,6 +55,7 @@ from .regime import (
     RegimeChain,
     RegimePath,
     bin_discharge,
+    check_rates,
     estimate_chain,
     sample_regime_path,
     stationary_distribution,

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DomainError, InputError, NoInteriorThresholdError
 
 __all__ = [
+    "CostSpec",
     "ScalarProblem",
     "SmoothSolution",
     "ErgodicSolution",
@@ -33,29 +34,47 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ScalarProblem:
-    """Single-regime problem data.
+class CostSpec:
+    """Discount rate, proportional/fixed replenishment costs, observation
+    intensity (all rates in 1/day).
 
-    S: constant transport rate (1/day, > 0); delta: discount rate (1/day,
-    >= 0, zero only for the ergodic routines); c: proportional replenishment
-    cost; d: fixed replenishment cost; lam: observation intensity (1/day).
+    delta: discount rate (>= 0, zero only for the ergodic routines); c:
+    proportional replenishment cost; d: fixed replenishment cost; lam:
+    observation intensity (> 0). All must be finite.
     """
 
-    S: float
     delta: float
     c: float
     d: float
     lam: float
 
     def __post_init__(self):
-        if self.S <= 0:
-            raise InputError("transport rate S must be positive")
-        if self.lam <= 0:
-            raise InputError("observation intensity must be positive")
+        for name in ("delta", "c", "d", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite")
         if self.delta < 0:
             raise InputError("discount rate must be >= 0")
         if self.c < 0 or self.d < 0:
             raise InputError("costs must be >= 0")
+        if self.lam <= 0:
+            raise InputError("observation intensity must be positive")
+
+    def intervention_cost(self, y):
+        """Cost c (1-y) + d of refilling to capacity from storage y."""
+        return self.c * (1.0 - y) + self.d
+
+
+@dataclass(frozen=True)
+class ScalarProblem(CostSpec):
+    """Single-regime problem: the costs plus a constant transport rate S
+    (1/day, finite, > 0)."""
+
+    S: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (math.isfinite(self.S) and self.S > 0):
+            raise InputError("transport rate S must be finite and positive")
 
 
 # Canonical single-regime test case; its threshold is 0.6151947162815...
@@ -132,10 +151,10 @@ def _psi1_for(problem: ScalarProblem, f: float, a: float, ybar: float) -> float:
 
 def _pasting_residuals(problem: ScalarProblem, ybar: float) -> tuple[float, float, float]:
     """(value residual, derivative residual, psi1) at a trial threshold."""
-    S, delta, c, d, lam = problem.S, problem.delta, problem.c, problem.d, problem.lam
+    S, delta, lam = problem.S, problem.delta, problem.lam
     a, _, f = candidate_coefficients(problem, 0.0)
     psi1 = _psi1_for(problem, f, a, ybar)
-    b = (-a * S + lam * (psi1 + c + d)) / (delta + lam)
+    b = candidate_coefficients(problem, psi1)[1]
     e_low = math.exp(-(delta + lam) / S * ybar)
     e_high = math.exp(delta / S * (1.0 - ybar))
     r_value = f * e_low + a * ybar + b - psi1 * e_high
@@ -148,8 +167,7 @@ def _is_consistent(sol: SmoothSolution, samples: int = 512) -> bool:
     p = sol.problem
     y = np.linspace(0.0, 1.0, samples)
     value = evaluate_candidate(sol, y)
-    intervene = sol.psi1 + p.c * (1.0 - y) + p.d
-    gain = value - intervene  # > 0 where replenishing strictly wins
+    gain = value - (sol.psi1 + p.intervention_cost(y))  # > 0 where replenishing strictly wins
     tol = 1e-9 * max(1.0, float(np.max(np.abs(value))))
     below = y <= sol.ybar
     return bool(np.all(gain[below] >= -tol) and np.all(gain[~below] <= tol))
@@ -217,10 +235,7 @@ def ergodic_threshold(S: float, c: float, d: float, lam: float) -> ErgodicSoluti
     u = cS + dS/(1-ybar). d = 0 degenerates to ybar = 1 (flagged), with u
     from the companion equation u = (1-cS) exp(-lam/S) + cS.
     """
-    if S <= 0 or lam <= 0:
-        raise InputError("S and lam must be positive")
-    if c < 0 or d < 0:
-        raise InputError("costs must be >= 0")
+    ScalarProblem(S=S, delta=0.0, c=c, d=d, lam=lam)  # validates the arguments
     if (c + d) * S >= 1.0:
         raise NoInteriorThresholdError(
             f"(c + d) S = {(c + d) * S:.6g} >= 1: no interior threshold; "
@@ -256,10 +271,7 @@ def complete_info_threshold(S: float, c: float, d: float) -> float:
     exists (the most passive policy, ybar = 0 or never supplying, is
     optimal); the raw value is returned and a warning emitted.
     """
-    if S <= 0:
-        raise InputError("S must be positive")
-    if c < 0 or d < 0:
-        raise InputError("costs must be >= 0")
+    ScalarProblem(S=S, delta=0.0, c=c, d=d, lam=1.0)  # validates S, c, d; lam drops out
     if c * S >= 1.0:
         raise DomainError(f"cS = {c * S:.6g} >= 1: threshold formula undefined")
     ybar = (1.0 - (c + d) * S) / (1.0 - c * S)

@@ -13,6 +13,8 @@ import dataclasses
 import json
 import os
 import sys
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,6 +73,13 @@ class RunConfig:
             return transport.SedimentProperties()
         return transport.SedimentProperties.from_json(self.props)
 
+    def costs(self) -> analytic.CostSpec:
+        """The cost data; a `ScalarProblem` when a transport rate S is set."""
+        costs = {"delta": self.delta, "c": self.c, "d": self.d, "lam": self.lam}
+        if self.S is None:
+            return analytic.CostSpec(**costs)
+        return analytic.ScalarProblem(S=self.S, **costs)
+
     def solver_config(self) -> pde.SolverConfig:
         return pde.SolverConfig(dt=self.dt, t_end=self.t_end, tol=self.tol)
 
@@ -79,17 +88,9 @@ class RunConfig:
 
 
 def default_realistic_config() -> RunConfig:
-    """The realistic dam-downstream setting: weekly observations on average,
-    daily decision time-scale, 301 vertices."""
-    return RunConfig(
-        command="solve",
-        delta=0.2,
-        c=0.02,
-        d=0.01,
-        lam=1.0 / 7.0,
-        n=301,
-        tol=1e-9,
-    )
+    """The realistic dam-downstream setting, which the defaults encode:
+    weekly observations on average, daily decision time-scale, 301 vertices."""
+    return RunConfig(command="solve")
 
 
 def parse_rate(text: str) -> float:
@@ -147,7 +148,7 @@ def _load_chain_and_rates(config: RunConfig):
 
 def _run_solve(config: RunConfig, outdir: Path) -> None:
     chain, rates = _load_chain_and_rates(config)
-    costs = pde.CostSpec(delta=config.delta, c=config.c, d=config.d, lam=config.lam)
+    costs = config.costs()
     grid = pde.Grid(config.n)
     solver = config.solver_config()
     if config.lam_upper is not None:
@@ -183,19 +184,16 @@ def _run_solve(config: RunConfig, outdir: Path) -> None:
 
 def _run_exact(config: RunConfig, outdir: Path) -> None:
     _require(config, "S")
-    record: dict = {}
-    if config.delta > 0:
-        problem = analytic.ScalarProblem(
-            S=config.S, delta=config.delta, c=config.c, d=config.d, lam=config.lam
-        )
+    problem = config.costs()
+    if problem.delta > 0:
         sol = analytic.solve_smooth_pasting(problem)
         record = {
             "ybar": sol.ybar, "psi1": sol.psi1,
             "a": sol.a, "b": sol.b, "f": sol.f,
         }
-        if (config.c + config.d) * config.S < 1.0:
+        if (problem.c + problem.d) * problem.S < 1.0:
             record["u"] = analytic.ergodic_threshold(
-                config.S, config.c, config.d, config.lam
+                problem.S, problem.c, problem.d, problem.lam
             ).u
         if config.samples > 0:
             ys = np.linspace(0.0, 1.0, config.samples)
@@ -203,7 +201,7 @@ def _run_exact(config: RunConfig, outdir: Path) -> None:
             lines = ["y,psi"] + [f"{y:.12g},{v:.15g}" for y, v in zip(ys, vals)]
             _write_text(outdir / "candidate_values.csv", "\n".join(lines) + "\n")
     else:
-        erg = analytic.ergodic_threshold(config.S, config.c, config.d, config.lam)
+        erg = analytic.ergodic_threshold(problem.S, problem.c, problem.d, problem.lam)
         record = {"ybar": erg.ybar, "u": erg.u, "degenerate": erg.degenerate}
     _write_text(outdir / "exact.json", json.dumps(record, indent=1) + "\n")
 
@@ -211,9 +209,8 @@ def _run_exact(config: RunConfig, outdir: Path) -> None:
 def _run_simulate(config: RunConfig, outdir: Path) -> None:
     chain, rates = _load_chain_and_rates(config)
     policy = pde.read_free_boundary_csv(config.policy) if config.policy else None
-    costs = pde.CostSpec(delta=config.delta, c=config.c, d=config.d, lam=config.lam)
     est = mc.estimate_cost(
-        chain, rates, policy, costs,
+        chain, rates, policy, config.costs(),
         y0=config.y0, horizon=config.horizon, n_paths=config.paths,
         seed=config.seed, initial_regime=config.initial_regime,
         keep_samples=config.per_path,
@@ -238,10 +235,7 @@ def _run_simulate(config: RunConfig, outdir: Path) -> None:
 
 def _run_convergence(config: RunConfig, outdir: Path) -> None:
     _require(config, "S")
-    problem = analytic.ScalarProblem(
-        S=config.S, delta=config.delta, c=config.c, d=config.d, lam=config.lam
-    )
-    rows = pde.convergence_study(problem, config.resolutions, config.solver_config())
+    rows = pde.convergence_study(config.costs(), config.resolutions, config.solver_config())
     lines = ["n,linf_error,l1_error,linf_rate,l1_rate,ybar,ybar_error"]
     for r in rows:
         lines.append(
@@ -266,8 +260,9 @@ def run(config: RunConfig) -> int:
     """Dispatch a resolved configuration; returns the exit status."""
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _RUNNERS[config.command](config, outdir)
+    # echo first, so a failed run never leaves an earlier run's echo behind
     _echo_config(config, outdir)
+    _RUNNERS[config.command](config, outdir)
     return 0
 
 
@@ -361,16 +356,27 @@ def resolve_config(argv) -> RunConfig:
             raise ConfigFileError(
                 f"config file is for {file_command!r}, invoked as {command!r}"
             )
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(loaded) - known
+        hints = typing.get_type_hints(RunConfig)
+        unknown = set(loaded) - set(hints)
         if unknown:
             raise ConfigFileError(f"unknown config keys {sorted(unknown)}")
+        for name, value in loaded.items():
+            if not _fits(hints[name], value):
+                raise ConfigFileError(f"config key {name!r} has the wrong type: {value!r}")
         merged.update(loaded)
     merged.update({k: v for k, v in ns.items() if v is not None})
-    try:
-        return RunConfig(command=command, **merged)
-    except TypeError as exc:
-        raise ConfigFileError(str(exc)) from exc
+    return RunConfig(command=command, **merged)
+
+
+def _fits(hint, value) -> bool:
+    """Whether a JSON value has a RunConfig field's type; ints fit floats."""
+    if isinstance(hint, types.UnionType):  # X | None
+        return any(_fits(option, value) for option in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(typing.get_args(hint)[0], v) for v in value)
+    if isinstance(value, bool) or hint is type(None):  # bools are ints to isinstance
+        return hint is type(value)
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 class ConfigFileError(Exception):

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .analytic import ScalarProblem, evaluate_candidate, solve_smooth_pasting
+from .analytic import CostSpec, ScalarProblem, evaluate_candidate, solve_smooth_pasting
 from .errors import DomainError, InputError, StructureError
-from .pde import CostSpec, ThresholdPolicy, single_regime_chain
-from .regime import RegimeChain, RegimePath
+from .pde import ThresholdPolicy, single_regime_chain
+from .regime import RegimeChain, RegimePath, check_rates
 from .regime import sample_regime_path  # noqa: F401  perfbench/run.py traces it here
 
 __all__ = [
@@ -112,11 +112,7 @@ def simulate_storage(regime_path: RegimePath, rates, y0: float) -> StoragePath:
     """
     if not 0.0 <= y0 <= 1.0:
         raise InputError("initial storage must lie in [0, 1]")
-    rates = np.asarray(rates, dtype=float)
-    if rates.shape != (regime_path.count,):
-        raise StructureError(
-            f"rates shape {rates.shape} != ({regime_path.count},)"
-        )
+    rates = check_rates(rates, regime_path.count)
     times = [0.0]
     values = [float(y0)]
     y = float(y0)
@@ -206,7 +202,7 @@ def _simulate(chain: RegimeChain, rates, policy: ThresholdPolicy | None, costs: 
         raise InputError(f"initial regime {initial_regime} out of range")
     if policy is not None and policy.boundaries.size != chain.count:
         raise StructureError("policy size does not match the chain")
-    rates = np.asarray(rates, dtype=float)
+    rates = check_rates(rates, chain.count)
     rng_regime, rng_obs = _streams(seed)
     delta, lam, out_rates = costs.delta, costs.lam, chain.out_rates
     thresholds = np.full(chain.count, -np.inf) if policy is None else policy.boundaries
@@ -244,7 +240,7 @@ def _simulate(chain: RegimeChain, rates, policy: ThresholdPolicy | None, costs: 
         cost[closing] += _discounted_interval(delta, depleted_since[closing], t[closing])
         depleted_time += float(np.sum(t[closing] - depleted_since[closing]))
         filled = acted[y[acted] < 1.0]
-        cost[filled] += np.exp(-delta * t[filled]) * (costs.c * (1.0 - y[filled]) + costs.d)
+        cost[filled] += np.exp(-delta * t[filled]) * costs.intervention_cost(y[filled])
         if recorder is not None:
             recorder.step(t[0], t_hit[0], y[0], regime[0] if switch.size else None,
                           observe.size > 0, acted.size > 0,
@@ -369,7 +365,6 @@ def policy_gap_check(
     reference = float(evaluate_candidate(sol, y0))
     chain = single_regime_chain()
     rates = np.array([problem.S])
-    costs = CostSpec(delta=problem.delta, c=problem.c, d=problem.d, lam=problem.lam)
 
     rows: list[GapRow] = []
     for shift in perturbations:
@@ -378,7 +373,7 @@ def policy_gap_check(
             chain,
             rates,
             ThresholdPolicy(boundaries=np.array([threshold])),
-            costs,
+            problem,
             y0,
             horizon,
             n_paths,

@@ -22,6 +22,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +30,9 @@ import scipy.sparse as sp
 from numpy.typing import NDArray
 from scipy.sparse.linalg import splu
 
-from .analytic import ScalarProblem, evaluate_candidate, solve_smooth_pasting
+from .analytic import CostSpec, ScalarProblem, evaluate_candidate, solve_smooth_pasting
 from .errors import ConvergenceError, InputError, StructureError
-from .regime import RegimeChain
+from .regime import RegimeChain, check_rates
 
 __all__ = [
     "Grid",
@@ -72,28 +73,16 @@ class Grid:
     def h(self) -> float:
         return 1.0 / (self.n - 1)
 
-    @property
+    @cached_property
     def vertices(self) -> NDArray[np.float64]:
-        return np.linspace(0.0, 1.0, self.n)
+        y = np.linspace(0.0, 1.0, self.n)
+        y.flags.writeable = False  # cached and shared by every caller
+        return y
 
 
-@dataclass(frozen=True)
-class CostSpec:
-    """Discount rate, proportional/fixed replenishment costs, observation
-    intensity (all rates in 1/day)."""
-
-    delta: float
-    c: float
-    d: float
-    lam: float
-
-    def __post_init__(self):
-        if self.delta < 0:
-            raise InputError("discount rate must be >= 0")
-        if self.c < 0 or self.d < 0:
-            raise InputError("costs must be >= 0")
-        if self.lam <= 0:
-            raise InputError("observation intensity must be positive")
+def _intervention_gap(v: NDArray[np.float64], costs: CostSpec, grid: Grid) -> NDArray[np.float64]:
+    """v - (v_i(1) + c (1-y) + d): positive where replenishing strictly wins."""
+    return v - (v[:, -1:] + costs.intervention_cost(grid.vertices))
 
 
 @dataclass
@@ -108,16 +97,17 @@ class ValueField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self.rates = np.asarray(self.rates, dtype=float)
+        self.rates = check_rates(self.rates, self.chain.count)
         expected = (self.chain.count, self.grid.n)
         if self.values.shape != expected:
             raise StructureError(
                 f"value array shape {self.values.shape} != (regimes, vertices) {expected}"
             )
-        if self.rates.shape != (self.chain.count,):
-            raise StructureError(
-                f"rates shape {self.rates.shape} != ({self.chain.count},)"
-            )
+
+    def replenish(self) -> NDArray[np.bool_]:
+        """Where replenishing strictly beats waiting: P_i(1) + c (1-y) + d <
+        P_i(y). Ties do nothing (never pay the fixed cost for zero gain)."""
+        return _intervention_gap(self.values, self.costs, self.grid) > 0.0
 
 
 @dataclass(frozen=True)
@@ -217,20 +207,17 @@ def weno3_left_derivative(values, h: float, weno_eps: float = 1e-6):
 
 def _residual_arrays(
     v: NDArray[np.float64],
+    chain: RegimeChain,
     rates: NDArray[np.float64],
-    switching: NDArray[np.float64],
-    outflow: NDArray[np.float64],
-    intervention_cost: NDArray[np.float64],
     costs: CostSpec,
-    h: float,
+    grid: Grid,
     weno_eps: float,
 ) -> NDArray[np.float64]:
-    deriv = weno3_left_derivative(v, h, weno_eps)
+    deriv = weno3_left_derivative(v, grid.h, weno_eps)
     adv = rates[:, None] * deriv
     adv[:, 0] = 0.0  # advection switched off at y = 0
-    coupling = outflow[:, None] * v - switching @ v
-    intervene = v[:, -1:] + intervention_cost[None, :]
-    nonlocal_term = costs.lam * np.maximum(v - intervene, 0.0)
+    coupling = chain.out_rates[:, None] * v - chain.rates @ v
+    nonlocal_term = costs.lam * np.maximum(_intervention_gap(v, costs, grid), 0.0)
     res = costs.delta * v + adv + coupling + nonlocal_term
     res[:, 0] -= 1.0  # depletion penalty source lives on the y = 0 vertex
     return res
@@ -238,21 +225,10 @@ def _residual_arrays(
 
 def residual(fld: ValueField, weno_eps: float = 1e-6) -> NDArray[np.float64]:
     """Pointwise residual of the stationary optimality system (same shape)."""
-    y = fld.grid.vertices
-    cost_vec = fld.costs.c * (1.0 - y) + fld.costs.d
-    return _residual_arrays(
-        fld.values,
-        fld.rates,
-        fld.chain.rates,
-        fld.chain.rates.sum(axis=1),
-        cost_vec,
-        fld.costs,
-        fld.grid.h,
-        weno_eps,
-    )
+    return _residual_arrays(fld.values, fld.chain, fld.rates, fld.costs, fld.grid, weno_eps)
 
 
-def _upwind_factorizer(switching, rates, costs: CostSpec, grid: Grid, ergodic: bool):
+def _upwind_factorizer(chain: RegimeChain, rates, costs: CostSpec, grid: Grid, ergodic: bool):
     """Return factor(replenish), the sparse LU of the first-order upwind
     Jacobian J of the residual under that replenish set.
 
@@ -267,8 +243,9 @@ def _upwind_factorizer(switching, rates, costs: CostSpec, grid: Grid, ergodic: b
     count, n = rates.size, grid.n
     size = count * n
     idx = np.arange(size).reshape(count, n)
+    switching = chain.rates
     src, dst = np.nonzero(switching)
-    diag = costs.delta + np.repeat(switching.sum(axis=1), n)
+    diag = costs.delta + np.repeat(chain.out_rates, n)
     diag.reshape(count, n)[:, 1:] += rates[:, None] / grid.h
     blocks = [
         (idx, idx, diag),
@@ -331,20 +308,12 @@ def solve_stationary(
     with `converged = False`.
     """
     config = config or SolverConfig()
-    rates = np.asarray(rates, dtype=float)
-    if rates.shape != (chain.count,):
-        raise StructureError(f"rates shape {rates.shape} != ({chain.count},)")
-    if rates.size and rates.min() < 0:
-        raise InputError("transport rates must be >= 0")
+    rates = check_rates(rates, chain.count)
     ergodic = costs.delta == 0.0
     if ergodic and len(closed := chain.closed_classes()) > 1:
         raise StructureError(f"the ergodic solve needs one closed class of regimes, found {closed}")
 
-    y = grid.vertices
-    cost_vec = costs.c * (1.0 - y) + costs.d
-    switching = chain.rates
-    outflow = switching.sum(axis=1)
-    factor = _upwind_factorizer(switching, rates, costs, grid, ergodic)
+    factor = _upwind_factorizer(chain, rates, costs, grid, ergodic)
 
     v = np.zeros((chain.count, grid.n))
     cost_rate = min_seen = max_seen = step_change = 0.0
@@ -353,10 +322,8 @@ def solve_stationary(
     changes: list[int] = []
     lu = None
     while True:
-        res = _residual_arrays(
-            v, rates, switching, outflow, cost_vec, costs, grid.h, config.weno_eps
-        ) + cost_rate
-        now = v > v[:, -1:] + cost_vec
+        res = _residual_arrays(v, chain, rates, costs, grid, config.weno_eps) + cost_rate
+        now = _intervention_gap(v, costs, grid) > 0.0
         changes.append(int(np.count_nonzero(now != replenish)))
         replenish = now
         history.append(float(np.max(np.abs(res))))
@@ -400,16 +367,13 @@ def solve_stationary(
 def extract_policy(fld: ValueField) -> ThresholdPolicy:
     """Free boundary per regime from the converged field.
 
-    A vertex replenishes iff the intervention value P_i(1) + c (1-y) + d is
-    strictly below P_i(y); ties do nothing (never pay the fixed cost for
-    zero gain). The boundary is the midpoint between the last replenishing
-    and first idle vertex, or 0 when no vertex replenishes. A replenish set
-    that is not a contiguous run starting at y = 0 breaks the threshold
-    form and is an error.
+    The replenishing vertices are `ValueField.replenish`. The boundary is
+    the midpoint between the last replenishing and first idle vertex, or 0
+    when no vertex replenishes. A replenish set that is not a contiguous
+    run starting at y = 0 breaks the threshold form and is an error.
     """
     y = fld.grid.vertices
-    intervene = fld.values[:, -1:] + (fld.costs.c * (1.0 - y) + fld.costs.d)[None, :]
-    replenish = intervene < fld.values
+    replenish = fld.replenish()
 
     boundaries = np.zeros(fld.chain.count)
     for i in range(fld.chain.count):
@@ -466,13 +430,12 @@ def convergence_study(
 
     exact = solve_smooth_pasting(problem)
     chain = single_regime_chain()
-    costs = CostSpec(delta=problem.delta, c=problem.c, d=problem.d, lam=problem.lam)
     rates = np.array([problem.S])
 
     rows: list[ConvergenceRow] = []
     for n in resolutions:
         grid = Grid(n)
-        result = solve_stationary(chain, rates, costs, grid, config)
+        result = solve_stationary(chain, rates, problem, grid, config)
         result.check_converged()
         err = result.field.values[0] - evaluate_candidate(exact, grid.vertices)
         linf = float(np.max(np.abs(err)))
@@ -513,9 +476,9 @@ def solve_with_ambiguity(
     at the lower intensity; the result records the reduction.
     """
     lo, hi = (float(x) for x in lambda_interval)
-    if not (0.0 < lo <= hi) or not math.isfinite(hi):
+    if not lo <= hi < math.inf:
         raise InputError(f"invalid intensity interval [{lo}, {hi}]")
-    reduced = replace(costs, lam=lo)
+    reduced = replace(costs, lam=lo)  # validates lo
     result = solve_stationary(chain, rates, reduced, grid, config)
     result.notes = result.notes + (
         f"ambiguity interval [{lo:.6g}, {hi:.6g}] reduced to intensity {lo:.6g}",
@@ -526,8 +489,7 @@ def solve_with_ambiguity(
 def write_value_field_csv(fld: ValueField, path: str | Path) -> None:
     """Columns regime,y,phi,action with action in {replenish, none}."""
     y = fld.grid.vertices
-    intervene = fld.values[:, -1:] + (fld.costs.c * (1.0 - y) + fld.costs.d)[None, :]
-    replenish = intervene < fld.values
+    replenish = fld.replenish()
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["regime", "y", "phi", "action"])

@@ -31,6 +31,7 @@ __all__ = [
     "estimate_chain",
     "stationary_distribution",
     "sample_regime_path",
+    "check_rates",
 ]
 
 SECONDS_PER_DAY = 86400.0
@@ -39,6 +40,22 @@ SECONDS_PER_DAY = 86400.0
 def _read_only(a: NDArray) -> NDArray:
     a.flags.writeable = False  # cached and shared by every caller
     return a
+
+
+def check_rates(rates, count: int) -> NDArray[np.float64]:
+    """Per-regime drain rates as a float array of shape (count,).
+
+    Raises :class:`StructureError` on a wrong shape and :class:`InputError`
+    on a non-finite or negative rate.
+    """
+    rates = np.asarray(rates, dtype=float)
+    if rates.shape != (count,):
+        raise StructureError(f"rates shape {rates.shape} != ({count},)")
+    if not np.all(np.isfinite(rates)):
+        raise InputError("transport rates must be finite")
+    if rates.size and rates.min() < 0:
+        raise InputError("transport rates must be >= 0")
+    return rates
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 
 from sedopt.analytic import (
     BENCHMARK,
+    CostSpec,
     ScalarProblem,
     candidate_coefficients,
     complete_info_threshold,
@@ -32,6 +33,27 @@ ALT_YBAR = 0.35267509700516375
 ERGODIC_ARGS = dict(S=0.05, c=0.2, d=0.3, lam=1.0 / 7.0)
 ERGODIC_YBAR = 0.8352388049827035  # frozen bisection oracle on F(y) = 0.015/0.99
 ERGODIC_U = 0.10104085460429754
+
+
+class TestCostSpec:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["delta", "c", "d", "lam"])
+    def test_non_finite_costs_rejected(self, name, bad):
+        fields = dict(delta=0.1, c=0.3, d=0.2, lam=1.0 / 7.0)
+        with pytest.raises(InputError, match="finite"):
+            CostSpec(**{**fields, name: bad})
+        with pytest.raises(InputError, match="finite"):
+            ScalarProblem(S=0.05, **{**fields, name: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.05])
+    def test_bad_transport_rate_rejected(self, bad):
+        with pytest.raises(InputError, match="transport rate"):
+            ScalarProblem(S=bad, delta=0.1, c=0.3, d=0.2, lam=1.0 / 7.0)
+
+    def test_scalar_problem_is_its_costs(self):
+        assert isinstance(BENCHMARK, CostSpec)
+        y = np.linspace(0.0, 1.0, 5)
+        np.testing.assert_array_equal(BENCHMARK.intervention_cost(y), 0.3 * (1.0 - y) + 0.2)
 
 
 class TestCoefficients:

@@ -137,6 +137,8 @@ class TestSolveSimulate:
         assert status == 1
         assert not (out / "free_boundary.csv").exists()
         assert not (out / "value_field.csv").exists()
+        # the echo describes the failed run, not the earlier one
+        assert json.loads((out / "run_config.json").read_text())["tol"] == 1e-30
 
     @pytest.mark.parametrize("n, seed", [(301, 0), (31, 2), (31, 109), (61, 0)])
     def test_realistic_chain(self, tmp_path, n, seed):
@@ -224,6 +226,14 @@ class TestSolveSimulate:
         assert lines[0] == "path,cost"
         assert len(lines) == 65
 
+    def test_simulate_non_finite_intensity_fails(self, chain_file, tmp_path, capsys):
+        out = tmp_path / "sim"
+        status = run_cli("simulate", "--chain", chain_file, "--lambda", "nan",
+                         "--paths", "8", "--outdir", out)
+        assert status == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "cost_estimate.json").exists()
+
     def test_simulate_reproducible(self, chain_file, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -278,6 +288,25 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert run_cli("exact", "--config", bad, "--outdir", tmp_path) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [
+        {"n": "21"}, {"delta": "0.2"}, {"delta": None}, {"n": 21.0}, {"n": True},
+        {"per_path": 1}, {"resolutions": [51, "101"]}, {"resolutions": 51},
+    ])
+    def test_config_value_of_wrong_type_is_two(self, chain_file, tmp_path, capsys, entry):
+        # unchecked, {"n": "21"} reaches Grid and ends in a TypeError traceback
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps(entry))
+        status = run_cli("solve", "--config", config, "--chain", chain_file, "--outdir", tmp_path)
+        assert status == 2
+        assert "wrong type" in capsys.readouterr().err
+
+    def test_config_int_for_float_and_null_for_none_accepted(self, tmp_path):
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"S": 1, "delta": 1, "lam_upper": None, "samples": 3}))
+        assert run_cli("exact", "--config", config, "--outdir", tmp_path) == 0
+        echo = json.loads((tmp_path / "run_config.json").read_text())
+        assert (echo["S"], echo["delta"], echo["lam_upper"]) == (1, 1, None)
 
     def test_wrong_command_config_is_two(self, tmp_path):
         config = tmp_path / "conf.json"

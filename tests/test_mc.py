@@ -12,6 +12,7 @@ from sedopt.analytic import (
 )
 from sedopt import mc
 from sedopt.errors import DomainError, InputError, StructureError
+from sedopt.pde import Grid, ValueField, solve_stationary
 from sedopt.mc import (
     estimate_cost,
     policy_gap_check,
@@ -43,6 +44,27 @@ def integrated_rate_oracle(path: RegimePath, rates, t):
             break
         total += rates[idx] * (min(t, t1) - t0)
     return total
+
+
+@pytest.mark.parametrize("rates, error", [
+    ([-0.05], InputError),
+    ([math.nan], InputError),
+    ([math.inf], InputError),
+    ([0.05, 0.05], StructureError),
+])
+@pytest.mark.parametrize("entry", [
+    lambda r: estimate_cost(CHAIN_1, r, None, BENCH_COSTS, 1.0, 50.0, 8, seed=0),
+    lambda r: simulate_controlled(CHAIN_1, r, None, BENCH_COSTS, 1.0, 50.0, seed=0),
+    lambda r: simulate_storage(RegimePath(np.array([0.0]), np.array([0]), 50.0), r, 1.0),
+    lambda r: solve_stationary(CHAIN_1, r, BENCH_COSTS, Grid(11)),
+    lambda r: ValueField(np.zeros((1, 11)), Grid(11), CHAIN_1, r, BENCH_COSTS),
+], ids=["estimate_cost", "simulate_controlled", "simulate_storage", "solve_stationary",
+        "ValueField"])
+def test_bad_drain_rates_rejected(entry, rates, error):
+    # unchecked, a negative rate gives a mean cost above the 1/delta = 10
+    # that no path can exceed, and a NaN rate a mean of 0.0 +- 0.0
+    with pytest.raises(error):
+        entry(np.array(rates))
 
 
 class TestSimulateStorage:

@@ -58,14 +58,11 @@ def explicit_march(chain, rates, costs, grid, tol, weno_eps=1e-6):
     short of the fixed point: the constant mode, which decays at rate
     delta, is the slowest.
     """
-    y = grid.vertices
-    cost_vec = costs.c * (1.0 - y) + costs.d
     outflow = chain.rates.sum(axis=1)
     dt = 0.4 * grid.h / (rates.max() + grid.h * (costs.delta + costs.lam + outflow.max()))
     v = np.zeros((chain.count, grid.n))
     for _ in range(10**6):
-        step = dt * _residual_arrays(v, rates, chain.rates, outflow, cost_vec, costs,
-                                     grid.h, weno_eps)
+        step = dt * _residual_arrays(v, chain, rates, costs, grid, weno_eps)
         v = v - step
         if np.max(np.abs(step)) < tol:
             return v, dt
