@@ -55,6 +55,7 @@ from .regime import (
     RegimeChain,
     RegimePath,
     bin_discharge,
+    check_horizon,
     check_rates,
     estimate_chain,
     sample_regime_path,

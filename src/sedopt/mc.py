@@ -20,7 +20,7 @@ from numpy.typing import NDArray
 from .analytic import CostSpec, ScalarProblem, evaluate_candidate, solve_smooth_pasting
 from .errors import DomainError, InputError, StructureError
 from .pde import ThresholdPolicy, single_regime_chain
-from .regime import RegimeChain, RegimePath, check_rates
+from .regime import RegimeChain, RegimePath, check_horizon, check_rates
 from .regime import sample_regime_path  # noqa: F401  perfbench/run.py traces it here
 
 __all__ = [
@@ -203,6 +203,7 @@ def _simulate(chain: RegimeChain, rates, policy: ThresholdPolicy | None, costs: 
     if policy is not None and policy.boundaries.size != chain.count:
         raise StructureError("policy size does not match the chain")
     rates = check_rates(rates, chain.count)
+    horizon = check_horizon(horizon)
     rng_regime, rng_obs = _streams(seed)
     delta, lam, out_rates = costs.delta, costs.lam, chain.out_rates
     thresholds = np.full(chain.count, -np.inf) if policy is None else policy.boundaries
@@ -276,8 +277,6 @@ def simulate_controlled(
     noise sources stay independent and every policy sees the same drivers.
     `policy = None` never replenishes (the null control).
     """
-    if horizon <= 0:
-        raise InputError("horizon must be positive")
     recorder = _Recorder(y0, initial_regime)
     cost = _simulate(chain, rates, policy, costs, y0, initial_regime, horizon, 1, seed, recorder)[0]
     return recorder.record(chain.count, horizon, float(cost[0]))
@@ -308,12 +307,8 @@ def estimate_cost(
     """
     if n_paths < 2:
         raise InputError("need at least 2 paths for a standard error")
-    if horizon <= 0 or not math.isfinite(horizon):
-        if costs.delta == 0.0:
-            raise DomainError(
-                "ergodic cost-rate estimation needs a finite positive horizon"
-            )
-        raise InputError("horizon must be finite and positive")
+    if costs.delta == 0.0 and not 0.0 < horizon < math.inf:
+        raise DomainError("ergodic cost-rate estimation needs a finite positive horizon")
     samples, events, replenishments, depleted_time = _simulate(
         chain, rates, policy, costs, y0, initial_regime, horizon, n_paths, seed)
     ergodic = costs.delta == 0.0

@@ -57,6 +57,10 @@ __all__ = [
 # linear weights of the two second-order candidate stencils
 _W_ONESIDED = 1.0 / 3.0
 _W_CENTERED = 2.0 / 3.0
+# WENO3 regularizer of the smoothness indicators, part of the scheme: it
+# sets how nonlinear the residual is, and so the solver's damping and stall
+# window, and changing it moves the fixed point the scheme converges to.
+_WENO_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,7 @@ class ThresholdPolicy:
         object.__setattr__(self, "boundaries", b)
         if b.ndim != 1 or b.size == 0:
             raise InputError("boundaries must be a non-empty 1-d array")
-        if b.min() < 0.0 or b.max() > 1.0:
+        if not np.all((b >= 0.0) & (b <= 1.0)):  # NaN fails both
             raise InputError("boundaries must lie in [0, 1]")
 
 
@@ -135,13 +139,10 @@ class SolverConfig:
     dt: float | None = None
     t_end: float = 365.0 / 2.0
     tol: float = 1e-10
-    weno_eps: float = 1e-6
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise InputError("tol must be positive")
-        if self.weno_eps <= 0:
-            raise InputError("weno_eps must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise InputError("tol must be finite and positive")
 
 
 @dataclass
@@ -168,16 +169,16 @@ class SolveResult:
             )
 
 
-def weno3_left_derivative(values, h: float, weno_eps: float = 1e-6):
+def weno3_left_derivative(values, h: float):
     """Left-biased WENO3 derivative of grid data (last axis is the grid).
 
     Combines the one-sided stencil {k-2, k-1, k} and the centered stencil
     {k-1, k, k+1} built from forward differences, with linear weights
     (1/3, 2/3), smoothness indicators beta = (difference jump)^2 and
-    nonlinear weights proportional to linear / (eps + beta)^2. Ghost values
-    linearly extrapolate beyond both ends (vanishing second difference), so
-    the result is exact for linear data and third-order accurate at smooth
-    interior points.
+    nonlinear weights proportional to linear / (eps + beta)^2, with the
+    fixed eps `_WENO_EPS`. Ghost values linearly extrapolate beyond both
+    ends (vanishing second difference), so the result is exact for linear
+    data and third-order accurate at smooth interior points.
     """
     if h <= 0:
         raise InputError("spacing must be positive")
@@ -199,8 +200,8 @@ def weno3_left_derivative(values, h: float, weno_eps: float = 1e-6):
     centered = 0.5 * (dm1 + dm0)
     beta0 = (dm1 - dm2) ** 2
     beta1 = (dm0 - dm1) ** 2
-    alpha0 = _W_ONESIDED / (weno_eps + beta0) ** 2
-    alpha1 = _W_CENTERED / (weno_eps + beta1) ** 2
+    alpha0 = _W_ONESIDED / (_WENO_EPS + beta0) ** 2
+    alpha1 = _W_CENTERED / (_WENO_EPS + beta1) ** 2
     out = (alpha0 * one_sided + alpha1 * centered) / (alpha0 + alpha1)
     return out[0] if single else out
 
@@ -211,21 +212,21 @@ def _residual_arrays(
     rates: NDArray[np.float64],
     costs: CostSpec,
     grid: Grid,
-    weno_eps: float,
-) -> NDArray[np.float64]:
-    deriv = weno3_left_derivative(v, grid.h, weno_eps)
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """The residual and the intervention gap it is built from."""
+    deriv = weno3_left_derivative(v, grid.h)
     adv = rates[:, None] * deriv
     adv[:, 0] = 0.0  # advection switched off at y = 0
     coupling = chain.out_rates[:, None] * v - chain.rates @ v
-    nonlocal_term = costs.lam * np.maximum(_intervention_gap(v, costs, grid), 0.0)
-    res = costs.delta * v + adv + coupling + nonlocal_term
+    gap = _intervention_gap(v, costs, grid)
+    res = costs.delta * v + adv + coupling + costs.lam * np.maximum(gap, 0.0)
     res[:, 0] -= 1.0  # depletion penalty source lives on the y = 0 vertex
-    return res
+    return res, gap
 
 
-def residual(fld: ValueField, weno_eps: float = 1e-6) -> NDArray[np.float64]:
+def residual(fld: ValueField) -> NDArray[np.float64]:
     """Pointwise residual of the stationary optimality system (same shape)."""
-    return _residual_arrays(fld.values, fld.chain, fld.rates, fld.costs, fld.grid, weno_eps)
+    return _residual_arrays(fld.values, fld.chain, fld.rates, fld.costs, fld.grid)[0]
 
 
 def _upwind_factorizer(chain: RegimeChain, rates, costs: CostSpec, grid: Grid, ergodic: bool):
@@ -322,8 +323,9 @@ def solve_stationary(
     changes: list[int] = []
     lu = None
     while True:
-        res = _residual_arrays(v, chain, rates, costs, grid, config.weno_eps) + cost_rate
-        now = _intervention_gap(v, costs, grid) > 0.0
+        res, gap = _residual_arrays(v, chain, rates, costs, grid)
+        res += cost_rate
+        now = gap > 0.0
         changes.append(int(np.count_nonzero(now != replenish)))
         replenish = now
         history.append(float(np.max(np.abs(res))))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
@@ -32,6 +33,7 @@ __all__ = [
     "stationary_distribution",
     "sample_regime_path",
     "check_rates",
+    "check_horizon",
 ]
 
 SECONDS_PER_DAY = 86400.0
@@ -56,6 +58,14 @@ def check_rates(rates, count: int) -> NDArray[np.float64]:
     if rates.size and rates.min() < 0:
         raise InputError("transport rates must be >= 0")
     return rates
+
+
+def check_horizon(horizon) -> float:
+    """A horizon in days as a float; :class:`InputError` unless finite and > 0."""
+    horizon = float(horizon)
+    if not 0.0 < horizon < math.inf:  # NaN fails too
+        raise InputError(f"horizon must be finite and positive, got {horizon}")
+    return horizon
 
 
 @dataclass(frozen=True)
@@ -190,10 +200,10 @@ class DischargeSeries:
         object.__setattr__(self, "discharges", q)
         if t.ndim != 1 or t.shape != q.shape:
             raise InputError("times and discharges must be 1-d arrays of equal length")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise InputError("timestamps must be strictly increasing")
-        if q.size and q.min() < 0:
-            raise InputError("discharges must be >= 0")
+        if not np.all(np.isfinite(t)) or (t.size > 1 and not np.all(np.diff(t) > 0)):
+            raise InputError("timestamps must be finite and strictly increasing")
+        if not np.all((q >= 0.0) & (q < math.inf)):  # NaN fails both
+            raise InputError("discharges must be finite and >= 0")
 
     def __len__(self) -> int:
         return self.times.size
@@ -258,10 +268,8 @@ class RegimePath:
             raise InputError("segment start times must be strictly increasing")
         if t.size > 1 and np.any(r[1:] == r[:-1]):
             raise InputError("consecutive segments must hold different regimes")
-        if self.horizon <= t[-1] and t.size > 1:
+        if check_horizon(self.horizon) <= t[-1]:
             raise InputError("horizon must exceed the last segment start")
-        if self.horizon <= 0:
-            raise InputError("horizon must be positive")
         n = self.count if self.count else int(r.max()) + 1
         object.__setattr__(self, "count", n)
         if r.min() < 0 or r.max() >= n:
@@ -281,31 +289,27 @@ class RegimePath:
 
     def occupancy(self) -> NDArray[np.float64]:
         """Total time spent per regime over [0, horizon], in days."""
-        occ = np.zeros(self.count)
-        for t0, t1, idx in self.spans():
-            occ[idx] += t1 - t0
-        return occ
+        lengths = np.diff(self.start_times, append=self.horizon)
+        return np.bincount(self.regimes, weights=lengths, minlength=self.count)
 
 
-def bin_discharge(q: float, width: float, count: int) -> int:
-    """Map a discharge to its regime index: floor(q / width), clamped.
+def bin_discharge(q, width: float, count: int):
+    """Map discharges to regime indices: floor(q / width), clamped.
 
     Bin edges sit at multiples of `width`, so centers are (i + 0.5) * width;
-    anything above the top edge is clamped to the top regime.
+    anything above the top edge is clamped to the top regime. A scalar q
+    gives an int, an array q an int64 array of its shape.
     """
-    if width <= 0:
-        raise InputError("bin width must be positive")
+    q = np.asarray(q, dtype=float)
+    if not 0.0 < width < math.inf:  # NaN fails too
+        raise InputError("bin width must be finite and positive")
     if count < 1:
         raise InputError("regime count must be >= 1")
-    if q < 0:
-        raise InputError("discharge must be >= 0")
-    return min(int(q / width), count - 1)
-
-
-def _bin_indices(q: NDArray[np.float64], width: float, count: int) -> NDArray[np.int64]:
-    if q.size and q.min() < 0:
-        raise InputError("discharge must be >= 0")
-    return np.minimum((q / width).astype(np.int64), count - 1)
+    if not np.all((q >= 0.0) & (q < math.inf)):
+        raise InputError("discharges must be finite and >= 0")
+    # clamp before the cast, so a huge q / width cannot overflow int64
+    bins = np.minimum(np.floor(q / width), count - 1).astype(np.int64)
+    return int(bins) if bins.ndim == 0 else bins
 
 
 def estimate_chain(series: DischargeSeries, width: float, count: int) -> RegimeChain:
@@ -319,13 +323,9 @@ def estimate_chain(series: DischargeSeries, width: float, count: int) -> RegimeC
     the sampling cannot resolve intermediate regimes. Regimes never visited
     keep zero outgoing rates and are reported via a warning.
     """
-    if width <= 0:
-        raise InputError("bin width must be positive")
-    if count < 1:
-        raise InputError("regime count must be >= 1")
     if len(series) < 2:
         raise InputError("need at least 2 samples to estimate rates")
-    bins = _bin_indices(series.discharges, width, count)
+    bins = bin_discharge(series.discharges, width, count)
     dt = np.diff(series.times)
 
     occupancy = np.bincount(bins[:-1], weights=dt, minlength=count)
@@ -379,8 +379,7 @@ def sample_regime_path(
     rate) yields a path that simply stays there; that is a valid
     single-segment result, not an error.
     """
-    if horizon <= 0:
-        raise InputError("horizon must be positive")
+    horizon = check_horizon(horizon)
     if not 0 <= initial < chain.count:
         raise InputError(f"initial regime {initial} out of range")
     rng = np.random.default_rng(seed)
@@ -402,6 +401,6 @@ def sample_regime_path(
     return RegimePath(
         start_times=np.asarray(times),
         regimes=np.asarray(visited, dtype=np.int64),
-        horizon=float(horizon),
+        horizon=horizon,
         count=chain.count,
     )

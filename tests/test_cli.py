@@ -86,6 +86,17 @@ class TestIdentify:
         chain = RegimeChain.from_json(out / "chain.json")
         assert chain.rates[0, 1] == pytest.approx(24.0)
 
+    @pytest.mark.parametrize("flow, width", [("nan", "2.5"), ("inf", "2.5"), ("2.0", "nan")])
+    def test_non_finite_discharge_or_width_fails(self, tmp_path, capsys, flow, width):
+        series = tmp_path / "series.csv"
+        series.write_text(f"timestamp,discharge_m3s\n0,1.0\n1,{flow}\n2,3.0\n")
+        out = tmp_path / "out"
+        status = run_cli("identify", "--series", series, "--width", width,
+                         "--count", "4", "--outdir", out)
+        assert status == 1
+        assert capsys.readouterr().err.startswith("sedopt: error:")
+        assert not (out / "chain.json").exists()
+
     def test_missing_series_is_module_error(self, tmp_path, capsys):
         status = run_cli("identify", "--outdir", tmp_path)
         assert status == 1
@@ -126,6 +137,15 @@ class TestSolveSimulate:
         summary = json.loads((out / "solve_result.json").read_text())
         assert summary["converged"] is False
         assert not (out / "free_boundary.csv").exists()
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tolerance_fails(self, chain_file, tmp_path, capsys, tol):
+        out = tmp_path / "solve"
+        status = run_cli("solve", "--chain", chain_file, "--n", "21", "--tol", tol,
+                         "--outdir", out)
+        assert status == 1
+        assert "tol must be finite" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
     def test_failed_solve_removes_earlier_policy(self, chain_file, tmp_path):
         out = tmp_path / "solve"
@@ -232,6 +252,16 @@ class TestSolveSimulate:
                          "--paths", "8", "--outdir", out)
         assert status == 1
         assert "finite" in capsys.readouterr().err
+        assert not (out / "cost_estimate.json").exists()
+
+    def test_simulate_nan_threshold_fails(self, chain_file, tmp_path, capsys):
+        policy = tmp_path / "free_boundary.csv"
+        policy.write_text("regime,q,Ybar\n0,1,0.3\n1,10,nan\n")
+        out = tmp_path / "sim"
+        status = run_cli("simulate", "--chain", chain_file, "--policy", policy,
+                         "--paths", "8", "--outdir", out)
+        assert status == 1
+        assert "[0, 1]" in capsys.readouterr().err
         assert not (out / "cost_estimate.json").exists()
 
     def test_simulate_reproducible(self, chain_file, tmp_path):

@@ -67,6 +67,18 @@ def test_bad_drain_rates_rejected(entry, rates, error):
         entry(np.array(rates))
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("entry", [
+    lambda h: estimate_cost(CHAIN_1, BENCH_RATES, None, BENCH_COSTS, 1.0, h, 8, seed=0),
+    lambda h: simulate_controlled(CHAIN_1, BENCH_RATES, None, BENCH_COSTS, 1.0, h, seed=0),
+    lambda h: sample_regime_path(three_regime_chain(), 0, h, seed=0),
+    lambda h: RegimePath(np.array([0.0]), np.array([0]), h),
+], ids=["estimate_cost", "simulate_controlled", "sample_regime_path", "RegimePath"])
+def test_bad_horizon_rejected(entry, horizon):
+    with pytest.raises(InputError):
+        entry(horizon)
+
+
 class TestSimulateStorage:
     def test_single_regime_depletion_time(self):
         path = RegimePath(start_times=np.array([0.0]), regimes=np.array([0]),

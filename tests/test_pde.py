@@ -33,7 +33,7 @@ def solve(chain, rates, costs, grid, config=SolverConfig()):
     """solve_stationary, checking that a converged discounted solve meets tol."""
     result = solve_stationary(chain, rates, costs, grid, config)
     if result.converged and costs.delta > 0:
-        assert np.max(np.abs(residual(result.field, config.weno_eps))) <= config.tol
+        assert np.max(np.abs(residual(result.field))) <= config.tol
     return result
 
 
@@ -50,7 +50,7 @@ def two_regime_setup():
     return chain, np.array([0.02, 0.3])
 
 
-def explicit_march(chain, rates, costs, grid, tol, weno_eps=1e-6):
+def explicit_march(chain, rates, costs, grid, tol):
     """Reference solve: forward Euler in pseudo-time, P <- P - dt residual(P),
     at a CFL-stable step until the step change drops below tol.
 
@@ -62,7 +62,7 @@ def explicit_march(chain, rates, costs, grid, tol, weno_eps=1e-6):
     dt = 0.4 * grid.h / (rates.max() + grid.h * (costs.delta + costs.lam + outflow.max()))
     v = np.zeros((chain.count, grid.n))
     for _ in range(10**6):
-        step = dt * _residual_arrays(v, chain, rates, costs, grid, weno_eps)
+        step = dt * _residual_arrays(v, chain, rates, costs, grid)[0]
         v = v - step
         if np.max(np.abs(step)) < tol:
             return v, dt
@@ -242,6 +242,11 @@ class TestSolveStationary:
         with pytest.raises(ConvergenceError):
             convergence_study(BENCHMARK, [21, 41], SolverConfig(tol=1e-30))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, np.inf, np.nan])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(InputError):
+            SolverConfig(tol=tol)
+
     def test_bounds_preserved_along_the_run(self):
         result = solve_benchmark(51)
         assert result.min_seen >= -1e-12
@@ -333,8 +338,9 @@ class TestExtractPolicy:
             extract_policy(fld)
 
     def test_policy_bounds_validation(self):
-        with pytest.raises(InputError):
-            ThresholdPolicy(boundaries=np.array([0.5, 1.2]))
+        for bad in (1.2, -0.1, np.nan):  # NaN compares false both ways
+            with pytest.raises(InputError):
+                ThresholdPolicy(boundaries=np.array([0.5, bad]))
 
 
 class TestConvergenceStudy:

@@ -79,6 +79,27 @@ class TestBinDischarge:
         with pytest.raises(InputError):
             bin_discharge(-0.1, 2.5, 43)
 
+    def test_array_matches_scalars(self):
+        rng = np.random.default_rng(5)
+        q = rng.uniform(0.0, 120.0, 200) * rng.integers(0, 2, 200)  # zeros included
+        bins = bin_discharge(q, 2.5, 43)
+        assert bins.dtype == np.int64 and bins.shape == q.shape
+        scalars = [bin_discharge(float(x), 2.5, 43) for x in q]
+        assert all(type(b) is int for b in scalars)
+        assert bins.tolist() == scalars
+
+    def test_huge_discharge_lands_in_top_bin(self):
+        assert bin_discharge(1e300, 2.5, 43) == 42
+        assert bin_discharge(np.array([1e300, 1.0]), 2.5, 43).tolist() == [42, 0]
+
+    @pytest.mark.parametrize("q, width", [
+        (np.nan, 2.5), (np.inf, 2.5), (-1.0, 2.5), (np.array([1.0, np.nan]), 2.5),
+        (1.0, np.nan), (1.0, np.inf), (1.0, 0.0),
+    ])
+    def test_bad_discharge_or_width_rejected(self, q, width):
+        with pytest.raises(InputError):
+            bin_discharge(q, width, 43)
+
     @given(
         q=st.floats(0.0, 1e5),
         step=st.floats(0.0, 1e3),
@@ -134,6 +155,16 @@ class TestEstimateChain:
     def test_non_increasing_timestamps_rejected(self):
         with pytest.raises(InputError):
             DischargeSeries(times=np.array([0.0, 0.0]), discharges=np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_discharges_rejected(self, bad):
+        with pytest.raises(InputError):
+            DischargeSeries(times=np.arange(3.0), discharges=np.array([1.0, bad, 3.0]))
+
+    def test_width_checked_by_the_bin_rule(self):
+        series = DischargeSeries(times=np.arange(3.0), discharges=np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(InputError):
+            estimate_chain(series, width=np.nan, count=3)
 
 
 class TestSeriesCsv:
@@ -291,6 +322,15 @@ class TestRegimePathValidation:
                 regimes=np.array([0, 0]),
                 horizon=2.0,
             )
+
+    def test_occupancy_sums_segment_lengths(self):
+        path = RegimePath(
+            start_times=np.array([0.0, 1.0, 2.5, 3.0]),
+            regimes=np.array([0, 2, 0, 1]),
+            horizon=4.0,
+            count=4,
+        )
+        np.testing.assert_array_equal(path.occupancy(), [1.5, 1.0, 1.5, 0.0])
 
     def test_regime_at(self):
         path = RegimePath(
