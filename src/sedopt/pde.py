@@ -32,7 +32,7 @@ from scipy.sparse.linalg import splu
 
 from .analytic import CostSpec, ScalarProblem, evaluate_candidate, solve_smooth_pasting
 from .errors import ConvergenceError, InputError, StructureError
-from .regime import RegimeChain, check_rates
+from .regime import RegimeChain, check_rates, read_csv_rows
 
 __all__ = [
     "Grid",
@@ -116,7 +116,10 @@ class ValueField:
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """Per-regime free boundary; replenish at an observation iff Y <= boundary."""
+    """Per-regime free boundary; replenish at an observation iff Y <= boundary.
+
+    A boundary of 0 replenishes only empty storage; -inf never replenishes.
+    """
 
     boundaries: NDArray[np.float64]
 
@@ -125,8 +128,8 @@ class ThresholdPolicy:
         object.__setattr__(self, "boundaries", b)
         if b.ndim != 1 or b.size == 0:
             raise InputError("boundaries must be a non-empty 1-d array")
-        if not np.all((b >= 0.0) & (b <= 1.0)):  # NaN fails both
-            raise InputError("boundaries must lie in [0, 1]")
+        if not np.all((b >= 0.0) & (b <= 1.0) | (b == -np.inf)):  # NaN fails all three
+            raise InputError("boundaries must lie in [0, 1], or be -inf (never)")
 
 
 @dataclass(frozen=True)
@@ -370,14 +373,16 @@ def extract_policy(fld: ValueField) -> ThresholdPolicy:
     """Free boundary per regime from the converged field.
 
     The replenishing vertices are `ValueField.replenish`. The boundary is
-    the midpoint between the last replenishing and first idle vertex, or 0
-    when no vertex replenishes. A replenish set that is not a contiguous
-    run starting at y = 0 breaks the threshold form and is an error.
+    the midpoint between the last replenishing and first idle vertex, or
+    -inf when no vertex replenishes: a boundary of 0 would still replenish
+    empty storage, where a path spends positive time. A replenish set that
+    is not a contiguous run starting at y = 0 breaks the threshold form and
+    is an error.
     """
     y = fld.grid.vertices
     replenish = fld.replenish()
 
-    boundaries = np.zeros(fld.chain.count)
+    boundaries = np.full(fld.chain.count, -np.inf)
     for i in range(fld.chain.count):
         hits = np.flatnonzero(replenish[i])
         if hits.size == 0:
@@ -522,14 +527,7 @@ def write_free_boundary_csv(
 
 def read_free_boundary_csv(path: str | Path) -> ThresholdPolicy:
     """Read a free-boundary CSV back into a policy (rows sorted by regime)."""
-    rows: list[tuple[int, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "regime" not in reader.fieldnames \
-                or "Ybar" not in reader.fieldnames:
-            raise InputError(f"{path}: expected header regime,q,Ybar")
-        for row in reader:
-            rows.append((int(row["regime"]), float(row["Ybar"])))
+    rows = read_csv_rows(path, ("regime", "Ybar"), lambda i, b: (int(i), float(b)))
     if not rows:
         raise InputError(f"{path}: no policy rows")
     rows.sort()

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
@@ -34,6 +35,7 @@ __all__ = [
     "sample_regime_path",
     "check_rates",
     "check_horizon",
+    "read_csv_rows",
 ]
 
 SECONDS_PER_DAY = 86400.0
@@ -66,6 +68,30 @@ def check_horizon(horizon) -> float:
     if not 0.0 < horizon < math.inf:  # NaN fails too
         raise InputError(f"horizon must be finite and positive, got {horizon}")
     return horizon
+
+
+def read_csv_rows(path: str | Path, fields: tuple[str, ...], parse) -> list:
+    """`parse(*values)` of each data row of a CSV whose header names `fields`.
+
+    Raises :class:`InputError` naming the file, and the line where there is
+    one, on a missing header field, a row short of a field or a value that
+    `parse` rejects with ValueError.
+    """
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not set(fields) <= set(reader.fieldnames):
+            raise InputError(f"{path}: expected header fields {','.join(fields)}")
+        for row in reader:
+            values = [row[name] for name in fields]
+            where = f"{path}, line {reader.line_num}"
+            if None in values:
+                raise InputError(f"{where}: no {fields[values.index(None)]} field")
+            try:
+                rows.append(parse(*values))
+            except ValueError as exc:
+                raise InputError(f"{where}: {exc}") from None
+    return rows
 
 
 @dataclass(frozen=True)
@@ -129,11 +155,37 @@ class RegimeChain:
         total = cum[:, -1:]
         return _read_only(np.divide(cum, total, out=np.ones_like(cum), where=total > 0))
 
+    @cached_property
+    def jump_rows(self) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
+        """Sparse `jump_table`: per regime, its positive-rate targets in
+        ascending order and their cumulative entries.
+
+        Rows are padded to the largest out-degree (at least 1) with target 0
+        and a cumulative entry of 2, above every u. The first entry > u then
+        names the same target as the dense count of entries <= u: dense rows
+        are nondecreasing, a zero rate repeats the entry before it, and from
+        the last positive rate on every entry is exactly 1. An absorbing row
+        is all padding and gives 0, as the dense rule does.
+        """
+        positive = self.rates > 0
+        width = max(int(positive.sum(axis=1).max()), 1)
+        targets = np.zeros((self.count, width), dtype=np.int64)
+        cum = np.full((self.count, width), 2.0)
+        for i, row in enumerate(positive):
+            to = np.flatnonzero(row)
+            targets[i, : to.size] = to
+            cum[i, : to.size] = self.jump_table[i, to]
+        return _read_only(targets), _read_only(cum)
+
     def jump(self, regimes, u):
         """Regimes entered by embedded-chain jumps from `regimes`, one
-        uniform u in [0, 1) per jump."""
+        uniform u in [0, 1) per jump: the target at the first cumulative
+        entry > u of each sparse row."""
+        targets, cum = self.jump_rows
+        regimes = np.asarray(regimes)
         u = np.asarray(u, dtype=float)
-        return np.count_nonzero(u[..., None] >= self.jump_table[regimes], axis=-1)
+        first = np.argmax(np.take(cum, regimes, axis=0) > u[..., None], axis=-1)
+        return np.take(targets, regimes * targets.shape[1] + first)
 
     def generator(self) -> NDArray[np.float64]:
         """Generator matrix Q: off-diagonal rates, diagonal -row sums."""
@@ -216,29 +268,18 @@ class DischargeSeries:
         fractional day numbers. ISO timestamps are converted to fractional
         days since the first sample.
         """
-        times: list[float] = []
-        flows: list[float] = []
-        origin: datetime | None = None
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "timestamp" not in reader.fieldnames \
-                    or "discharge_m3s" not in reader.fieldnames:
-                raise InputError(
-                    f"{path}: expected header 'timestamp,discharge_m3s'"
-                )
-            for row in reader:
-                stamp = row["timestamp"].strip()
-                if "-" in stamp:
-                    when = datetime.fromisoformat(stamp)
-                    if origin is None:
-                        origin = when
-                    times.append((when - origin).total_seconds() / SECONDS_PER_DAY)
-                else:
-                    times.append(float(stamp))
-                flows.append(float(row["discharge_m3s"]))
-        if not times:
+        def parse(stamp: str, flow: str):
+            stamp = stamp.strip()
+            when = datetime.fromisoformat(stamp) if "-" in stamp else float(stamp)
+            return when, float(flow)
+
+        rows = read_csv_rows(path, ("timestamp", "discharge_m3s"), parse)
+        if not rows:
             raise InputError(f"{path}: empty series")
-        return cls(np.asarray(times), np.asarray(flows))
+        origin = next((when for when, _ in rows if isinstance(when, datetime)), None)
+        times = [(when - origin).total_seconds() / SECONDS_PER_DAY
+                 if isinstance(when, datetime) else when for when, _ in rows]
+        return cls(np.asarray(times), np.asarray([flow for _, flow in rows]))
 
 
 @dataclass(frozen=True)
@@ -375,15 +416,18 @@ def sample_regime_path(
     """Simulate the chain on [0, horizon] (exponential holds, embedded jumps).
 
     Holding times are exponential(1) / out-rate and each jump takes one
-    uniform through `RegimeChain.jump`. An absorbing regime (zero outgoing
-    rate) yields a path that simply stays there; that is a valid
-    single-segment result, not an error.
+    uniform by the rule of `RegimeChain.jump`, applied to one scalar at a
+    time on the sparse rows as Python lists: a numpy call per switch would
+    cost more than the draw. An absorbing regime (zero outgoing rate)
+    yields a path that simply stays there; that is a valid single-segment
+    result, not an error.
     """
     horizon = check_horizon(horizon)
     if not 0 <= initial < chain.count:
         raise InputError(f"initial regime {initial} out of range")
     rng = np.random.default_rng(seed)
-    out_rates = chain.out_rates
+    out_rates = chain.out_rates.tolist()
+    targets, cum = (a.tolist() for a in chain.jump_rows)
 
     times = [0.0]
     visited = [int(initial)]
@@ -395,7 +439,7 @@ def sample_regime_path(
         t += rng.exponential() / rate
         if t >= horizon:
             break
-        i = int(chain.jump(i, rng.random()))
+        i = targets[i][bisect_right(cum[i], rng.random())]
         times.append(t)
         visited.append(i)
     return RegimePath(

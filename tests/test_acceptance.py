@@ -3,7 +3,9 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
 per criterion. The single-regime reference problem is the packaged
 BENCHMARK (threshold 0.615195); the multi-regime gate runs a synthetic
-8-regime chain with Meyer-Peter-Mueller rates, coarsened as allowed.
+8-regime chain with Meyer-Peter-Mueller rates, coarsened as allowed, and
+the Monte Carlo check also runs at the paper's size, 43 regimes x 301
+vertices.
 """
 
 import math
@@ -281,6 +283,61 @@ def test_multi_regime_policy_verified_by_monte_carlo():
         details.append(f"regime {regime}, y0={y0}: {est.mean:.5f} vs {target:.5f} "
                        f"({abs(est.mean - target) / est.stderr:.1f} se)")
     print("MULTI-REGIME MC:", "; ".join(details))
+    assert ok, "; ".join(details)
+
+
+def paper_chain():
+    """The 43-regime chain of `test_cli.py::test_realistic_chain` at seed 0."""
+    rng = np.random.default_rng(0)
+    count = 43
+    nu = np.zeros((count, count))
+    low = np.arange(count - 1)
+    nu[low, low + 1] = 0.7 * rng.uniform(0.9, 1.1, count - 1)
+    nu[low + 1, low] = 1.1 * rng.uniform(0.9, 1.1, count - 1)
+    return RegimeChain(discharges=1.25 + 2.5 * np.arange(count), rates=nu)
+
+
+def test_paper_size_policy_verified_by_monte_carlo():
+    # the same check at the paper's size, 43 regimes x 301 vertices, plus a
+    # common-random-numbers check from regime 0 at full storage: shifting
+    # every threshold by 0.05 up or down does not beat the policy beyond
+    # 3 se of the paired per-path difference
+    start = time.perf_counter()
+    chain = paper_chain()
+    rates = rates_for_chain(chain, SedimentProperties())
+    costs = CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0)
+    coarse, fine = (solve_stationary(chain, rates, costs, Grid(n), SolverConfig(tol=1e-9))
+                    for n in (301, 601))
+    assert coarse.converged and fine.converged
+    policy = extract_policy(coarse.field)
+    shifted = {shift: ThresholdPolicy(boundaries=np.clip(policy.boundaries + shift, 0.0, 1.0))
+               for shift in (-0.05, 0.05)}
+
+    def field_at(res, regime, y0):
+        return float(np.interp(y0, res.field.grid.vertices, res.field.values[regime]))
+
+    def samples(rule, regime, y0, seed):
+        est = estimate_cost(chain, rates, rule, costs, y0, 100.0, 20_000, seed=seed,
+                            initial_regime=regime, keep_samples=True)
+        return est, np.array(est.samples)
+
+    details, ok = [], True
+    for k, (regime, y0) in enumerate(((0, 1.0), (20, 0.6), (42, 0.3))):
+        est, base = samples(policy, regime, y0, 4300 + k)
+        target = field_at(coarse, regime, y0)
+        bound = 3.0 * est.stderr + abs(target - field_at(fine, regime, y0))
+        ok &= abs(est.mean - target) <= bound
+        details.append(f"regime {regime}, y0={y0}: {est.mean:.5f} vs {target:.5f} "
+                       f"({abs(est.mean - target) / est.stderr:.1f} se)")
+        if k > 0:
+            continue
+        for shift, rule in shifted.items():  # the same seed: common random numbers
+            diff = samples(rule, regime, y0, 4300 + k)[1] - base
+            se = diff.std(ddof=1) / math.sqrt(diff.size)
+            ok &= diff.mean() >= -3.0 * se
+            details.append(f"shift {shift:+.2f}: {diff.mean() / se:+.1f} se")
+    elapsed = time.perf_counter() - start
+    print(f"PAPER-SIZE MC ({elapsed:.1f}s):", "; ".join(details))
     assert ok, "; ".join(details)
 
 

@@ -97,6 +97,24 @@ class TestIdentify:
         assert capsys.readouterr().err.startswith("sedopt: error:")
         assert not (out / "chain.json").exists()
 
+    @pytest.mark.parametrize("row, message", [
+        ("1,abc", "abc"),              # non-numeric discharge
+        ("x1,2.0", "x1"),              # non-numeric day number
+        ("not-a-date,2.0", "not-a-date"),  # bad ISO timestamp
+        ("1", "discharge_m3s"),        # short row
+    ], ids=["discharge", "day-number", "iso-timestamp", "short-row"])
+    def test_malformed_series_row_fails(self, tmp_path, capsys, row, message):
+        series = tmp_path / "series.csv"
+        series.write_text(f"timestamp,discharge_m3s\n0,1.0\n{row}\n")
+        out = tmp_path / "out"
+        status = run_cli("identify", "--series", series, "--width", "2.5",
+                         "--count", "4", "--outdir", out)
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"sedopt: error: {series}, line 3: ")
+        assert message in err and "Traceback" not in err
+        assert not (out / "chain.json").exists()
+
     def test_missing_series_is_module_error(self, tmp_path, capsys):
         status = run_cli("identify", "--outdir", tmp_path)
         assert status == 1
@@ -262,6 +280,20 @@ class TestSolveSimulate:
                          "--paths", "8", "--outdir", out)
         assert status == 1
         assert "[0, 1]" in capsys.readouterr().err
+        assert not (out / "cost_estimate.json").exists()
+
+    @pytest.mark.parametrize("row", ["x,10,0.3", "1,10,abc", "1"],
+                             ids=["regime", "threshold", "short-row"])
+    def test_simulate_malformed_policy_fails(self, chain_file, tmp_path, capsys, row):
+        policy = tmp_path / "free_boundary.csv"
+        policy.write_text(f"regime,q,Ybar\n0,1,0.3\n{row}\n")
+        out = tmp_path / "sim"
+        status = run_cli("simulate", "--chain", chain_file, "--policy", policy,
+                         "--paths", "8", "--outdir", out)
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"sedopt: error: {policy}, line 3: ")
+        assert "Traceback" not in err
         assert not (out / "cost_estimate.json").exists()
 
     def test_simulate_reproducible(self, chain_file, tmp_path):

@@ -166,6 +166,12 @@ class TestSimulateControlled:
         assert rec.depletion and rec.depletion[0][0] == pytest.approx(20.0)
         assert rec.depletion[0][1] == 300.0
 
+    def test_never_boundary_is_the_null_control(self):
+        never = ThresholdPolicy(boundaries=np.array([-np.inf]))
+        runs = [estimate_cost(CHAIN_1, BENCH_RATES, policy, BENCH_COSTS, 1.0, 300.0, 64,
+                              seed=6) for policy in (never, None)]
+        assert runs[0] == runs[1] and runs[0].replenishments_per_path == 0.0
+
     def test_deterministic_given_seed(self):
         policy = ThresholdPolicy(boundaries=np.array([0.6]))
         a = simulate_controlled(CHAIN_1, BENCH_RATES, policy, BENCH_COSTS,

@@ -324,7 +324,8 @@ class TestExtractPolicy:
     def test_prohibitive_costs_never_replenish(self):
         costs = CostSpec(delta=0.2, c=25.0, d=25.0, lam=1.0 / 7.0)  # (c+d)S > 1
         result = solve(single_regime_chain(), BENCH_RATES, costs, Grid(51))
-        np.testing.assert_array_equal(extract_policy(result.field).boundaries, [0.0])
+        # -inf, not 0: a boundary of 0 still replenishes empty storage
+        np.testing.assert_array_equal(extract_policy(result.field).boundaries, [-np.inf])
 
     def test_non_contiguous_replenish_set_rejected(self):
         grid = Grid(5)
@@ -341,6 +342,17 @@ class TestExtractPolicy:
         for bad in (1.2, -0.1, np.nan):  # NaN compares false both ways
             with pytest.raises(InputError):
                 ThresholdPolicy(boundaries=np.array([0.5, bad]))
+
+    def test_never_boundary_round_trips(self, tmp_path):
+        chain, _ = two_regime_setup()
+        policy = ThresholdPolicy(boundaries=np.array([-np.inf, 0.5]))
+        path = tmp_path / "free_boundary.csv"
+        write_free_boundary_csv(chain, policy, path)
+        assert path.read_text().splitlines()[1].endswith(",-inf")
+        np.testing.assert_array_equal(read_free_boundary_csv(path).boundaries,
+                                      policy.boundaries)
+        with pytest.raises(InputError):
+            ThresholdPolicy(boundaries=np.array([np.inf, 0.5]))
 
 
 class TestConvergenceStudy:

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sedopt.errors import InputError, StructureError
+from sedopt.mc import estimate_cost
+from sedopt.pde import CostSpec, ThresholdPolicy
 from sedopt.regime import (
     DischargeSeries,
     RegimeChain,
@@ -13,6 +17,12 @@ from sedopt.regime import (
     sample_regime_path,
     stationary_distribution,
 )
+
+
+def dense_jump(chain, regimes, u):
+    """The dense embedded-chain rule: the count of cumulative entries <= u."""
+    u = np.asarray(u, dtype=float)
+    return np.count_nonzero(u[..., None] >= chain.jump_table[regimes], axis=-1)
 
 
 def two_regime_chain(up=1.0, down=2.0):
@@ -308,6 +318,91 @@ class TestSampleRegimePath:
         path = sample_regime_path(chain, 0, 1e4, seed=9)
         avg = float(np.dot(path.occupancy(), rates)) / path.horizon
         assert avg > 0.0
+
+
+@st.composite
+def rate_matrices(draw):
+    """Switching rates with zero entries, one absorbing row and one dense row."""
+    count = draw(st.integers(2, 7))
+    entry = st.one_of(st.just(0.0), st.floats(1e-9, 1e3))
+    rates = np.reshape(draw(st.lists(entry, min_size=count**2, max_size=count**2)),
+                       (count, count))
+    absorbing = draw(st.integers(0, count - 1))
+    dense = (absorbing + draw(st.integers(1, count - 1))) % count
+    rates[dense] = draw(st.lists(st.floats(1e-9, 1e3), min_size=count, max_size=count))
+    rates[absorbing] = 0.0
+    np.fill_diagonal(rates, 0.0)
+    return rates
+
+
+UNIFORMS = st.one_of(st.just(0.0), st.just(float(np.nextafter(1.0, 0.0))),
+                     st.floats(0.0, 1.0, exclude_max=True))
+
+
+class _FixedDraws(np.random.Generator):
+    """A generator whose first hold is 1, whose later holds never end and
+    whose uniforms are all u: exactly one switch of `sample_regime_path`."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u, self.holds = u, iter([1.0])
+
+    def exponential(self):
+        return next(self.holds, math.inf)
+
+    def random(self):
+        return self.u
+
+
+class TestSparseJump:
+    @settings(max_examples=200, deadline=None)
+    @given(rate_matrices(), st.data())
+    def test_sparse_rule_equals_dense_rule(self, rates, data):
+        chain = RegimeChain(discharges=np.arange(1.0, rates.shape[0] + 1), rates=rates)
+        regimes = np.array(data.draw(st.lists(st.integers(0, chain.count - 1),
+                                              min_size=1, max_size=20)))
+        # u also hits the table's own entries below 1, where ties decide
+        u = np.array([data.draw(st.one_of(UNIFORMS, st.sampled_from(row[row < 1].tolist()))
+                                if np.any(row < 1) else UNIFORMS)
+                      for row in chain.jump_table[regimes]])
+        expected = dense_jump(chain, regimes, u)
+        np.testing.assert_array_equal(chain.jump(regimes, u), expected)
+        for r, x, target in zip(regimes, u, expected):
+            rate = chain.out_rates[r]
+            if rate > 0:  # one switch at t = 1 / rate, then nothing until the horizon
+                path = sample_regime_path(chain, int(r), 2.0 / rate, seed=_FixedDraws(x))
+                assert path.regimes.tolist() == [r, target]
+
+    def test_rows_are_cut_from_the_table(self):
+        chain = RegimeChain(discharges=np.arange(1.0, 5.0), rates=np.array([
+            [0.0, 0.3, 0.0, 0.7],
+            [0.0, 0.0, 0.0, 0.0],
+            [0.1, 0.2, 0.0, 0.0],
+            [1.0, 1.0, 1.0, 0.0],
+        ]))
+        targets, cum = chain.jump_rows
+        assert targets.tolist() == [[1, 3, 0], [0, 0, 0], [0, 1, 0], [0, 1, 2]]
+        assert cum[:, -1].tolist() == [2.0, 2.0, 2.0, 1.0]
+        assert cum[0, :2].tolist() == chain.jump_table[0, [1, 3]].tolist()
+        assert not targets.flags.writeable and not cum.flags.writeable
+
+    def test_seeded_costs_equal_the_dense_rule(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        count = 8
+        rates = rng.uniform(0.1, 2.0, (count, count)) * (rng.random((count, count)) < 0.4)
+        np.fill_diagonal(rates, 0.0)
+        chain = RegimeChain(discharges=np.arange(1.0, count + 1), rates=rates)
+        drains = np.linspace(0.0, 0.3, count)
+        policy = ThresholdPolicy(boundaries=np.linspace(0.1, 0.8, count))
+        costs = CostSpec(delta=0.2, c=0.02, d=0.01, lam=0.5)
+
+        def run():
+            return estimate_cost(chain, drains, policy, costs, 0.7, 40.0, 500, seed=21,
+                                 initial_regime=3, keep_samples=True)
+
+        sparse = run()
+        monkeypatch.setattr(RegimeChain, "jump", dense_jump)
+        assert run() == sparse
 
 
 class TestRegimePathValidation:

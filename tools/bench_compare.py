@@ -1,0 +1,127 @@
+"""Compare benchmark runs of two checkouts, paired by workload and seed.
+
+    python3 tools/bench_compare.py PARENT_TREE CHANGE_TREE OUT.json
+
+Each tree holds `perfbench/_runs/<workload>-seed<n>/result-trace<0|1>.json`
+as written by `perfbench/run.py`. Runs of the two trees with the same
+workload, seed and trace setting form a pair. For every metric the output
+gives both sides' medians and quartiles, the relative change of the median,
+the number of pairs, how many the change wins (better in the direction
+`BENCHMARK.json` gives; ties win for neither), the seeds and each side's
+environment. Standard library only.
+"""
+
+import argparse
+import json
+import re
+import statistics
+import sys
+from pathlib import Path
+
+RUN_DIR = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)$")
+RESULT = re.compile(r"result-trace(?P<trace>[01])\.json$")
+VOLATILE = ("load1_start", "load1_end")  # differ from run to run
+
+
+def load_runs(tree: Path) -> dict[tuple[str, int, int], dict]:
+    """(workload, seed, trace) -> result record, for every run under the tree."""
+    runs = {}
+    for path in sorted((tree / "perfbench" / "_runs").glob("*/result-trace*.json")):
+        run, result = RUN_DIR.match(path.parent.name), RESULT.match(path.name)
+        if run and result:
+            key = (run["workload"], int(run["seed"]), int(result["trace"]))
+            runs[key] = json.loads(path.read_text())
+    return runs
+
+
+def directions(tree: Path) -> dict[str, str]:
+    """metric name -> "lower" or "higher", from the tree's BENCHMARK.json."""
+    spec = json.loads((tree / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def environment(records: list[dict]) -> dict:
+    """The environment the runs share, with the range of the load averages."""
+    envs = [r["environment"] for r in records]
+    shared = {k: v for k, v in envs[0].items()
+              if k not in VOLATILE and all(e.get(k) == v for e in envs)}
+    loads = [e[k] for e in envs for k in VOLATILE if k in e]
+    if loads:
+        shared["load1_range"] = [min(loads), max(loads)]
+    return shared
+
+
+def compare(parent: dict, change: dict, better: dict[str, str]) -> list[dict]:
+    rows = []
+    groups = sorted({(w, t) for w, _, t in parent} & {(w, t) for w, _, t in change})
+    for workload, trace in groups:
+        seeds = sorted(s for w, s, t in parent
+                       if (w, t) == (workload, trace) and (w, s, t) in change)
+        if not seeds:
+            continue
+        pairs = [(parent[workload, s, trace], change[workload, s, trace]) for s in seeds]
+        metrics = {}
+        for name in pairs[0][0]["metrics"]:
+            if not all(name in p["metrics"] and name in c["metrics"] for p, c in pairs):
+                continue
+            old = [p["metrics"][name]["value"] for p, _ in pairs]
+            new = [c["metrics"][name]["value"] for _, c in pairs]
+            sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
+            q_old, q_new = quartiles(old), quartiles(new)
+            metrics[name] = {
+                "unit": pairs[0][0]["metrics"][name]["unit"],
+                "better": better.get(name, "lower"),
+                "parent": {"median": q_old[1], "q1": q_old[0], "q3": q_old[2],
+                           "iqr": q_old[2] - q_old[0]},
+                "change": {"median": q_new[1], "q1": q_new[0], "q3": q_new[2],
+                           "iqr": q_new[2] - q_new[0]},
+                "median_change": (q_new[1] - q_old[1]) / q_old[1] if q_old[1] else None,
+                "pairs": len(pairs),
+                "wins": sum(sign * (b - a) < 0 for a, b in zip(old, new)),
+                "ties": sum(a == b for a, b in zip(old, new)),
+            }
+        rows.append({
+            "workload": workload,
+            "trace": trace,
+            "seeds": seeds,
+            "failed_operations": {"parent": sum(p["failed"] for p, _ in pairs),
+                                  "change": sum(c["failed"] for _, c in pairs)},
+            "metrics": metrics,
+            "environment": {"parent": environment([p for p, _ in pairs]),
+                            "change": environment([c for _, c in pairs])},
+        })
+    return rows
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("out", type=Path, help="JSON file to write")
+    args = parser.parse_args()
+    for tree in (args.parent, args.change):
+        if not (tree / "BENCHMARK.json").is_file() or not (tree / "perfbench" / "_runs").is_dir():
+            parser.error(f"{tree}: no BENCHMARK.json or no perfbench/_runs/")
+    parent, change = load_runs(args.parent), load_runs(args.change)
+    rows = compare(parent, change, directions(args.change))
+    if not rows:
+        print("bench_compare: no workload and seed was run in both trees", file=sys.stderr)
+        return 1
+    args.out.write_text(json.dumps({"comparisons": rows}, indent=1) + "\n")
+    for row in rows:
+        for name, m in row["metrics"].items():
+            rel = "" if m["median_change"] is None else f" ({m['median_change']:+.1%})"
+            print(f"{row['workload']} trace{row['trace']} {name}: {m['parent']['median']:.6g} -> "
+                  f"{m['change']['median']:.6g} {m['unit']}{rel}, "
+                  f"wins {m['wins']}/{m['pairs']}, parent IQR {m['parent']['iqr']:.3g}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
