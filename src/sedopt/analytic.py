@@ -141,22 +141,17 @@ def evaluate_candidate(sol: SmoothSolution, y):
     return out if out.ndim else float(out)
 
 
-def _psi1_for(problem: ScalarProblem, f: float, a: float, ybar: float) -> float:
-    # derivative-pasting equation, linear in psi1
-    S, delta, lam = problem.S, problem.delta, problem.lam
-    e_low = math.exp(-(delta + lam) / S * ybar)
-    e_high = math.exp(delta / S * (1.0 - ybar))
-    return ((delta + lam) * f * e_low - a * S) / (delta * e_high)
+def _pasting_residuals(problem: ScalarProblem, ybar, exp=math.exp):
+    """(value residual, derivative residual, psi1) at a trial threshold.
 
-
-def _pasting_residuals(problem: ScalarProblem, ybar: float) -> tuple[float, float, float]:
-    """(value residual, derivative residual, psi1) at a trial threshold."""
+    With exp=np.exp, ybar may be an array and so are the three results.
+    """
     S, delta, lam = problem.S, problem.delta, problem.lam
     a, _, f = candidate_coefficients(problem, 0.0)
-    psi1 = _psi1_for(problem, f, a, ybar)
+    e_low = exp(-(delta + lam) / S * ybar)
+    e_high = exp(delta / S * (1.0 - ybar))
+    psi1 = ((delta + lam) * f * e_low - a * S) / (delta * e_high)  # derivative pasting
     b = candidate_coefficients(problem, psi1)[1]
-    e_low = math.exp(-(delta + lam) / S * ybar)
-    e_high = math.exp(delta / S * (1.0 - ybar))
     r_value = f * e_low + a * ybar + b - psi1 * e_high
     r_deriv = -(delta + lam) / S * f * e_low + a + delta / S * psi1 * e_high
     return r_value, r_deriv, psi1
@@ -187,7 +182,13 @@ def solve_smooth_pasting(problem: ScalarProblem, scan_points: int = 1024) -> Smo
 
     lo_edge, hi_edge = 1e-12, 1.0 - 1e-12
     grid = np.linspace(lo_edge, hi_edge, scan_points + 1)
-    res = np.array([_pasting_residuals(problem, y)[0] for y in grid])
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _pasting_residuals(problem, grid, exp=np.exp)[0]
+    if not np.all(np.isfinite(res)):
+        raise DomainError(
+            f"pasting residual overflows: delta / S = {problem.delta / problem.S:.6g} "
+            "is too large for double precision"
+        )
     sign = np.sign(res)
     brackets = np.flatnonzero((sign[:-1] * sign[1:]) < 0)
     roots = [float(grid[i]) for i in np.flatnonzero(sign == 0)]

@@ -238,15 +238,18 @@ def _upwind_factorizer(chain: RegimeChain, rates, costs: CostSpec, grid: Grid, e
 
     J has delta + outflow on the diagonal, +-S_i / h upwind advection for
     k >= 1, -nu_ij regime switching and lam (row k - column of the last
-    vertex) on the replenish set, with (i, k) at row i * n + k. Ergodic
-    mode borders it with a column of ones (the cost rate) and a row that
-    pins (regime 0, y = 1). Every row k < n - 1 holds a structural (k, last
-    vertex) entry, so the pattern is built once and each factorization
-    rewrites only the data array.
+    vertex) on the replenish set. Unknowns are numbered storage-major,
+    (i, k) at row k * count + i, so J is block lower-bidiagonal in the
+    vertex plus one border column block for the last vertex, and LU in
+    that natural order is block forward elimination with no ordering
+    pass. Ergodic mode borders J with a column of ones (the cost rate) and
+    a row that pins (regime 0, y = 1), both last. Every row k < n - 1
+    holds a structural (k, last vertex) entry, so the pattern is built
+    once and each factorization rewrites only the data array.
     """
     count, n = rates.size, grid.n
     size = count * n
-    idx = np.arange(size).reshape(count, n)
+    idx = np.arange(size).reshape(n, count).T
     switching = chain.rates
     src, dst = np.nonzero(switching)
     diag = costs.delta + np.repeat(chain.out_rates, n)
@@ -272,7 +275,7 @@ def _upwind_factorizer(chain: RegimeChain, rates, costs: CostSpec, grid: Grid, e
         values[last] = -costs.lam * replenish[:, :-1].ravel()
         matrix.data = values[order]
         try:
-            return splu(matrix)
+            return splu(matrix, permc_spec="NATURAL")
         except RuntimeError as exc:  # exactly singular: no unique fixed point
             raise StructureError(f"steady-state system is singular: {exc}") from exc
 
@@ -339,8 +342,8 @@ def solve_stationary(
         if lu is None or changes[-1]:
             lu = factor(replenish)
         # in ergodic mode the pin row's residual is w(0, 1) = 0, kept by every update
-        step = _RELAXATION * lu.solve(np.append(res.ravel(), [0.0] if ergodic else []))
-        v -= step[:v.size].reshape(v.shape)
+        step = _RELAXATION * lu.solve(np.append(res.T.ravel(), [0.0] if ergodic else []))
+        v -= step[:v.size].reshape(v.shape[::-1]).T
         if ergodic:
             cost_rate -= step[-1]
         step_change = float(np.max(np.abs(step[:v.size])))
@@ -494,20 +497,18 @@ def solve_with_ambiguity(
 
 
 def write_value_field_csv(fld: ValueField, path: str | Path) -> None:
-    """Columns regime,y,phi,action with action in {replenish, none}."""
-    y = fld.grid.vertices
-    replenish = fld.replenish()
+    """Columns regime,y,phi,action with action in {replenish, none}.
+
+    The bytes are those of `csv.writer`: no field needs quoting, and every
+    line ends in CRLF.
+    """
+    ys = [f"{y:.12g}" for y in fld.grid.vertices]
+    actions = np.where(fld.replenish(), "replenish", "none").tolist()
+    lines = ["regime,y,phi,action\r\n"]
+    for i, (phi, act) in enumerate(zip(fld.values.tolist(), actions)):
+        lines += [f"{i},{y},{v:.15g},{a}\r\n" for y, v, a in zip(ys, phi, act)]
     with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["regime", "y", "phi", "action"])
-        for i in range(fld.chain.count):
-            for k in range(fld.grid.n):
-                out.writerow([
-                    i,
-                    f"{y[k]:.12g}",
-                    f"{fld.values[i, k]:.15g}",
-                    "replenish" if replenish[i, k] else "none",
-                ])
+        fh.write("".join(lines))
 
 
 def write_free_boundary_csv(

@@ -266,19 +266,30 @@ class DischargeSeries:
 
         Timestamps are ISO-8601 (detected by a '-' in the field) or plain
         fractional day numbers. ISO timestamps are converted to fractional
-        days since the first sample.
+        days since the first sample. Every stamp must be of the first one's
+        kind: day number, naive ISO or timezone-aware ISO.
         """
+        seen: dict[str, str] = {}
+
         def parse(stamp: str, flow: str):
             stamp = stamp.strip()
-            when = datetime.fromisoformat(stamp) if "-" in stamp else float(stamp)
+            if "-" in stamp:
+                when = datetime.fromisoformat(stamp)
+                kind = "a naive ISO time" if when.tzinfo is None else "a timezone-aware ISO time"
+            else:
+                when, kind = float(stamp), "a day number"
+            first = seen.setdefault("kind", kind)
+            if kind != first:
+                raise ValueError(f"timestamp {stamp!r} is {kind}, the first one is {first}")
             return when, float(flow)
 
         rows = read_csv_rows(path, ("timestamp", "discharge_m3s"), parse)
         if not rows:
             raise InputError(f"{path}: empty series")
-        origin = next((when for when, _ in rows if isinstance(when, datetime)), None)
-        times = [(when - origin).total_seconds() / SECONDS_PER_DAY
-                 if isinstance(when, datetime) else when for when, _ in rows]
+        origin = rows[0][0]
+        times = [when for when, _ in rows]
+        if isinstance(origin, datetime):
+            times = [(when - origin).total_seconds() / SECONDS_PER_DAY for when in times]
         return cls(np.asarray(times), np.asarray([flow for _, flow in rows]))
 
 

@@ -7,6 +7,7 @@ from sedopt.analytic import (
     BENCHMARK,
     CostSpec,
     ScalarProblem,
+    _pasting_residuals,
     candidate_coefficients,
     complete_info_threshold,
     ergodic_threshold,
@@ -98,6 +99,36 @@ class TestSmoothPasting:
         assert sol.a == pytest.approx(BENCH_A, rel=1e-14)
         assert sol.b == pytest.approx(BENCH_B, rel=1e-12)
         assert sol.f == pytest.approx(BENCH_F, rel=1e-14)
+
+    # (ybar, psi1) as found by a scan of 1025 scalar residual calls; the one
+    # numpy scan must bracket the same roots, so bisection ends bit-identical
+    @pytest.mark.parametrize("problem, ybar, psi1", [
+        (BENCHMARK, 0.6151947162815445, 0.2721845625417769),
+        (ALT_PROBLEM, 0.35267509700516375, 0.03485792880404111),
+        (ScalarProblem(S=0.7, delta=0.05, c=0.1, d=0.05, lam=2.0),
+         0.6994059940273014, 3.6888359614720962),
+        (ScalarProblem(S=0.05, delta=0.2, c=0.0, d=0.3, lam=1.0 / 7.0),
+         0.39661581617268815, 0.02948864120233198),
+        (ScalarProblem(S=0.05, delta=1e-2, c=0.2, d=0.3, lam=1.0 / 7.0),
+         0.812916848402212, 8.850168903641832),
+        (ScalarProblem(S=0.05, delta=1e-3, c=0.2, d=0.3, lam=1.0 / 7.0),
+         0.8330763943344861, 99.69486689760957),
+        (ScalarProblem(S=0.05, delta=1e-4, c=0.2, d=0.3, lam=1.0 / 7.0),
+         0.8350232824799657, 1009.052716805312),
+    ], ids=["benchmark", "alt", "fast", "no-proportional-cost", "delta1e-2", "delta1e-3",
+            "delta1e-4"])
+    def test_root_bit_identical_to_scalar_scan(self, problem, ybar, psi1):
+        sol = solve_smooth_pasting(problem)
+        assert (sol.ybar, sol.psi1) == (ybar, psi1)
+        grid = np.linspace(1e-12, 1.0 - 1e-12, 1025)
+        scan = _pasting_residuals(problem, grid, exp=np.exp)[0]
+        scalar = [_pasting_residuals(problem, y)[0] for y in grid]
+        np.testing.assert_array_equal(np.sign(scan), np.sign(scalar))
+
+    def test_overflowing_residual_is_a_domain_error(self):
+        # exp(delta / S) overflows a double once delta / S exceeds about 709
+        with pytest.raises(DomainError, match="overflows"):
+            solve_smooth_pasting(ScalarProblem(S=1e-4, delta=0.1, c=0.3, d=0.2, lam=1.0 / 7.0))
 
     def test_alternate_problem_root(self):
         sol = solve_smooth_pasting(ALT_PROBLEM)

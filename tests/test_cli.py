@@ -115,6 +115,24 @@ class TestIdentify:
         assert message in err and "Traceback" not in err
         assert not (out / "chain.json").exists()
 
+    @pytest.mark.parametrize("first, second, kind", [
+        ("2020-01-01T00:00+00:00", "2020-01-02T00:00", "naive ISO"),
+        ("2020-01-01T00:00", "2020-01-02T00:00+01:00", "timezone-aware ISO"),
+        ("2020-01-01T00:00", "1.5", "day number"),
+        ("0", "2020-01-02", "naive ISO"),
+    ], ids=["aware-then-naive", "naive-then-aware", "iso-then-day", "day-then-iso"])
+    def test_mixed_timestamp_kinds_fail(self, tmp_path, capsys, first, second, kind):
+        series = tmp_path / "series.csv"
+        series.write_text(f"timestamp,discharge_m3s\n{first},1.0\n{second},2.0\n{second},3.0\n")
+        out = tmp_path / "out"
+        status = run_cli("identify", "--series", series, "--width", "2.5",
+                         "--count", "4", "--outdir", out)
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"sedopt: error: {series}, line 3: timestamp '{second}'")
+        assert kind in err and "Traceback" not in err
+        assert not (out / "chain.json").exists()
+
     def test_missing_series_is_module_error(self, tmp_path, capsys):
         status = run_cli("identify", "--outdir", tmp_path)
         assert status == 1

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from sedopt.pde import (
     ThresholdPolicy,
     ValueField,
     _residual_arrays,
+    _upwind_factorizer,
     convergence_study,
     extract_policy,
     read_free_boundary_csv,
@@ -312,6 +315,79 @@ class TestSolveStationary:
             solve_stationary(single_regime_chain(), np.array([0.0]), costs, Grid(21))
 
 
+def dense_howard_matrix(chain, rates, costs, grid, replenish, ergodic):
+    """The upwind Jacobian J as `_upwind_factorizer` defines it, built entry
+    by entry, with (regime i, vertex k) at row k * count + i."""
+    count, n = chain.count, grid.n
+    size = count * n
+    J = np.zeros((size + ergodic, size + ergodic))
+    for i in range(count):
+        for k in range(n):
+            row = k * count + i
+            J[row, row] += costs.delta + chain.out_rates[i]
+            if k >= 1:  # upwind advection
+                J[row, row] += rates[i] / grid.h
+                J[row, (k - 1) * count + i] -= rates[i] / grid.h
+            for j in range(count):
+                if j != i:
+                    J[row, k * count + j] -= chain.rates[i, j]
+            if replenish[i, k]:
+                J[row, row] += costs.lam
+                J[row, (n - 1) * count + i] -= costs.lam
+            if ergodic:
+                J[row, size] = 1.0  # the cost rate
+    if ergodic:
+        J[size, (n - 1) * count] = 1.0  # pins (regime 0, y = 1)
+    return J
+
+
+def structure_cases():
+    two, two_rates = two_regime_setup()
+    dense = RegimeChain(  # every regime switches to every other
+        discharges=np.array([1.0, 4.0, 9.0, 16.0]),
+        rates=np.array([[0.0, 0.3, 0.2, 0.1], [0.4, 0.0, 0.5, 0.2],
+                        [0.1, 0.6, 0.0, 0.3], [0.2, 0.1, 0.7, 0.0]]),
+    )
+    n = 9  # no set holds the last vertex: its intervention gap is -d < 0
+    contiguous = np.arange(n) < np.array([[3], [0], [5], [1]])
+    scattered = np.zeros((4, n), dtype=bool)
+    scattered[[0, 0, 1, 2, 3, 3], [1, 4, 0, 7, 2, 6]] = True
+    return {
+        "one-regime": (single_regime_chain(), BENCH_RATES, np.arange(n)[None, :] < 4),
+        "two-regime": (two, two_rates, np.arange(n) < np.array([[2], [6]])),
+        "dense-contiguous": (dense, np.array([0.02, 0.0, 0.3, 0.1]), contiguous),
+        "dense-scattered": (dense, np.array([0.05, 0.2, 0.0, 0.4]), scattered),
+    }
+
+
+class TestHowardFactorization:
+    @pytest.mark.parametrize("ergodic", [False, True], ids=["discounted", "ergodic"])
+    @pytest.mark.parametrize("case", sorted(structure_cases()))
+    def test_factor_solves_the_defined_system(self, case, ergodic):
+        chain, rates, replenish = structure_cases()[case]
+        costs = CostSpec(delta=0.0 if ergodic else 0.2, c=0.02, d=0.01, lam=0.5)
+        grid = Grid(replenish.shape[1])
+        lu = _upwind_factorizer(chain, rates, costs, grid, ergodic)(replenish)
+        J = dense_howard_matrix(chain, rates, costs, grid, replenish, ergodic)
+        b = np.random.default_rng(3).normal(size=J.shape[0])
+        x = lu.solve(b)
+        scale = np.linalg.norm(J, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
+        assert np.linalg.norm(J @ x - b, np.inf) <= 1e-12 * scale
+        # the storage-major numbering is factored in natural order: no
+        # column ordering pass, and LU is block forward elimination
+        np.testing.assert_array_equal(lu.perm_c, np.arange(J.shape[0]))
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_singular_system_raises(self, count):
+        # no transport and no discount: each regime's levels never couple
+        chain = RegimeChain(discharges=np.arange(1.0, count + 1.0),
+                            rates=np.full((count, count), 0.0))
+        costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=0.5)
+        factor = _upwind_factorizer(chain, np.zeros(count), costs, Grid(7), ergodic=True)
+        with pytest.raises(StructureError, match="singular"):
+            factor(np.zeros((count, 7), dtype=bool))
+
+
 class TestExtractPolicy:
     def test_benchmark_table_thresholds(self):
         # midpoint-extracted thresholds on the two anchor resolutions
@@ -419,3 +495,31 @@ class TestCsvInterfaces:
         assert len(lines) == 1 + 21
         actions = {line.split(",")[3] for line in lines[1:]}
         assert actions <= {"replenish", "none"}
+
+    def test_value_field_bytes_match_csv_writer(self, tmp_path):
+        # regime 0 replenishes low storage, regime 1 never (threshold -inf),
+        # regime 2 holds tiny, subnormal and signed-zero values
+        chain = RegimeChain(discharges=np.array([1.0, 2.0, 3.0]), rates=np.array(
+            [[0.0, 0.5, 0.0], [0.3, 0.0, 0.2], [0.0, 0.4, 0.0]]))
+        grid = Grid(7)
+        values = np.array([
+            [3.0, 2.5, 2.0, 1.2, 1.1, 1.05, 1.0],
+            [1.0 / 15.0, 0.065, 0.06, 0.057, 0.055, 0.052, 0.05],
+            [1e-300, 5e-324, -0.0, 2.5e-17, -1e-200, 1.23456789012345678e-2, 0.0],
+        ])
+        fld = ValueField(values=values, grid=grid, chain=chain, rates=np.array([0.1, 0.2, 0.3]),
+                         costs=CostSpec(delta=0.2, c=0.02, d=0.01, lam=0.5))
+        replenish = fld.replenish()
+        assert replenish.any() and not replenish.all()
+        np.testing.assert_array_equal(extract_policy(fld).boundaries[1], -np.inf)
+        path = tmp_path / "value_field.csv"
+        write_value_field_csv(fld, path)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            out = csv.writer(fh)
+            out.writerow(["regime", "y", "phi", "action"])
+            for i in range(chain.count):
+                for k in range(grid.n):
+                    out.writerow([i, f"{grid.vertices[k]:.12g}", f"{values[i, k]:.15g}",
+                                  "replenish" if replenish[i, k] else "none"])
+        assert path.read_bytes() == reference.read_bytes()
