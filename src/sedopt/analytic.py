@@ -125,7 +125,11 @@ def candidate_coefficients(problem: ScalarProblem, psi1: float) -> tuple[float, 
     dl = delta + lam
     a = -lam * c / dl
     b = (-a * S + lam * (psi1 + c + d)) / dl
-    f = (dl - lam * c * S) / dl ** 2
+    try:
+        f = (dl - lam * c * S) / dl ** 2
+    except OverflowError:
+        raise DomainError(f"(delta + lambda)^2 overflows: delta + lambda = {dl:.6g} "
+                          "is too large for double precision") from None
     return a, b, f
 
 

@@ -97,7 +97,10 @@ def parse_rate(text: str) -> float:
     """Rates may be fractions like '1/7' to avoid decimal drift."""
     if "/" in text:
         num, _, den = text.partition("/")
-        return float(num) / float(den)
+        try:
+            return float(num) / float(den)
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
     return float(text)
 
 

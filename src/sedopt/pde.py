@@ -9,10 +9,10 @@ degenerate elliptic with a nonlocal intervention term:
 The advection coefficient S_i 1{y>0} is nonnegative, so the local
 Lax-Friedrichs numerical Hamiltonian with dissipation S_i reduces exactly
 to upwinding with the left-biased derivative, reconstructed at third order
-by WENO. The discrete system is solved from zero by damped defect
-correction: each update solves with the first-order upwind operator under
-the current replenish set, the matrix of Howard's policy iteration, until
-the residual falls below a tolerance. With delta = 0 the same iteration
+by WENO. The discrete system is solved from zero by defect correction:
+each update solves with the first-order upwind operator under the current
+replenish set, the matrix of Howard's policy iteration, until the residual
+falls below a tolerance. With delta = 0 the same iteration
 solves for a relative value and the long-run cost rate (the ergodic mode).
 """
 
@@ -57,10 +57,11 @@ __all__ = [
 # linear weights of the two second-order candidate stencils
 _W_ONESIDED = 1.0 / 3.0
 _W_CENTERED = 2.0 / 3.0
-# WENO3 regularizer of the smoothness indicators, part of the scheme: it
-# sets how nonlinear the residual is, and so the solver's damping and stall
-# window, and changing it moves the fixed point the scheme converges to.
-_WENO_EPS = 1e-6
+# WENO3 regularizer of the smoothness indicators is eps = _WENO_EPS * h^2,
+# so it shrinks with the grid like the indicators do at a critical point
+# (Arandiga, Baeza, Belda & Mulet 2011). Part of the scheme: changing it
+# moves the fixed point the scheme converges to.
+_WENO_EPS = 0.1
 
 
 @dataclass(frozen=True)
@@ -178,8 +179,8 @@ def weno3_left_derivative(values, h: float):
     Combines the one-sided stencil {k-2, k-1, k} and the centered stencil
     {k-1, k, k+1} built from forward differences, with linear weights
     (1/3, 2/3), smoothness indicators beta = (difference jump)^2 and
-    nonlinear weights proportional to linear / (eps + beta)^2, with the
-    fixed eps `_WENO_EPS`. Ghost values linearly extrapolate beyond both
+    nonlinear weights proportional to linear / (eps + beta)^2, with
+    eps = `_WENO_EPS` h^2. Ghost values linearly extrapolate beyond both
     ends (vanishing second difference), so the result is exact for linear
     data and third-order accurate at smooth interior points.
     """
@@ -201,10 +202,9 @@ def weno3_left_derivative(values, h: float):
 
     one_sided = 1.5 * dm1 - 0.5 * dm2
     centered = 0.5 * (dm1 + dm0)
-    beta0 = (dm1 - dm2) ** 2
-    beta1 = (dm0 - dm1) ** 2
-    alpha0 = _W_ONESIDED / (_WENO_EPS + beta0) ** 2
-    alpha1 = _W_CENTERED / (_WENO_EPS + beta1) ** 2
+    eps = _WENO_EPS * h * h
+    alpha0 = _W_ONESIDED / (eps + (dm1 - dm2) ** 2) ** 2
+    alpha1 = _W_CENTERED / (eps + (dm0 - dm1) ** 2) ** 2
     out = (alpha0 * one_sided + alpha1 * centered) / (alpha0 + alpha1)
     return out[0] if single else out
 
@@ -282,13 +282,11 @@ def _upwind_factorizer(chain: RegimeChain, rates, costs: CostSpec, grid: Grid, e
     return factor
 
 
-# Each update is damped by this factor: undamped, the iteration can lock
-# into a two-cycle between WENO3 weight configurations.
-_RELAXATION = 0.9
 # A solve whose residual has not halved within this many iterations has
-# stalled. Slow phases of over a hundred iterations occur on coarse grids
-# before the iteration finds the fixed point.
-_STALL_WINDOW = 500
+# stalled: about 3x the largest window a converging solve needed (10) over
+# 1000 seeded 43-regime chains each at n = 11, 21, 31 and 61
+# (tools/solver_sweep.py).
+_STALL_WINDOW = 30
 
 
 def solve_stationary(
@@ -300,7 +298,7 @@ def solve_stationary(
 ) -> SolveResult:
     """Solve residual(v) = 0 by defect correction from v = 0.
 
-    Each iteration sets v <- v - 0.9 J^-1 residual(v), where J, the
+    Each iteration sets v <- v - J^-1 residual(v), where J, the
     first-order upwind Jacobian under the current replenish set, is a
     weakly chained diagonally dominant M-matrix as in Howard's policy
     iteration. The WENO3 residual is unchanged, so the fixed point is that
@@ -342,7 +340,7 @@ def solve_stationary(
         if lu is None or changes[-1]:
             lu = factor(replenish)
         # in ergodic mode the pin row's residual is w(0, 1) = 0, kept by every update
-        step = _RELAXATION * lu.solve(np.append(res.T.ravel(), [0.0] if ergodic else []))
+        step = lu.solve(np.append(res.T.ravel(), [0.0] if ergodic else []))
         v -= step[:v.size].reshape(v.shape[::-1]).T
         if ergodic:
             cost_rate -= step[-1]

@@ -264,20 +264,20 @@ class DischargeSeries:
     def from_csv(cls, path: str | Path) -> "DischargeSeries":
         """Read a `timestamp,discharge_m3s` CSV.
 
-        Timestamps are ISO-8601 (detected by a '-' in the field) or plain
-        fractional day numbers. ISO timestamps are converted to fractional
-        days since the first sample. Every stamp must be of the first one's
-        kind: day number, naive ISO or timezone-aware ISO.
+        Timestamps are fractional day numbers (any field `float` reads,
+        negative ones too) or else ISO-8601. ISO timestamps are converted to
+        fractional days since the first sample. Every stamp must be of the
+        first one's kind: day number, naive ISO or timezone-aware ISO.
         """
         seen: dict[str, str] = {}
 
         def parse(stamp: str, flow: str):
             stamp = stamp.strip()
-            if "-" in stamp:
+            try:
+                when, kind = float(stamp), "a day number"
+            except ValueError:
                 when = datetime.fromisoformat(stamp)
                 kind = "a naive ISO time" if when.tzinfo is None else "a timezone-aware ISO time"
-            else:
-                when, kind = float(stamp), "a day number"
             first = seen.setdefault("kind", kind)
             if kind != first:
                 raise ValueError(f"timestamp {stamp!r} is {kind}, the first one is {first}")

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -30,6 +31,14 @@ class TestParsing:
     def test_fraction_rates(self):
         assert cli.parse_rate("1/7") == pytest.approx(1.0 / 7.0, rel=1e-15)
         assert cli.parse_rate("0.25") == 0.25
+
+    def test_zero_denominator_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.parse_rate("1/0")
+        with pytest.raises(SystemExit) as info:
+            cli.main(["exact", "--S", "1/0", "--outdir", str(tmp_path)])
+        assert info.value.code == 2
+        assert "zero denominator in '1/0'" in capsys.readouterr().err
 
     def test_resolutions(self):
         assert cli.parse_resolutions("51,101,201") == [51, 101, 201]
@@ -72,11 +81,36 @@ class TestExact:
         assert record["u"] > 0.2 * 0.05
 
 
+    @pytest.mark.parametrize("flag, value", [("--delta", "1e300"), ("--lambda", "1e308")])
+    def test_overflowing_rate_is_domain_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        status = run_cli("exact", "--S", "0.05", flag, value, "--outdir", out)
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sedopt: error:") and "overflows" in err
+        assert "Traceback" not in err
+        assert not (out / "exact.json").exists()
+
+
 class TestIdentify:
     def test_chain_from_series(self, tmp_path):
         series = tmp_path / "series.csv"
         rows = ["timestamp,discharge_m3s"]
         rows += [f"{k / 24.0},{1.0 if k % 2 == 0 else 3.0}" for k in range(48)]
+        series.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning):  # bins 2.. never visited
+            status = run_cli("identify", "--series", series, "--width", "2.5",
+                             "--count", "4", "--outdir", out)
+        assert status == 0
+        chain = RegimeChain.from_json(out / "chain.json")
+        assert chain.rates[0, 1] == pytest.approx(24.0)
+
+    def test_negative_day_numbers(self, tmp_path):
+        # a '-' in a day number does not make it an ISO timestamp
+        series = tmp_path / "series.csv"
+        rows = ["timestamp,discharge_m3s"]
+        rows += [f"{-1.5 + k / 24.0},{1.0 if k % 2 == 0 else 3.0}" for k in range(48)]
         series.write_text("\n".join(rows) + "\n")
         out = tmp_path / "out"
         with pytest.warns(UserWarning):  # bins 2.. never visited
@@ -200,8 +234,9 @@ class TestSolveSimulate:
     def test_realistic_chain(self, tmp_path, n, seed):
         # 43 regimes on 2.5 m^3/s bins, nearest-neighbour switching with
         # seeded jitter and Meyer-Peter-Mueller rates: the paper's size
-        # (n = 301), and coarse grids whose solves pass through a slow
-        # phase (n = 31) or a weight two-cycle without damping (n = 61)
+        # (n = 301), and coarse grids whose solves passed through a slow
+        # phase (n = 31) or a weight two-cycle (n = 61) while the WENO3 eps
+        # was a fixed 1e-6 instead of 0.1 h^2
         rng = np.random.default_rng(seed)
         count = 43
         nu = np.zeros((count, count))

@@ -245,6 +245,15 @@ class TestSolveStationary:
         with pytest.raises(ConvergenceError):
             convergence_study(BENCHMARK, [21, 41], SolverConfig(tol=1e-30))
 
+    def test_round_off_floor_stops_within_a_few_stall_windows(self):
+        # the residual reaches round-off in about 35 iterations, and the
+        # stall window of 30 ends the solve soon after (558 iterations with
+        # the former window of 500)
+        result = solve_benchmark(51, tol=1e-300)
+        assert not result.converged
+        assert result.iterations <= 120
+        assert result.residual_history[-1] < 1e-12
+
     @pytest.mark.parametrize("tol", [0.0, -1e-9, np.inf, np.nan])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         with pytest.raises(InputError):

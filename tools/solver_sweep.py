@@ -1,0 +1,107 @@
+"""Iteration counts of the steady-state solver over seeded 43-regime chains.
+
+    python3 tools/solver_sweep.py --n 11 31 --seeds 1000 [--first 0] [--tol 1e-9] [--out FILE]
+
+Seed s draws the chain of `tests/test_cli.py::test_realistic_chain`: 43
+regimes on 2.5 m^3/s bins, nearest-neighbour switching with seeded jitter,
+Meyer-Peter-Mueller rates and delta 0.2, c 0.02, d 0.01, lambda 1/7. Per
+grid size the report gives the median, p99 and worst iteration counts, the
+worst seed, the unconverged seeds and `needed_window`: the smallest stall
+window that stops none of the converged solves early. A solve stops as
+stalled at iterate k when max |residual| r_k is not at most half of every
+r_j with j <= k - W, so iterate k needs W >= k - j*, where j* is the last
+j whose prefix minimum min(r_0..r_j) is still >= 2 r_k (j* = -1 if none).
+`pde._STALL_WINDOW` should be a few times the largest `needed_window`.
+The histories are those of the stall rule in force, which match an
+unlimited window for every solve that converges. sedopt is imported from
+`src/` next to this script; JSON goes to stdout or `--out`.
+"""
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from sedopt.analytic import CostSpec  # noqa: E402
+from sedopt.pde import Grid, SolverConfig, solve_stationary  # noqa: E402
+from sedopt.regime import RegimeChain  # noqa: E402
+from sedopt.transport import SedimentProperties, rates_for_chain  # noqa: E402
+
+COUNT = 43
+COSTS = CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0)
+
+
+def realistic_chain(seed: int) -> RegimeChain:
+    rng = np.random.default_rng(seed)
+    nu = np.zeros((COUNT, COUNT))
+    low = np.arange(COUNT - 1)
+    nu[low, low + 1] = 0.7 * rng.uniform(0.9, 1.1, COUNT - 1)
+    nu[low + 1, low] = 1.1 * rng.uniform(0.9, 1.1, COUNT - 1)
+    return RegimeChain(discharges=1.25 + 2.5 * np.arange(COUNT), rates=nu)
+
+
+def needed_window(history) -> int:
+    """Smallest stall window under which no iterate before the last stops."""
+    prefix_min = np.minimum.accumulate(np.asarray(history, dtype=float))
+    need = 1
+    for k, r in enumerate(history[:-1]):
+        # prefix_min is nonincreasing: the j with prefix_min[j] >= 2 r form a head
+        last = int(np.searchsorted(-prefix_min[:k + 1], -2.0 * r, side="right")) - 1
+        need = max(need, k - last)
+    return need
+
+
+def sweep(n: int, seeds, tol: float) -> dict:
+    grid, config = Grid(n), SolverConfig(tol=tol)
+    iterations, unconverged, window, window_seed = {}, [], 0, None
+    for seed in seeds:
+        chain = realistic_chain(seed)
+        result = solve_stationary(chain, rates_for_chain(chain, SedimentProperties()),
+                                  COSTS, grid, config)
+        if not result.converged:
+            unconverged.append(seed)
+            continue
+        iterations[seed] = result.iterations
+        need = needed_window(result.residual_history)
+        if need > window:
+            window, window_seed = need, seed
+    counts = sorted(iterations.values())
+    worst_seed = max(iterations, key=iterations.get, default=None)
+    return {
+        "n": n,
+        "seeds": len(seeds),
+        "median": statistics.median(counts) if counts else None,
+        "p99": float(np.percentile(counts, 99)) if counts else None,
+        "worst": iterations.get(worst_seed),
+        "worst_seed": worst_seed,
+        "unconverged": unconverged,
+        "needed_window": window,
+        "needed_window_seed": window_seed,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n", type=int, nargs="+", default=[11, 31], help="grid sizes")
+    parser.add_argument("--seeds", type=int, default=1000, help="seeds per grid size")
+    parser.add_argument("--first", type=int, default=0, help="first seed")
+    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--out", type=Path, help="write the JSON here instead of stdout")
+    args = parser.parse_args(argv)
+    seeds = range(args.first, args.first + args.seeds)
+    report = {"tol": args.tol, "grids": [sweep(n, seeds, args.tol) for n in args.n]}
+    text = json.dumps(report, indent=2) + "\n"
+    if args.out:
+        args.out.write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
