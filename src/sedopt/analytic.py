@@ -82,6 +82,9 @@ class ScalarProblem(CostSpec):
 # regression anchors (see tests).
 BENCHMARK = ScalarProblem(S=0.05, delta=0.1, c=0.3, d=0.2, lam=1.0 / 7.0)
 
+_SCAN_POINTS = 1024  # pasting-residual scan intervals on (0, 1)
+_CONSISTENCY_SAMPLES = 512  # storage levels where a root's threshold rule is checked
+
 
 @dataclass(frozen=True)
 class SmoothSolution:
@@ -161,10 +164,10 @@ def _pasting_residuals(problem: ScalarProblem, ybar, exp=math.exp):
     return r_value, r_deriv, psi1
 
 
-def _is_consistent(sol: SmoothSolution, samples: int = 512) -> bool:
+def _is_consistent(sol: SmoothSolution) -> bool:
     # replenishing must be (weakly) the better action exactly on [0, ybar]
     p = sol.problem
-    y = np.linspace(0.0, 1.0, samples)
+    y = np.linspace(0.0, 1.0, _CONSISTENCY_SAMPLES)
     value = evaluate_candidate(sol, y)
     gain = value - (sol.psi1 + p.intervention_cost(y))  # > 0 where replenishing strictly wins
     tol = 1e-9 * max(1.0, float(np.max(np.abs(value))))
@@ -172,7 +175,7 @@ def _is_consistent(sol: SmoothSolution, samples: int = 512) -> bool:
     return bool(np.all(gain[below] >= -tol) and np.all(gain[~below] <= tol))
 
 
-def solve_smooth_pasting(problem: ScalarProblem, scan_points: int = 1024) -> SmoothSolution:
+def solve_smooth_pasting(problem: ScalarProblem) -> SmoothSolution:
     """Find the C^1 pasting pair (psi1, ybar) by scan + bisection.
 
     For each trial ybar the derivative equation gives psi1 in closed form,
@@ -185,14 +188,16 @@ def solve_smooth_pasting(problem: ScalarProblem, scan_points: int = 1024) -> Smo
         raise DomainError("smooth pasting needs delta > 0; use the ergodic routines")
 
     lo_edge, hi_edge = 1e-12, 1.0 - 1e-12
-    grid = np.linspace(lo_edge, hi_edge, scan_points + 1)
+    grid = np.linspace(lo_edge, hi_edge, _SCAN_POINTS + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         res = _pasting_residuals(problem, grid, exp=np.exp)[0]
     if not np.all(np.isfinite(res)):
-        raise DomainError(
-            f"pasting residual overflows: delta / S = {problem.delta / problem.S:.6g} "
-            "is too large for double precision"
-        )
+        if problem.delta / problem.S > math.log(np.finfo(float).max):  # exp(delta / S) overflows
+            raise DomainError(
+                f"pasting residual overflows: delta / S = {problem.delta / problem.S:.6g} "
+                "is too large for double precision"
+            )
+        raise DomainError(f"pasting residual is not finite for {problem}")
     sign = np.sign(res)
     brackets = np.flatnonzero((sign[:-1] * sign[1:]) < 0)
     roots = [float(grid[i]) for i in np.flatnonzero(sign == 0)]
@@ -229,7 +234,8 @@ def solve_smooth_pasting(problem: ScalarProblem, scan_points: int = 1024) -> Smo
             continue
         return sol
     raise NoInteriorThresholdError(
-        "no admissible pasting root on (0, 1): " + "; ".join(failures)
+        f"no admissible pasting root on (0, 1): all {len(roots)} roots rejected, "
+        f"the first at {failures[0]}"
     )
 
 

@@ -9,12 +9,8 @@ outputs so any run can be reproduced from its own echo.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
-import types
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -83,8 +79,8 @@ class RunConfig:
     def solver_config(self) -> pde.SolverConfig:
         return pde.SolverConfig(dt=self.dt, t_end=self.t_end, tol=self.tol)
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=1, sort_keys=True)
+    def to_json(self, path: str | Path) -> None:
+        regime.write_json_fields(path, self)
 
 
 def default_realistic_config() -> RunConfig:
@@ -125,10 +121,6 @@ def _write_text(path: Path, text: str) -> None:
     _write_atomic(path, lambda p: p.write_text(text))
 
 
-def _echo_config(config: RunConfig, outdir: Path) -> None:
-    _write_text(outdir / "run_config.json", config.to_json() + "\n")
-
-
 def _require(config: RunConfig, *names: str) -> None:
     for name in names:
         if getattr(config, name) is None:
@@ -160,18 +152,8 @@ def _run_solve(config: RunConfig, outdir: Path) -> None:
         )
     else:
         result = pde.solve_stationary(chain, rates, costs, grid, solver)
-    summary = {
-        "step_change": result.step_change,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "min_seen": result.min_seen,
-        "max_seen": result.max_seen,
-        "cost_rate": result.cost_rate,
-        "residual_history": list(result.residual_history),
-        "policy_changes": list(result.policy_changes),
-        "notes": list(result.notes),
-    }
-    _write_text(outdir / "solve_result.json", json.dumps(summary, indent=1) + "\n")
+    _write_atomic(outdir / "solve_result.json",
+                  lambda p: regime.write_json_fields(p, result, drop=("field",)))
     if not result.converged:
         # a later `simulate --policy` must not pick up an earlier run's policy
         for stale in ("value_field.csv", "free_boundary.csv"):
@@ -188,14 +170,11 @@ def _run_solve(config: RunConfig, outdir: Path) -> None:
 def _run_exact(config: RunConfig, outdir: Path) -> None:
     _require(config, "S")
     problem = config.costs()
+    extra = {}
     if problem.delta > 0:
         sol = analytic.solve_smooth_pasting(problem)
-        record = {
-            "ybar": sol.ybar, "psi1": sol.psi1,
-            "a": sol.a, "b": sol.b, "f": sol.f,
-        }
         if (problem.c + problem.d) * problem.S < 1.0:
-            record["u"] = analytic.ergodic_threshold(
+            extra["u"] = analytic.ergodic_threshold(
                 problem.S, problem.c, problem.d, problem.lam
             ).u
         if config.samples > 0:
@@ -204,9 +183,9 @@ def _run_exact(config: RunConfig, outdir: Path) -> None:
             lines = ["y,psi"] + [f"{y:.12g},{v:.15g}" for y, v in zip(ys, vals)]
             _write_text(outdir / "candidate_values.csv", "\n".join(lines) + "\n")
     else:
-        erg = analytic.ergodic_threshold(problem.S, problem.c, problem.d, problem.lam)
-        record = {"ybar": erg.ybar, "u": erg.u, "degenerate": erg.degenerate}
-    _write_text(outdir / "exact.json", json.dumps(record, indent=1) + "\n")
+        sol = analytic.ergodic_threshold(problem.S, problem.c, problem.d, problem.lam)
+    _write_atomic(outdir / "exact.json",
+                  lambda p: regime.write_json_fields(p, sol, drop=("problem",), **extra))
 
 
 def _run_simulate(config: RunConfig, outdir: Path) -> None:
@@ -218,17 +197,8 @@ def _run_simulate(config: RunConfig, outdir: Path) -> None:
         seed=config.seed, initial_regime=config.initial_regime,
         keep_samples=config.per_path,
     )
-    record = {
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "n_paths": est.n_paths,
-        "horizon": est.horizon,
-        "truncation_bound": est.truncation_bound,
-        "events_per_path": est.events_per_path,
-        "replenishments_per_path": est.replenishments_per_path,
-        "depleted_fraction": est.depleted_fraction,
-    }
-    _write_text(outdir / "cost_estimate.json", json.dumps(record, indent=1) + "\n")
+    _write_atomic(outdir / "cost_estimate.json",
+                  lambda p: regime.write_json_fields(p, est, drop=("samples",)))
     if config.per_path:
         lines = ["path,cost"] + [
             f"{k},{x:.15g}" for k, x in enumerate(est.samples)
@@ -264,7 +234,7 @@ def run(config: RunConfig) -> int:
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     # echo first, so a failed run never leaves an earlier run's echo behind
-    _echo_config(config, outdir)
+    _write_atomic(outdir / "run_config.json", config.to_json)
     _RUNNERS[config.command](config, outdir)
     return 0
 
@@ -349,37 +319,16 @@ def resolve_config(argv) -> RunConfig:
     merged: dict = {}
     if config_path is not None:
         try:
-            loaded = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigFileError(f"cannot read config {config_path}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigFileError(f"config {config_path} must hold a JSON object")
-        file_command = loaded.pop("command", None)
-        if file_command is not None and file_command != command:
+            merged = regime.read_json_fields(config_path, RunConfig)
+        except InputError as exc:
+            raise ConfigFileError(str(exc)) from None
+        file_command = merged.pop("command", command)
+        if file_command != command:
             raise ConfigFileError(
                 f"config file is for {file_command!r}, invoked as {command!r}"
             )
-        hints = typing.get_type_hints(RunConfig)
-        unknown = set(loaded) - set(hints)
-        if unknown:
-            raise ConfigFileError(f"unknown config keys {sorted(unknown)}")
-        for name, value in loaded.items():
-            if not _fits(hints[name], value):
-                raise ConfigFileError(f"config key {name!r} has the wrong type: {value!r}")
-        merged.update(loaded)
     merged.update({k: v for k, v in ns.items() if v is not None})
     return RunConfig(command=command, **merged)
-
-
-def _fits(hint, value) -> bool:
-    """Whether a JSON value has a RunConfig field's type; ints fit floats."""
-    if isinstance(hint, types.UnionType):  # X | None
-        return any(_fits(option, value) for option in typing.get_args(hint))
-    if typing.get_origin(hint) is list:
-        return isinstance(value, list) and all(_fits(typing.get_args(hint)[0], v) for v in value)
-    if isinstance(value, bool) or hint is type(None):  # bools are ints to isinstance
-        return hint is type(value)
-    return isinstance(value, (int, float) if hint is float else hint)
 
 
 class ConfigFileError(Exception):

@@ -398,11 +398,9 @@ def extract_policy(fld: ValueField) -> ThresholdPolicy:
     return ThresholdPolicy(boundaries=boundaries)
 
 
-def single_regime_chain(discharge: float = 1.0) -> RegimeChain:
+def single_regime_chain() -> RegimeChain:
     """One-regime chain carrier for scalar problems."""
-    return RegimeChain(
-        discharges=np.array([discharge]), rates=np.zeros((1, 1))
-    )
+    return RegimeChain(discharges=np.array([1.0]), rates=np.zeros((1, 1)))
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import types
+import typing
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime
 from functools import cached_property
 from pathlib import Path
@@ -36,6 +38,8 @@ __all__ = [
     "check_rates",
     "check_horizon",
     "read_csv_rows",
+    "read_json_fields",
+    "write_json_fields",
 ]
 
 SECONDS_PER_DAY = 86400.0
@@ -94,6 +98,50 @@ def read_csv_rows(path: str | Path, fields: tuple[str, ...], parse) -> list:
     return rows
 
 
+def read_json_fields(path: str | Path, cls) -> dict:
+    """The JSON object in `path` as a dict of fields of dataclass `cls`.
+
+    Raises :class:`InputError` naming the file when it cannot be read or
+    parsed, holds no object, or has a key or value that no field of `cls`
+    fits. Missing keys are left to `cls`.
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise InputError(f"cannot read {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a JSON object")
+    hints = typing.get_type_hints(cls)
+    for name, value in data.items():
+        if name not in hints:
+            raise InputError(f"{path}: unknown key {name!r}")
+        if not _fits(hints[name], value):
+            raise InputError(f"{path}: key {name!r} has the wrong type: {value!r}")
+    return data
+
+
+def _fits(hint, value) -> bool:
+    """Whether a JSON value has a field's type; ints fit floats, and any list
+    fits an array field, whose class checks what the list holds."""
+    if isinstance(hint, types.UnionType):  # X | None
+        return any(_fits(option, value) for option in typing.get_args(hint))
+    if typing.get_origin(hint) is np.ndarray:
+        return isinstance(value, list)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(typing.get_args(hint)[0], v) for v in value)
+    if isinstance(value, bool) or hint is type(None):  # bools are ints to isinstance
+        return hint is type(value)
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def write_json_fields(path: str | Path, record, drop: tuple[str, ...] = (), **extra) -> None:
+    """Write the fields of dataclass `record`, less those named in `drop`,
+    then `extra`, to `path` as indented JSON; arrays are written as lists."""
+    data = {f.name: getattr(record, f.name) for f in fields(record) if f.name not in drop}
+    text = json.dumps(data | extra, indent=1, default=np.ndarray.tolist)
+    Path(path).write_text(text + "\n")
+
+
 @dataclass(frozen=True)
 class RegimeChain:
     """Flow-regime Markov chain: discharge levels plus switching rates.
@@ -111,10 +159,15 @@ class RegimeChain:
     rates: NDArray[np.float64]
 
     def __post_init__(self):
-        q = np.asarray(self.discharges, dtype=float)
-        nu = np.asarray(self.rates, dtype=float)
-        object.__setattr__(self, "discharges", q)
-        object.__setattr__(self, "rates", nu)
+        for name in ("discharges", "rates"):
+            try:
+                a = np.asarray(getattr(self, name))
+            except ValueError:  # ragged nesting
+                raise InputError(f"{name} must be a rectangular array") from None
+            if a.dtype.kind not in "iuf":  # strings, objects and bools fail
+                raise InputError(f"{name} must hold numbers only")
+            object.__setattr__(self, name, np.asarray(a, dtype=float))
+        q, nu = self.discharges, self.rates
         if q.ndim != 1 or q.size < 1:
             raise InputError("discharges must be a non-empty 1-d array")
         if not np.all(q > 0):
@@ -217,25 +270,20 @@ class RegimeChain:
         leaky = set(labels[src][labels[src] != labels[dst]].tolist())
         return [np.flatnonzero(labels == c).tolist() for c in range(n_comp) if c not in leaky]
 
-    def to_dict(self) -> dict:
-        return {
-            "discharges": self.discharges.tolist(),
-            "rates": self.rates.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RegimeChain":
-        return cls(
-            discharges=np.asarray(data["discharges"], dtype=float),
-            rates=np.asarray(data["rates"], dtype=float),
-        )
-
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1))
+        write_json_fields(path, self)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RegimeChain":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Read a chain written by `to_json`; errors name the file."""
+        data = read_json_fields(path, cls)
+        missing = [f.name for f in fields(cls) if f.name not in data]
+        if missing:
+            raise InputError(f"{path}: missing keys {missing}")
+        try:
+            return cls(**data)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,14 @@ number theta_c. Rates are converted to the unit storage domain as
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError
-from .regime import SECONDS_PER_DAY, RegimeChain
+from .regime import SECONDS_PER_DAY, RegimeChain, read_json_fields
 
 __all__ = [
     "SedimentProperties",
@@ -34,7 +34,7 @@ class SedimentProperties:
     slope (dimensionless ratio), n Manning roughness (m^(1/3) s), rho water
     density (kg/m^3), rho_s sediment density (kg/m^3), gamma particle
     diameter (m), capacity total storable sediment volume (m^3), theta_c
-    critical Shields number.
+    critical Shields number. All must be finite and positive.
     """
 
     g: float = 9.81
@@ -49,8 +49,8 @@ class SedimentProperties:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise InputError(f"{f.name} must be positive")
+            if not 0.0 < getattr(self, f.name) < math.inf:  # NaN fails too
+                raise InputError(f"{f.name} must be finite and positive")
         if self.rho_s <= self.rho:
             raise InputError("sediment density must exceed water density")
 
@@ -62,15 +62,7 @@ class SedimentProperties:
     @classmethod
     def from_json(cls, path: str | Path) -> "SedimentProperties":
         """Load from a JSON object; missing keys take the defaults."""
-        data = json.loads(Path(path).read_text())
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise InputError(f"{path}: unknown properties {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in data.items()})
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return cls(**read_json_fields(path, cls))
 
 
 def shear_stress(q, props: SedimentProperties):

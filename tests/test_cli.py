@@ -1,12 +1,15 @@
 import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from sedopt import cli
+from sedopt.analytic import ErgodicSolution, SmoothSolution
+from sedopt.mc import CostEstimate
 from sedopt.pde import (
-    CostSpec, Grid, ValueField, extract_policy, read_free_boundary_csv, residual,
+    CostSpec, Grid, SolveResult, ValueField, extract_policy, read_free_boundary_csv, residual,
 )
 from sedopt.regime import RegimeChain
 from sedopt.transport import SedimentProperties, rates_for_chain
@@ -89,6 +92,28 @@ class TestExact:
         err = capsys.readouterr().err
         assert err.startswith("sedopt: error:") and "overflows" in err
         assert "Traceback" not in err
+        assert not (out / "exact.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ("--S", "0.05", "--c", "1e308", "--d", "1e308"),  # delta / S = 4
+        ("--S", "0.05", "--delta", "1e-320"),  # delta / S = 2e-319
+    ], ids=["huge-costs", "tiny-delta"])
+    def test_non_finite_residual_not_blamed_on_delta_over_s(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run_cli("exact", *args, "--outdir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sedopt: error: pasting residual is not finite for ScalarProblem(")
+        assert "delta / S" not in err and "Traceback" not in err
+        assert not (out / "exact.json").exists()
+
+    def test_rejected_roots_message_is_bounded(self, tmp_path, capsys):
+        # S = 1e308 zeroes the residual at all 1025 scan points and no root is
+        # admissible; listing every one wrote a 69 KB line
+        out = tmp_path / "out"
+        assert run_cli("exact", "--S", "1e308", "--outdir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sedopt: error: no admissible pasting root")
+        assert "all 1025 roots rejected" in err and len(err.encode()) < 1024
         assert not (out / "exact.json").exists()
 
 
@@ -360,6 +385,78 @@ class TestSolveSimulate:
             )
             outs.append((out / "cost_estimate.json").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestJsonFiles:
+    @pytest.mark.parametrize("text, message", [
+        ('{"discharges": [1.0, 10.0]}', "missing keys ['rates']"),
+        ("{not json", "cannot read"),
+        ('{"discharges": [1.0, 10.0], "rates": [[0.0, "abc"], [1.0, 0.0]]}',
+         "rates must hold numbers"),
+        ('{"discharges": [1.0, 10.0], "rates": [[0.0, 0.5], [1.0]]}', "rectangular"),
+        ("[[0.0, 0.5], [1.0, 0.0]]", "must hold a JSON object"),
+    ], ids=["missing-rates", "invalid-json", "string-rate", "ragged-rows", "top-level-list"])
+    def test_malformed_chain_fails(self, tmp_path, capsys, text, message):
+        chain = tmp_path / "chain.json"
+        chain.write_text(text)
+        out = tmp_path / "solve"
+        assert run_cli("solve", "--chain", chain, "--n", "21", "--outdir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sedopt: error:") and str(chain) in err and message in err
+        assert "Traceback" not in err
+        for name in ("solve_result.json", "value_field.csv", "free_boundary.csv"):
+            assert not (out / name).exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "cannot read"),
+        ('{"B": "abc"}', "wrong type"),
+        ('{"B": null}', "wrong type"),
+        ('{"B": [1]}', "wrong type"),
+        ('{"B": true}', "wrong type"),  # was read as B = 1.0
+    ], ids=["invalid-json", "string", "null", "list", "bool"])
+    def test_malformed_props_fails(self, chain_file, tmp_path, capsys, text, message):
+        props = tmp_path / "props.json"
+        props.write_text(text)
+        out = tmp_path / "solve"
+        status = run_cli("solve", "--chain", chain_file, "--props", props, "--n", "21",
+                         "--outdir", out)
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sedopt: error:") and str(props) in err and message in err
+        assert "Traceback" not in err
+        for name in ("solve_result.json", "value_field.csv", "free_boundary.csv"):
+            assert not (out / name).exists()
+
+    @pytest.mark.parametrize("text", ['{"capacity": Infinity}', '{"theta_c": NaN}'],
+                             ids=["infinite-capacity", "nan-theta-c"])
+    def test_non_finite_props_fail(self, chain_file, tmp_path, capsys, text):
+        # an infinite capacity made every drain rate 0 and the solve succeed
+        props = tmp_path / "props.json"
+        props.write_text(text)
+        out = tmp_path / "solve"
+        status = run_cli("solve", "--chain", chain_file, "--props", props, "--n", "21",
+                         "--outdir", out)
+        assert status == 1
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert not (out / "solve_result.json").exists()
+
+    def test_result_files_hold_their_dataclass_fields(self, chain_file, tmp_path):
+        # each record reaches its file whole, less the dropped fields, in field order
+        def keys(name):
+            return list(json.loads((tmp_path / name).read_text()))
+
+        def names(cls, drop=""):
+            return [f.name for f in dataclasses.fields(cls) if f.name != drop]
+
+        assert run_cli("solve", "--chain", chain_file, "--n", "21", "--outdir", tmp_path) == 0
+        assert keys("solve_result.json") == names(SolveResult, drop="field")
+        assert run_cli("simulate", "--chain", chain_file, "--paths", "8", "--horizon", "5",
+                       "--outdir", tmp_path) == 0
+        assert keys("cost_estimate.json") == names(CostEstimate, drop="samples")
+        assert run_cli("exact", "--S", "0.05", "--outdir", tmp_path) == 0
+        assert keys("exact.json") == names(SmoothSolution, drop="problem") + ["u"]
+        assert run_cli("exact", "--S", "0.05", "--delta", "0", "--outdir", tmp_path) == 0
+        assert keys("exact.json") == names(ErgodicSolution)
 
 
 class TestConvergenceCommand:

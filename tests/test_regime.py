@@ -50,6 +50,10 @@ class TestRegimeChain:
                 discharges=np.array([1.0, 2.0]),
                 rates=np.array([[0.0, -1.0], [0.0, 0.0]]),
             )
+        with pytest.raises(InputError, match="rectangular"):
+            RegimeChain(discharges=[1.0, 2.0], rates=[[0.0, 1.0], [1.0]])
+        with pytest.raises(InputError, match="numbers"):
+            RegimeChain(discharges=[1.0, 2.0], rates=[[0.0, "abc"], [1.0, 0.0]])
 
     def test_generator_rows_sum_to_zero(self):
         chain = two_regime_chain()

@@ -32,6 +32,12 @@ class TestProperties:
         with pytest.raises(InputError):
             SedimentProperties(B=-1.0)
 
+    @pytest.mark.parametrize("entry", [{"capacity": np.inf}, {"theta_c": np.nan}],
+                             ids=["infinite-capacity", "nan-theta-c"])
+    def test_non_finite_rejected(self, entry):
+        with pytest.raises(InputError, match="finite"):
+            SedimentProperties(**entry)
+
     def test_from_json_missing_keys_default(self, tmp_path):
         f = tmp_path / "props.json"
         f.write_text('{"B": 30.0, "capacity": 50.0}')
