@@ -191,6 +191,9 @@ def _run_exact(config: RunConfig, outdir: Path) -> None:
 def _run_simulate(config: RunConfig, outdir: Path) -> None:
     chain, rates = _load_chain_and_rates(config)
     policy = pde.read_free_boundary_csv(config.policy) if config.policy else None
+    if policy is not None and policy.boundaries.size != chain.count:
+        raise InputError(f"{config.policy}: {policy.boundaries.size} thresholds "
+                         f"for a chain of {chain.count} regimes")
     est = mc.estimate_cost(
         chain, rates, policy, config.costs(),
         y0=config.y0, horizon=config.horizon, n_paths=config.paths,

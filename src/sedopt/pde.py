@@ -26,9 +26,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.typing import NDArray
-from scipy.sparse.linalg import splu
 
 from .analytic import CostSpec, ScalarProblem, evaluate_candidate, solve_smooth_pasting
 from .errors import ConvergenceError, InputError, StructureError
@@ -232,54 +230,186 @@ def residual(fld: ValueField) -> NDArray[np.float64]:
     return _residual_arrays(fld.values, fld.chain, fld.rates, fld.costs, fld.grid)[0]
 
 
-def _upwind_factorizer(chain: RegimeChain, rates, costs: CostSpec, grid: Grid, ergodic: bool):
-    """Return factor(replenish), the sparse LU of the first-order upwind
-    Jacobian J of the residual under that replenish set.
+class _BlockSweep:
+    """An exact solver for the first-order upwind Jacobian J of the
+    residual under a replenish set, refactored in place by `factor`.
 
     J has delta + outflow on the diagonal, +-S_i / h upwind advection for
     k >= 1, -nu_ij regime switching and lam (row k - column of the last
-    vertex) on the replenish set. Unknowns are numbered storage-major,
-    (i, k) at row k * count + i, so J is block lower-bidiagonal in the
-    vertex plus one border column block for the last vertex, and LU in
-    that natural order is block forward elimination with no ordering
-    pass. Ergodic mode borders J with a column of ones (the cost rate) and
-    a row that pins (regime 0, y = 1), both last. Every row k < n - 1
-    holds a structural (k, last vertex) entry, so the pattern is built
-    once and each factorization rewrites only the data array.
+    vertex) on the replenish set; the last two cancel at the last vertex.
+    With the unknowns numbered storage-major, (i, k) at row k * I + i, the
+    rows of vertex k read
+
+        D_k x_k - s x_{k-1} - lam R_k x_{n-1} = b_k,    s = S / h,
+
+    where the I x I block D_k = diag(delta + outflow + s 1{k>0} + lam R_k)
+    - nu changes with k only on its diagonal. Ergodic mode adds the cost
+    rate u to every row and a row that pins (regime 0, y = 1), both last.
+
+    J^-1 is block forward substitution along storage (block LU; Golub &
+    Van Loan, *Matrix Computations*). Vertex k couples only to k - 1, to
+    the other regimes at k and to the border z = (x_0, x_{n-1}, u). Given
+    z, the interior follows in one forward sweep,
+
+        x_k = D_k^-1 (c_k + s x_{k-1}),  c_k = b_k + lam R_k x_{n-1} - u,
+
+    for k = 1..n-2, so s x_{n-2} = sum_k P_k c_k + P_1 s x_0, where the
+    adjoint sweep P_{n-2} = s D_{n-2}^-1, P_{k-1} = P_k s D_{k-1}^-1 runs
+    once per factorization. With that, the rows of vertices 0 and n - 1
+    and the pin close a dense system in z of size 2I (2I + 1 in ergodic
+    mode), the Schur complement of the interior, which is inverted. x_0 is
+    part of the border because the ergodic D_0 is the negated generator,
+    singular, until empty storage replenishes. A singular block or Schur
+    complement raises `StructureError`.
+
+    With one regime the adjoint is a cumulative product and the forward
+    sweep a doubling scan of about log2(n) vectorised steps. Otherwise the
+    forward sweep is one product x_k = [D_k^-1 s | D_k^-1] [x_{k-1}; c_k]
+    per vertex. The work arrays are sized once and every solve shares
+    them: one factorization at a time, one solve at a time.
     """
-    count, n = rates.size, grid.n
-    size = count * n
-    idx = np.arange(size).reshape(n, count).T
-    switching = chain.rates
-    src, dst = np.nonzero(switching)
-    diag = costs.delta + np.repeat(chain.out_rates, n)
-    diag.reshape(count, n)[:, 1:] += rates[:, None] / grid.h
-    blocks = [
-        (idx, idx, diag),
-        (idx[:, :-1], np.repeat(idx[:, -1], n - 1), np.zeros(count * (n - 1))),
-        (idx[:, 1:], idx[:, :-1], -np.repeat(rates / grid.h, n - 1)),
-        (idx[src], idx[dst], -np.repeat(switching[src, dst], n)),
-    ]
-    if ergodic:
-        blocks += [(np.arange(size), np.full(size, size), np.ones(size)),
-                   (np.array([size]), idx[:1, -1], np.ones(1))]
-    rows, cols, base = (np.concatenate([np.ravel(b[part]) for b in blocks]) for part in range(3))
-    matrix = sp.csc_matrix((np.arange(1.0, rows.size + 1), (rows, cols)),
-                           shape=(size + ergodic, size + ergodic))
-    order = matrix.data.astype(np.intp) - 1  # csc slot -> entry index
-    last = slice(size, size + count * (n - 1))
 
-    def factor(replenish: NDArray[np.bool_]):
-        values = base.copy()
-        values[:size] += costs.lam * replenish.ravel()
-        values[last] = -costs.lam * replenish[:, :-1].ravel()
-        matrix.data = values[order]
-        try:
-            return splu(matrix, permc_spec="NATURAL")
-        except RuntimeError as exc:  # exactly singular: no unique fixed point
-            raise StructureError(f"steady-state system is singular: {exc}") from exc
+    def __init__(self, chain: RegimeChain, rates, costs: CostSpec, grid: Grid, ergodic: bool):
+        count, inner = rates.size, grid.n - 2
+        self.switching = chain.rates
+        self.s = rates / grid.h
+        self.outflow = costs.delta + chain.out_rates
+        self.lam = costs.lam
+        self.ergodic = ergodic
+        self.adjoint = np.empty((inner, count, count))  # P_k^T
+        if count == 1:
+            self.x, self.c = np.empty((inner + 1, 1)), np.empty((inner, 1))
+        else:
+            # [D_k^-1 s | D_k^-1], one per run of equal D_k, and the pairs
+            # [x_{k-1}; c_k] each product of the forward sweep reads
+            self.steps = np.empty((inner, count, 2 * count))
+            pairs = np.empty((inner + 1, 2 * count))
+            self.x, self.c = pairs[:, :count], pairs[:-1, count:]
+            self.links = [(pairs[k], pairs[k + 1, :count]) for k in range(inner)]
 
-    return factor
+    def factor(self, replenish: NDArray[np.bool_]) -> _BlockSweep:
+        count, s, adjoint = self.s.size, self.s, self.adjoint
+        self.jump = self.lam * replenish[:, :-1].T  # lam R_k, k < n - 1
+        diagonals = (self.outflow + s) + self.jump[1:]
+        if count == 1:  # the blocks are their diagonals
+            self.scale = _inverse(diagonals[:, :, None])[:, :, 0]  # D_k^-1
+            gain = s * self.scale  # carries x_{k-1} into x_k
+            self.levels = _doubling_levels(gain)
+            later = np.append(np.cumprod(gain[:0:-1, 0])[::-1], 1.0)
+            adjoint[:, 0, 0] = gain[:, 0] * later
+        else:
+            steps = self.steps
+            inverses, run_of = _run_inverses(self.switching, diagonals, steps[:, :, count:])
+            runs = run_of.tolist()
+            np.multiply(inverses[runs[-1]].T, s, out=adjoint[-1])
+            scratch = np.empty((count, count))
+            for k in range(len(runs) - 1, 0, -1):
+                np.multiply(s[:, None], adjoint[k], out=scratch)
+                np.dot(inverses[runs[k - 1]].T, scratch, out=adjoint[k - 1])
+            np.multiply(inverses, s, out=steps[:len(inverses), :, :count])
+            self.sweep = [(steps[run], *link) for run, link in zip(runs, self.links)]
+        top = slice(count, 2 * count)
+        schur = np.zeros((2 * count + self.ergodic,) * 2)
+        schur[:count, :count] = np.diag(self.outflow + self.jump[0]) - self.switching
+        schur[range(count), range(count, 2 * count)] = -self.jump[0]
+        schur[top, :count] = -adjoint[0].T * s
+        schur[top, top] = np.diag(self.outflow + s) - self.switching \
+            - np.einsum("ki,kij->ji", self.jump[1:], adjoint)
+        if self.ergodic:
+            schur[:2 * count, -1] = 1.0
+            schur[top, -1] += adjoint.sum(axis=(0, 1))
+            schur[-1, count] = 1.0
+        self.schur_inverse = _inverse(schur)
+        self.weights = adjoint.reshape(-1, count)  # b -> s x_{n-2}, given z = 0
+        return self
+
+    def solve(self, b: NDArray[np.float64]) -> NDArray[np.float64]:
+        """J^-1 b, both in the storage-major numbering."""
+        count = self.s.size
+        size = (len(self.adjoint) + 2) * count
+        vertex = b[:size].reshape(-1, count)
+        upwind = vertex[1:-1].ravel() @ self.weights
+        z = self.schur_inverse @ np.concatenate([vertex[0], vertex[-1] + upwind, b[size:]])
+        c = np.multiply(self.jump[1:], z[count:2 * count], out=self.c)
+        c += vertex[1:-1]
+        if self.ergodic:
+            c -= z[-1]
+        x = self.x  # x_0..x_{n-2}
+        x[0] = z[:count]
+        if count == 1:
+            np.multiply(c, self.scale, out=x[1:])
+            for shift, gain in self.levels:
+                x[shift:] += gain * x[:-shift]
+        else:
+            for step, pair, out in self.sweep:
+                np.dot(step, pair, out=out)
+        return np.concatenate([x.ravel(), z[count:]])
+
+
+def _doubling_levels(gain: NDArray[np.float64]) -> list[tuple[int, NDArray[np.float64]]]:
+    """The steps of a doubling scan for x_k = e_k + gain[k - 1] x_{k-1},
+    k = 1..len(gain), along the first axis.
+
+    Step (shift, g) adds g * x[k - shift] to x[k] for every k >= shift at
+    once; g is the product of the gains of x[k - shift + 1] to x[k]. After
+    the step, x[k] holds the recurrence summed over the last 2 * shift
+    vertices (Hillis & Steele 1986).
+    """
+    levels = []
+    shift, size = 1, len(gain) + 1
+    while shift < size:
+        levels.append((shift, gain))
+        gain, shift = gain[shift:] * gain[:-shift], 2 * shift
+    return levels
+
+
+def _inverse(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The inverse of a square matrix, or of each in a stack of them;
+    `StructureError` when one is singular, as then the steady-state system
+    has no unique solution."""
+    try:
+        with np.errstate(divide="ignore"):  # 1 x 1: a reciprocal beats LAPACK
+            out = 1.0 / matrix if matrix.shape[-1] == 1 else np.linalg.inv(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise StructureError(f"steady-state system is singular: {exc}") from None
+    if not np.all(np.isfinite(out)):
+        raise StructureError("steady-state system is singular to working precision")
+    return out
+
+
+def _run_inverses(switching, diagonals, out) -> tuple[NDArray[np.float64], NDArray[np.intp]]:
+    """The inverse of diag(d) - switching for each run of equal rows d of
+    `diagonals`, written to the head of `out`, and the run of each row.
+
+    A run that differs from the run after it in at most a quarter of the
+    regimes is reached from that run's inverse by one Sherman-Morrison
+    update per differing regime, O(I^2) each. The last run, and any run
+    that differs in more regimes, is inverted directly, in one batched call.
+    """
+    count = diagonals.shape[1]
+    new_run = np.any(diagonals[1:] != diagonals[:-1], axis=1)
+    run_of = np.concatenate([[0], np.cumsum(new_run)])
+    firsts = diagonals[np.concatenate([[True], new_run])]
+    runs, regimes = np.nonzero(firsts[:-1] != firsts[1:])
+    changes = [[] for _ in firsts]
+    for run, j, step in zip(runs.tolist(), regimes.tolist(),
+                            (firsts[runs, regimes] - firsts[runs + 1, regimes]).tolist()):
+        changes[run].append((j, step))
+    fresh = np.array([4 * len(changed) > count for changed in changes[:-1]] + [True])
+    blocks = np.repeat(-switching[None], np.count_nonzero(fresh), axis=0)
+    blocks[:, np.arange(count), np.arange(count)] += firsts[fresh]
+    inverses = out[:len(firsts)]
+    inverses[fresh] = _inverse(blocks)
+    for run in np.flatnonzero(~fresh)[::-1].tolist():
+        inverse = inverses[run]
+        inverse[:] = inverses[run + 1]
+        for j, step in changes[run]:
+            # (A + w e_j e_j^T)^-1 = A^-1 - A^-1 e_j e_j^T A^-1 / (1 / w + A^-1_jj)
+            pivot = 1.0 / step + inverse[j, j]
+            if pivot == 0.0:
+                raise StructureError("steady-state system is singular")
+            inverse -= (inverse[:, j] / pivot)[:, None] * inverse[j]
+    return inverses, run_of
 
 
 # A solve whose residual has not halved within this many iterations has
@@ -318,14 +448,13 @@ def solve_stationary(
     if ergodic and len(closed := chain.closed_classes()) > 1:
         raise StructureError(f"the ergodic solve needs one closed class of regimes, found {closed}")
 
-    factor = _upwind_factorizer(chain, rates, costs, grid, ergodic)
+    sweep = _BlockSweep(chain, rates, costs, grid, ergodic)
 
     v = np.zeros((chain.count, grid.n))
     cost_rate = min_seen = max_seen = step_change = 0.0
     replenish = np.zeros(v.shape, dtype=bool)
     history: list[float] = []
     changes: list[int] = []
-    lu = None
     while True:
         res, gap = _residual_arrays(v, chain, rates, costs, grid)
         res += cost_rate
@@ -337,10 +466,10 @@ def solve_stationary(
         earlier_best = min(history[:-_STALL_WINDOW], default=math.inf)
         if converged or not history[-1] <= 0.5 * earlier_best:  # stalled or not finite
             break
-        if lu is None or changes[-1]:
-            lu = factor(replenish)
+        if len(history) == 1 or changes[-1]:
+            sweep.factor(replenish)
         # in ergodic mode the pin row's residual is w(0, 1) = 0, kept by every update
-        step = lu.solve(np.append(res.T.ravel(), [0.0] if ergodic else []))
+        step = sweep.solve(np.append(res.T.ravel(), [0.0] if ergodic else []))
         v -= step[:v.size].reshape(v.shape[::-1]).T
         if ergodic:
             cost_rate -= step[-1]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import reprlib
 import types
 import typing
 import warnings
@@ -22,8 +23,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError, StructureError
 
@@ -39,6 +38,7 @@ __all__ = [
     "check_horizon",
     "read_csv_rows",
     "read_json_fields",
+    "strong_components",
     "write_json_fields",
 ]
 
@@ -116,13 +116,14 @@ def read_json_fields(path: str | Path, cls) -> dict:
         if name not in hints:
             raise InputError(f"{path}: unknown key {name!r}")
         if not _fits(hints[name], value):
-            raise InputError(f"{path}: key {name!r} has the wrong type: {value!r}")
+            raise InputError(f"{path}: key {name!r} has the wrong type: {reprlib.repr(value)}")
     return data
 
 
 def _fits(hint, value) -> bool:
-    """Whether a JSON value has a field's type; ints fit floats, and any list
-    fits an array field, whose class checks what the list holds."""
+    """Whether a JSON value has a field's type; ints fit floats when a double
+    holds them, and any list fits an array field, whose class checks what
+    the list holds."""
     if isinstance(hint, types.UnionType):  # X | None
         return any(_fits(option, value) for option in typing.get_args(hint))
     if typing.get_origin(hint) is np.ndarray:
@@ -131,7 +132,13 @@ def _fits(hint, value) -> bool:
         return isinstance(value, list) and all(_fits(typing.get_args(hint)[0], v) for v in value)
     if isinstance(value, bool) or hint is type(None):  # bools are ints to isinstance
         return hint is type(value)
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:  # no double holds it
+            return False
+        return True
+    return isinstance(value, hint)
 
 
 def write_json_fields(path: str | Path, record, drop: tuple[str, ...] = (), **extra) -> None:
@@ -140,6 +147,22 @@ def write_json_fields(path: str | Path, record, drop: tuple[str, ...] = (), **ex
     data = {f.name: getattr(record, f.name) for f in fields(record) if f.name not in drop}
     text = json.dumps(data | extra, indent=1, default=np.ndarray.tolist)
     Path(path).write_text(text + "\n")
+
+
+def strong_components(adjacency) -> NDArray[np.intp]:
+    """Strongly connected component of each node of a directed graph with a
+    square boolean adjacency matrix, numbered from 0 in the order of each
+    component's smallest node.
+
+    Reachability is the transitive closure of adjacency | identity, found by
+    repeated boolean squaring (about log2(nodes) products); two nodes share
+    a component when each reaches the other.
+    """
+    reach = np.asarray(adjacency, dtype=bool) | np.eye(len(adjacency), dtype=bool)
+    while not np.array_equal(reach, wider := reach @ reach):
+        reach = wider
+    smallest = np.argmax(reach & reach.T, axis=1)  # first node reaching and reached
+    return np.unique(smallest, return_inverse=True)[1]
 
 
 @dataclass(frozen=True)
@@ -249,15 +272,11 @@ class RegimeChain:
     def check_irreducible(self) -> None:
         """Raise :class:`StructureError` naming regimes outside the largest
         strongly connected component of the positive-rate graph."""
-        if self.count == 1:
+        labels = strong_components(self.rates > 0)
+        sizes = np.bincount(labels)
+        if sizes.size == 1:
             return
-        graph = csr_matrix((self.rates > 0).astype(np.int8))
-        n_comp, labels = connected_components(graph, directed=True, connection="strong")
-        if n_comp == 1:
-            return
-        sizes = np.bincount(labels, minlength=n_comp)
-        main = int(np.argmax(sizes))
-        isolated = np.flatnonzero(labels != main).tolist()
+        isolated = np.flatnonzero(labels != np.argmax(sizes)).tolist()
         raise StructureError(
             f"chain is reducible: regimes {isolated} are not mutually "
             "reachable with the rest"
@@ -265,10 +284,11 @@ class RegimeChain:
 
     def closed_classes(self) -> list[list[int]]:
         """Communicating classes that no positive switching rate leaves."""
-        n_comp, labels = connected_components(csr_matrix(self.rates), connection="strong")
+        labels = strong_components(self.rates > 0)
         src, dst = np.nonzero(self.rates)
         leaky = set(labels[src][labels[src] != labels[dst]].tolist())
-        return [np.flatnonzero(labels == c).tolist() for c in range(n_comp) if c not in leaky]
+        return [np.flatnonzero(labels == c).tolist()
+                for c in range(labels.max() + 1) if c not in leaky]
 
     def to_json(self, path: str | Path) -> None:
         write_json_fields(path, self)

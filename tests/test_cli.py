@@ -1,10 +1,15 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sedopt
 from sedopt import cli
 from sedopt.analytic import ErgodicSolution, SmoothSolution
 from sedopt.mc import CostEstimate
@@ -28,6 +33,32 @@ def chain_file(tmp_path):
 
 def run_cli(*args):
     return cli.main([str(a) for a in args])
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # sedopt runs on numpy alone; importing scipy was most of a command's
+    # start-up. A fresh process imports the package and the CLI and runs
+    # exact, solve, simulate and convergence without loading scipy.
+    chain = tmp_path / "chain.json"
+    RegimeChain(discharges=np.array([1.0, 10.0]),
+                rates=np.array([[0.0, 0.5], [1.0, 0.0]])).to_json(chain)
+    code = f"""
+import sys
+import sedopt, sedopt.cli
+from sedopt.cli import main
+out = {str(tmp_path)!r}
+assert main(["exact", "--S", "0.05", "--outdir", out]) == 0
+assert main(["solve", "--chain", {str(chain)!r}, "--n", "11", "--outdir", out]) == 0
+assert main(["simulate", "--chain", {str(chain)!r}, "--policy", out + "/free_boundary.csv",
+             "--paths", "8", "--horizon", "5", "--outdir", out]) == 0
+assert main(["convergence", "--S", "0.05", "--resolutions", "11,21", "--outdir", out]) == 0
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+    src = Path(sedopt.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestParsing:
@@ -374,6 +405,18 @@ class TestSolveSimulate:
         assert "Traceback" not in err
         assert not (out / "cost_estimate.json").exists()
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_simulate_policy_of_wrong_length_fails(self, chain_file, tmp_path, capsys, rows):
+        policy = tmp_path / "free_boundary.csv"
+        policy.write_text("regime,q,Ybar\n" + "".join(f"{i},1,0.3\n" for i in range(rows)))
+        out = tmp_path / "sim"
+        status = run_cli("simulate", "--chain", chain_file, "--policy", policy,
+                         "--paths", "8", "--outdir", out)
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err == f"sedopt: error: {policy}: {rows} thresholds for a chain of 2 regimes\n"
+        assert not (out / "cost_estimate.json").exists()
+
     def test_simulate_reproducible(self, chain_file, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -426,6 +469,19 @@ class TestJsonFiles:
         assert "Traceback" not in err
         for name in ("solve_result.json", "value_field.csv", "free_boundary.csv"):
             assert not (out / name).exists()
+
+    def test_props_integer_no_double_holds_fails(self, chain_file, tmp_path, capsys):
+        # it used to end in an OverflowError traceback inside shear_stress
+        props = tmp_path / "props.json"
+        props.write_text('{"capacity": 1' + "0" * 400 + "}")
+        out = tmp_path / "solve"
+        status = run_cli("solve", "--chain", chain_file, "--props", props, "--n", "21",
+                         "--outdir", out)
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sedopt: error:") and str(props) in err and "'capacity'" in err
+        assert "Traceback" not in err and len(err) < 200
+        assert not (out / "solve_result.json").exists()
 
     @pytest.mark.parametrize("text", ['{"capacity": Infinity}', '{"theta_c": NaN}'],
                              ids=["infinite-capacity", "nan-theta-c"])
@@ -512,6 +568,17 @@ class TestExitCodes:
         status = run_cli("solve", "--config", config, "--chain", chain_file, "--outdir", tmp_path)
         assert status == 2
         assert "wrong type" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["exact", "simulate"])
+    def test_config_integer_no_double_holds_is_two(self, chain_file, tmp_path, capsys, command):
+        # it used to end in an OverflowError traceback
+        config = tmp_path / "conf.json"
+        config.write_text('{"delta": 1' + "0" * 400 + "}")
+        inputs = ["--S", "0.05"] if command == "exact" else ["--chain", chain_file, "--paths", "8"]
+        assert run_cli(command, "--config", config, *inputs, "--outdir", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(config) in err and "'delta'" in err
+        assert "Traceback" not in err
 
     def test_config_int_for_float_and_null_for_none_accepted(self, tmp_path):
         config = tmp_path / "conf.json"

@@ -13,8 +13,8 @@ from sedopt.pde import (
     SolverConfig,
     ThresholdPolicy,
     ValueField,
+    _BlockSweep,
     _residual_arrays,
-    _upwind_factorizer,
     convergence_study,
     extract_policy,
     read_free_boundary_csv,
@@ -325,7 +325,7 @@ class TestSolveStationary:
 
 
 def dense_howard_matrix(chain, rates, costs, grid, replenish, ergodic):
-    """The upwind Jacobian J as `_upwind_factorizer` defines it, built entry
+    """The upwind Jacobian J as `_BlockSweep` defines it, built entry
     by entry, with (regime i, vertex k) at row k * count + i."""
     count, n = chain.count, grid.n
     size = count * n
@@ -366,6 +366,9 @@ def structure_cases():
         "two-regime": (two, two_rates, np.arange(n) < np.array([[2], [6]])),
         "dense-contiguous": (dense, np.array([0.02, 0.0, 0.3, 0.1]), contiguous),
         "dense-scattered": (dense, np.array([0.05, 0.2, 0.0, 0.4]), scattered),
+        # the first iterate of every solve: in ergodic mode D_0 is the
+        # negated generator, singular, so x_0 must stay in the border
+        "dense-empty": (dense, np.array([0.05, 0.2, 0.0, 0.4]), np.zeros((4, n), dtype=bool)),
     }
 
 
@@ -376,15 +379,12 @@ class TestHowardFactorization:
         chain, rates, replenish = structure_cases()[case]
         costs = CostSpec(delta=0.0 if ergodic else 0.2, c=0.02, d=0.01, lam=0.5)
         grid = Grid(replenish.shape[1])
-        lu = _upwind_factorizer(chain, rates, costs, grid, ergodic)(replenish)
+        sweep = _BlockSweep(chain, rates, costs, grid, ergodic).factor(replenish)
         J = dense_howard_matrix(chain, rates, costs, grid, replenish, ergodic)
         b = np.random.default_rng(3).normal(size=J.shape[0])
-        x = lu.solve(b)
+        x = sweep.solve(b)
         scale = np.linalg.norm(J, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
         assert np.linalg.norm(J @ x - b, np.inf) <= 1e-12 * scale
-        # the storage-major numbering is factored in natural order: no
-        # column ordering pass, and LU is block forward elimination
-        np.testing.assert_array_equal(lu.perm_c, np.arange(J.shape[0]))
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_singular_system_raises(self, count):
@@ -392,7 +392,7 @@ class TestHowardFactorization:
         chain = RegimeChain(discharges=np.arange(1.0, count + 1.0),
                             rates=np.full((count, count), 0.0))
         costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=0.5)
-        factor = _upwind_factorizer(chain, np.zeros(count), costs, Grid(7), ergodic=True)
+        factor = _BlockSweep(chain, np.zeros(count), costs, Grid(7), ergodic=True).factor
         with pytest.raises(StructureError, match="singular"):
             factor(np.zeros((count, 7), dtype=bool))
 

@@ -16,6 +16,7 @@ from sedopt.regime import (
     estimate_chain,
     sample_regime_path,
     stationary_distribution,
+    strong_components,
 )
 
 
@@ -69,6 +70,37 @@ class TestRegimeChain:
         isolated = RegimeChain(discharges=q, rates=np.zeros((3, 3)))
         assert isolated.closed_classes() == [[0], [1], [2]]
         assert two_regime_chain().closed_classes() == [[0, 1]]
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.lists(st.sampled_from([0.0, 0.0, 0.4, 1.3]), min_size=n * n, max_size=n * n),
+        st.lists(st.booleans(), min_size=n, max_size=n))))
+    @settings(max_examples=300, deadline=None)
+    def test_strong_components_match_scipy(self, case):
+        # scipy is the reference here only; sedopt itself does not import it
+        from scipy.sparse.csgraph import connected_components
+
+        entries, absorbing = case
+        n = len(absorbing)
+        rates = np.array(entries).reshape(n, n)
+        np.fill_diagonal(rates, 0.0)
+        rates[np.array(absorbing)] = 0.0  # no rate leaves an absorbing regime
+        labels = strong_components(rates > 0)
+        _, expected = connected_components((rates > 0).astype(int), directed=True,
+                                           connection="strong")
+
+        def classes(of):
+            return sorted(np.flatnonzero(of == c).tolist() for c in np.unique(of))
+
+        assert classes(labels) == classes(expected)
+        # numbered from 0 in the order of each component's smallest regime
+        assert [members[0] for members in classes(labels)] == \
+            [int(np.flatnonzero(labels == c)[0]) for c in range(labels.max() + 1)]
+        # a closed class is one no positive rate leaves
+        chain = RegimeChain(discharges=np.arange(1.0, n + 1.0), rates=rates)
+        src, dst = np.nonzero(rates)
+        leaky = set(expected[src][expected[src] != expected[dst]].tolist())
+        assert chain.closed_classes() == [members for members in classes(expected)
+                                          if expected[members[0]] not in leaky]
 
     def test_json_round_trip(self, tmp_path):
         chain = two_regime_chain()

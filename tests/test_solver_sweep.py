@@ -49,6 +49,13 @@ def test_sweep_on_a_few_seeds(capsys):
         assert 1 <= grid["needed_window"] <= pde._STALL_WINDOW // 2
 
 
+def test_report_lists_each_seed(capsys):
+    assert solver_sweep.main(["--n", "11", "--seeds", "3", "--first", "5"]) == 0
+    grid = json.loads(capsys.readouterr().out)["grids"][0]
+    assert sorted(grid["iterations"]) == ["5", "6", "7"]
+    assert max(grid["iterations"].values()) == grid["worst"]
+
+
 def test_slowest_coarse_seed_converges_quickly():
     # seed 728 at n = 11 took 1046 iterations with an absolute WENO3 eps of
     # 1e-6 and damped updates; eps = 0.1 h^2 and plain updates need 53

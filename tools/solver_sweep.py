@@ -12,6 +12,8 @@ stalled at iterate k when max |residual| r_k is not at most half of every
 r_j with j <= k - W, so iterate k needs W >= k - j*, where j* is the last
 j whose prefix minimum min(r_0..r_j) is still >= 2 r_k (j* = -1 if none).
 `pde._STALL_WINDOW` should be a few times the largest `needed_window`.
+`iterations` lists every converged seed's iteration count, so that two
+checkouts can be compared seed by seed.
 The histories are those of the stall rule in force, which match an
 unlimited window for every solve that converges. sedopt is imported from
 `src/` next to this script; JSON goes to stdout or `--out`.
@@ -82,6 +84,7 @@ def sweep(n: int, seeds, tol: float) -> dict:
         "unconverged": unconverged,
         "needed_window": window,
         "needed_window_seed": window_seed,
+        "iterations": iterations,
     }
 
 
