@@ -361,6 +361,11 @@ def structure_cases():
     contiguous = np.arange(n) < np.array([[3], [0], [5], [1]])
     scattered = np.zeros((4, n), dtype=bool)
     scattered[[0, 0, 1, 2, 3, 3], [1, 4, 0, 7, 2, 6]] = True
+    low = np.arange(5)
+    ladder_rates = np.zeros((6, 6))
+    ladder_rates[low, low + 1] = [0.7, 0.8, 0.6, 0.9, 0.7]
+    ladder_rates[low + 1, low] = [1.1, 1.0, 1.2, 0.9, 1.3]
+    ladder = RegimeChain(discharges=np.arange(1.0, 7.0), rates=ladder_rates)
     return {
         "one-regime": (single_regime_chain(), BENCH_RATES, np.arange(n)[None, :] < 4),
         "two-regime": (two, two_rates, np.arange(n) < np.array([[2], [6]])),
@@ -369,6 +374,10 @@ def structure_cases():
         # the first iterate of every solve: in ergodic mode D_0 is the
         # negated generator, singular, so x_0 must stay in the border
         "dense-empty": (dense, np.array([0.05, 0.2, 0.0, 0.4]), np.zeros((4, n), dtype=bool)),
+        # six regimes: the blocks of runs that differ in one regime are
+        # Sherman-Morrison updates, the pair that differs in two is not
+        "ladder-contiguous": (ladder, np.linspace(0.05, 0.3, 6),
+                              np.arange(n) < np.array([[2], [3], [3], [5], [6], [7]])),
     }
 
 
@@ -395,6 +404,20 @@ class TestHowardFactorization:
         factor = _BlockSweep(chain, np.zeros(count), costs, Grid(7), ergodic=True).factor
         with pytest.raises(StructureError, match="singular"):
             factor(np.zeros((count, 7), dtype=bool))
+
+    def test_singular_block_reached_by_update_raises(self):
+        # uncoupled regimes, no transport, no discount: D_k = lam R_k. The
+        # last blocks are lam I; those before differ in regime 0 alone, so
+        # they come from lam I by an update, and that update is singular
+        count = 5
+        chain = RegimeChain(discharges=np.arange(1.0, count + 1.0),
+                            rates=np.zeros((count, count)))
+        costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=0.5)
+        replenish = np.ones((count, 7), dtype=bool)
+        replenish[0, 1:3] = False
+        factor = _BlockSweep(chain, np.zeros(count), costs, Grid(7), ergodic=True).factor
+        with pytest.raises(StructureError, match="singular"):
+            factor(replenish)
 
 
 class TestExtractPolicy:
