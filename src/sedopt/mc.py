@@ -93,14 +93,14 @@ def _decay(t, y, rate, target):
     """Closed-form linear decay from storage y at time t to time `target`
     at a constant rate, stuck at 0.
 
-    Returns the storage at `target` and the time it hits 0 (NaN where it
-    was already 0 or stays positive).
+    Returns the storage at `target`, the time t + y / rate it hits 0, and
+    whether that hit falls by `target` from positive storage. The caller
+    silences y / 0 (a zero rate never empties).
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_hit = t + y / rate
+    t_hit = t + y / rate
     empty = t_hit <= target
     y_end = np.where(empty, 0.0, np.maximum(y - rate * (target - t), 0.0))
-    return y_end, np.where(empty & (y > 0.0), t_hit, np.nan)
+    return y_end, t_hit, empty & (y > 0.0)
 
 
 def simulate_storage(regime_path: RegimePath, rates, y0: float) -> StoragePath:
@@ -117,10 +117,12 @@ def simulate_storage(regime_path: RegimePath, rates, y0: float) -> StoragePath:
     values = [float(y0)]
     y = float(y0)
     for t0, t1, i in regime_path.spans():
-        y, t_hit = map(float, _decay(t0, y, rates[i], t1))
-        if not math.isnan(t_hit):
-            times.append(t_hit)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero rate never empties
+            y_end, t_hit, hit = _decay(t0, y, rates[i], t1)
+        if hit:
+            times.append(float(t_hit))
             values.append(0.0)
+        y = float(y_end)
         times.append(t1)
         values.append(y)
     return StoragePath(times=np.asarray(times), values=np.asarray(values))
@@ -132,10 +134,10 @@ def _streams(seed) -> list[np.random.Generator]:
 
 
 def _next_switch(rng: np.random.Generator, t, out_rates):
-    """Next switch times after t: exponential(1) / out-rate, or never."""
-    hold = rng.exponential(size=t.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(out_rates > 0.0, t + hold / out_rates, np.inf)
+    """Next switch times after t: exponential(1) / out-rate, or never (inf,
+    also for a zero hold, where fmin drops the NaN of 0 / 0). The caller
+    silences hold / 0."""
+    return np.fmin(t + rng.exponential(size=t.size) / out_rates, np.inf)
 
 
 class _Recorder:
@@ -179,83 +181,115 @@ class _Recorder:
         )
 
 
-def _simulate(chain: RegimeChain, rates, policy: ThresholdPolicy | None, costs: CostSpec,
-              y0: float, initial_regime: int, horizon: float, n_paths: int, seed,
+def _thresholds(policy: ThresholdPolicy | None, count: int) -> NDArray[np.float64]:
+    """One policy as a 1 x count row of thresholds; None never replenishes."""
+    return np.full((1, count), -np.inf) if policy is None else policy.boundaries[None, :]
+
+
+def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
+              initial_regime: int, horizon: float, n_paths: int, seed,
               recorder: _Recorder | None = None):
-    """Advance n_paths paths together, one event per live path per step.
+    """Advance n_paths paths together, one event per live path per step, under
+    every row of `thresholds` (P x regimes, one policy a row) at once.
 
-    Returns the realized cost per path (undivided in ergodic mode), the
-    event (switch and observation) and replenishment counts over all paths
-    and the path-days spent at zero storage.
+    Returns per row the realized cost per path (undivided in ergodic mode),
+    the replenishment count and the path-days spent at zero storage, and the
+    event (switch and observation) count over all paths, which no row moves.
 
-    A path's state is its time, storage, regime, next switch, next
-    observation, depletion start (NaN when not depleted) and cost. Each
-    step moves every live path to its next event (switch, observation or
-    the horizon) by the closed-form decay and applies the event. Paths at
-    the horizon leave the arrays. Which paths draw at a step never depends
-    on the storage, so every policy sees the same drivers for one seed.
-    `policy = None` is the null control: no replenishment ever.
+    A path's drivers are its time, regime, next switch and next observation;
+    each row adds its own storage, depletion start (NaN when not depleted)
+    and cost. Each step moves every live path to its next event (switch,
+    observation or the horizon), draws what the event needs and updates
+    every row's storage in closed form. A path at the horizon parks there
+    with zero storage, which no step moves, until parked paths are a quarter
+    of the arrays and leave them. Which paths draw never depends on the
+    storage, so every row sees the same drivers. The seed contract is the
+    draw order of a step: the regime stream's `random(switching)`, then its
+    `exponential(switching)`, then the observation stream's
+    `exponential(observing)`, each in path order. A row of -inf never
+    replenishes (the null control).
     """
     if not 0.0 <= y0 <= 1.0:
         raise InputError("initial storage must lie in [0, 1]")
     if not 0 <= initial_regime < chain.count:
         raise InputError(f"initial regime {initial_regime} out of range")
-    if policy is not None and policy.boundaries.size != chain.count:
+    if thresholds.shape[1] != chain.count:
         raise StructureError("policy size does not match the chain")
     rates = check_rates(rates, chain.count)
     horizon = check_horizon(horizon)
     rng_regime, rng_obs = _streams(seed)
     delta, lam, out_rates = costs.delta, costs.lam, chain.out_rates
-    thresholds = np.full(chain.count, -np.inf) if policy is None else policy.boundaries
+    rows = range(thresholds.shape[0])
+
+    # acting on full storage, never depleted, changes nothing: only y < 1 fills
+    limits = np.minimum(thresholds, np.nextafter(1.0, 0.0))
 
     path = np.arange(n_paths)
     t = np.zeros(n_paths)
-    y = np.full(n_paths, float(y0))
     regime = np.full(n_paths, int(initial_regime))
-    t_switch = _next_switch(rng_regime, t, out_rates[regime])
-    t_obs = rng_obs.exponential(size=n_paths) / lam
-    depleted_since = np.full(n_paths, 0.0 if y0 == 0.0 else np.nan)
-    cost, samples = np.zeros(n_paths), np.empty(n_paths)
-    events = replenishments = 0
-    depleted_time = 0.0  # path-days at zero storage
-    while path.size:
-        t_next = np.minimum(np.minimum(t_switch, t_obs), horizon)
-        y, t_hit = _decay(t, y, rates[regime], t_next)
-        depleted_since = np.where(np.isnan(t_hit), depleted_since, t_hit)
-        t = t_next
-        live = t < horizon
-        # switching and observation draws are continuous, so coincidences
-        # are a null event; the event order below relies on it
-        if np.any(live & (t_switch == t_obs)):
-            raise StructureError("an observation coincides with a regime switch")
-        switch = np.flatnonzero(live & (t_switch < t_obs))
-        observe = np.flatnonzero(live & (t_obs < t_switch))
-        regime[switch] = chain.jump(regime[switch], rng_regime.random(switch.size))
-        t_switch[switch] = _next_switch(rng_regime, t[switch], out_rates[regime[switch]])
-        t_obs[observe] = t[observe] + rng_obs.exponential(size=observe.size) / lam
+    y = np.full((len(rows), n_paths), float(y0))
+    depleted_since = np.full(y.shape, 0.0 if y0 == 0.0 else np.nan)
+    cost, samples = np.zeros(y.shape), np.empty(y.shape)
+    events, replenishments, depleted_time = 0, [0] * len(rows), [0.0] * len(rows)
+    done = np.empty(0, dtype=np.intp)  # paths at the horizon, parked or just arrived
+    with np.errstate(divide="ignore", invalid="ignore"):  # x / 0: never empties, never switches
+        t_switch = _next_switch(rng_regime, t, out_rates[regime])
+        t_obs = rng_obs.exponential(size=n_paths) / lam
+        while path.size:
+            t_next = np.minimum(t_switch, t_obs)
+            switching, observing = t_switch < t_obs, t_obs < t_switch
+            if t_next.max() >= horizon:
+                live = t_next < horizon
+                done = (~live).nonzero()[0]
+                t_next[done] = horizon
+                switching &= live
+                observing &= live
+            y, t_hit, hit = _decay(t, y, rates[regime], t_next)
+            np.putmask(depleted_since, hit, t_hit)
+            t = t_next
+            switch, observe = switching.nonzero()[0], observing.nonzero()[0]
+            # switching and observation draws are continuous, so coincidences
+            # are a null event; the event order below relies on it
+            if switch.size + observe.size + done.size != t.size:
+                raise StructureError("an observation coincides with a regime switch")
+            if switch.size:
+                entered = chain.jump(regime[switch], rng_regime.random(switch.size))
+                regime[switch] = entered
+                t_switch[switch] = _next_switch(rng_regime, t[switch], out_rates[entered])
+            if observe.size:
+                t_obs[observe] = t[observe] + rng_obs.exponential(size=observe.size) / lam
+            events += switch.size + observe.size
 
-        acted = observe[y[observe] <= thresholds[regime[observe]]]
-        # a depletion interval ends at a replenishing observation or the horizon
-        closing = np.concatenate([acted, np.flatnonzero(~live)])
-        closing = closing[~np.isnan(depleted_since[closing])]
-        cost[closing] += _discounted_interval(delta, depleted_since[closing], t[closing])
-        depleted_time += float(np.sum(t[closing] - depleted_since[closing]))
-        filled = acted[y[acted] < 1.0]
-        cost[filled] += np.exp(-delta * t[filled]) * costs.intervention_cost(y[filled])
-        if recorder is not None:
-            recorder.step(t[0], t_hit[0], y[0], regime[0] if switch.size else None,
-                          observe.size > 0, acted.size > 0,
-                          depleted_since[0] if closing.size else np.nan)
-        y[filled] = 1.0
-        depleted_since[closing] = np.nan
-        events += switch.size + observe.size
-        replenishments += filled.size
+            observed = regime[observe]
+            for r in rows:  # the rows differ only in which observations replenish
+                y_r, since_r, cost_r = y[r], depleted_since[r], cost[r]
+                filled = observe[y_r[observe] <= limits[r][observed]]
+                # a depletion interval ends at a replenishment or the horizon
+                closing = np.concatenate([filled, done]) if done.size else filled
+                closing = closing[~np.isnan(since_r[closing])]
+                if recorder is not None:
+                    recorder.step(t[0], t_hit[0, 0] if hit[0, 0] else np.nan, y_r[0],
+                                  regime[0] if switch.size else None, observe.size > 0,
+                                  filled.size > 0, since_r[0] if closing.size else np.nan)
+                if closing.size:
+                    since, end = since_r[closing], t[closing]
+                    cost_r[closing] += _discounted_interval(delta, since, end)
+                    depleted_time[r] += float((end - since).sum())
+                    since_r[closing] = np.nan
+                if filled.size:
+                    cost_r[filled] += (np.exp(-delta * t[filled])
+                                       * costs.intervention_cost(y_r[filled]))
+                    y_r[filled] = 1.0
+                    replenishments[r] += filled.size
 
-        if not live.all():
-            samples[path[~live]] = cost[~live]
-            path, t, y, regime, t_switch, t_obs, depleted_since, cost = (
-                a[live] for a in (path, t, y, regime, t_switch, t_obs, depleted_since, cost)
-            )
+            if done.size * 4 >= path.size:  # parked paths leave
+                samples[:, path[done]] = cost[:, done]
+                path, t, regime, t_switch, t_obs, y, depleted_since, cost = (
+                    a.compress(live, axis=-1)
+                    for a in (path, t, regime, t_switch, t_obs, y, depleted_since, cost))
+                done = done[:0]
+            elif done.size:  # closed, and zero storage cannot hit zero again
+                y[:, done] = 0.0
     return samples, events, replenishments, depleted_time
 
 
@@ -278,8 +312,9 @@ def simulate_controlled(
     `policy = None` never replenishes (the null control).
     """
     recorder = _Recorder(y0, initial_regime)
-    cost = _simulate(chain, rates, policy, costs, y0, initial_regime, horizon, 1, seed, recorder)[0]
-    return recorder.record(chain.count, horizon, float(cost[0]))
+    cost = _simulate(chain, rates, _thresholds(policy, chain.count), costs, y0, initial_regime,
+                     horizon, 1, seed, recorder)[0]
+    return recorder.record(chain.count, horizon, float(cost[0, 0]))
 
 
 def estimate_cost(
@@ -305,30 +340,40 @@ def estimate_cost(
     the paths saw: events and replenishments per path and the share of
     time spent depleted.
     """
+    return _estimates(chain, rates, _thresholds(policy, chain.count), costs, y0, horizon,
+                      n_paths, seed, initial_regime, keep_samples)[0]
+
+
+def _estimates(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
+               horizon: float, n_paths: int, seed, initial_regime: int = 0,
+               keep_samples: bool = False) -> list[CostEstimate]:
+    """`estimate_cost` of every row of `thresholds`, all from one run of the drivers."""
     if n_paths < 2:
         raise InputError("need at least 2 paths for a standard error")
     if costs.delta == 0.0 and not 0.0 < horizon < math.inf:
         raise DomainError("ergodic cost-rate estimation needs a finite positive horizon")
-    samples, events, replenishments, depleted_time = _simulate(
-        chain, rates, policy, costs, y0, initial_regime, horizon, n_paths, seed)
+    costs_per_row, events, replenishments, depleted_time = _simulate(
+        chain, rates, thresholds, costs, y0, initial_regime, horizon, n_paths, seed)
     ergodic = costs.delta == 0.0
-    if ergodic:
-        samples = samples / horizon
-    mean = math.fsum(samples) / n_paths
-    var = math.fsum((samples - mean) ** 2) / (n_paths - 1)
-    return CostEstimate(
-        mean=mean,
-        stderr=math.sqrt(var / n_paths),
-        n_paths=n_paths,
-        horizon=horizon,
-        truncation_bound=(
-            math.exp(-costs.delta * horizon) / costs.delta if not ergodic else math.nan
-        ),
-        events_per_path=events / n_paths,
-        replenishments_per_path=replenishments / n_paths,
-        depleted_fraction=depleted_time / (n_paths * horizon),
-        samples=tuple(samples.tolist()) if keep_samples else None,
-    )
+    truncation = math.exp(-costs.delta * horizon) / costs.delta if not ergodic else math.nan
+    estimates = []
+    for samples, filled, depleted in zip(costs_per_row, replenishments, depleted_time):
+        if ergodic:
+            samples = samples / horizon
+        mean = math.fsum(samples) / n_paths
+        var = math.fsum((samples - mean) ** 2) / (n_paths - 1)
+        estimates.append(CostEstimate(
+            mean=mean,
+            stderr=math.sqrt(var / n_paths),
+            n_paths=n_paths,
+            horizon=horizon,
+            truncation_bound=truncation,
+            events_per_path=events / n_paths,
+            replenishments_per_path=filled / n_paths,
+            depleted_fraction=depleted / (n_paths * horizon),
+            samples=tuple(samples.tolist()) if keep_samples else None,
+        ))
+    return estimates
 
 
 @dataclass(frozen=True)
@@ -352,35 +397,19 @@ def policy_gap_check(
 ) -> list[GapRow]:
     """Dominance check of the analytic threshold against shifted ones.
 
-    Every perturbed threshold is evaluated with the same seed (common
-    random numbers), so the zero shift must sit at the statistical minimum:
-    its gap is noise around zero and no shift may undercut it beyond noise.
+    Every perturbed threshold is evaluated in one run against the same
+    drivers (common random numbers), so the zero shift must sit at the
+    statistical minimum: its gap is noise around zero and no shift may
+    undercut it beyond noise. Each row equals `estimate_cost` of its
+    threshold with the same seed.
     """
     sol = solve_smooth_pasting(problem)
     reference = float(evaluate_candidate(sol, y0))
-    chain = single_regime_chain()
-    rates = np.array([problem.S])
-
-    rows: list[GapRow] = []
-    for shift in perturbations:
-        threshold = min(1.0, max(0.0, sol.ybar + float(shift)))
-        est = estimate_cost(
-            chain,
-            rates,
-            ThresholdPolicy(boundaries=np.array([threshold])),
-            problem,
-            y0,
-            horizon,
-            n_paths,
-            seed=seed,
-        )
-        rows.append(
-            GapRow(
-                delta_shift=float(shift),
-                threshold=threshold,
-                mean=est.mean,
-                stderr=est.stderr,
-                gap=est.mean - reference,
-            )
-        )
-    return rows
+    shifts = [float(shift) for shift in perturbations]
+    thresholds = [min(1.0, max(0.0, sol.ybar + shift)) for shift in shifts]
+    estimates = _estimates(single_regime_chain(), np.array([problem.S]),
+                           np.array(thresholds).reshape(-1, 1), problem, y0, horizon, n_paths,
+                           seed)
+    return [GapRow(delta_shift=shift, threshold=threshold, mean=est.mean,
+                   stderr=est.stderr, gap=est.mean - reference)
+            for shift, threshold, est in zip(shifts, thresholds, estimates)]

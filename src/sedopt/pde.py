@@ -626,14 +626,15 @@ def solve_with_ambiguity(
 def write_value_field_csv(fld: ValueField, path: str | Path) -> None:
     """Columns regime,y,phi,action with action in {replenish, none}.
 
-    The bytes are those of `csv.writer`: no field needs quoting, and every
-    line ends in CRLF.
+    phi is written in round-trip digits (`repr`), so reading the file back
+    gives the solver's own field. The bytes are those of `csv.writer`: no
+    field needs quoting, and every line ends in CRLF.
     """
     ys = [f"{y:.12g}" for y in fld.grid.vertices]
     actions = np.where(fld.replenish(), "replenish", "none").tolist()
     lines = ["regime,y,phi,action\r\n"]
     for i, (phi, act) in enumerate(zip(fld.values.tolist(), actions)):
-        lines += [f"{i},{y},{v:.15g},{a}\r\n" for y, v, a in zip(ys, phi, act)]
+        lines += [f"{i},{y},{v!r},{a}\r\n" for y, v, a in zip(ys, phi, act)]
     with open(path, "w", newline="") as fh:
         fh.write("".join(lines))
 

@@ -256,12 +256,18 @@ class RegimeChain:
     def jump(self, regimes, u):
         """Regimes entered by embedded-chain jumps from `regimes`, one
         uniform u in [0, 1) per jump: the target at the first cumulative
-        entry > u of each sparse row."""
+        entry > u of each sparse row.
+
+        That index is the count of the row's entries <= u, taken column by
+        column: rows are nondecreasing and padded with 2. The last column
+        holds 1 or padding, above every u, so it never counts."""
         targets, cum = self.jump_rows
         regimes = np.asarray(regimes)
         u = np.asarray(u, dtype=float)
-        first = np.argmax(np.take(cum, regimes, axis=0) > u[..., None], axis=-1)
-        return np.take(targets, regimes * targets.shape[1] + first)
+        index = regimes * targets.shape[1]
+        for column in cum.T[:-1]:
+            index += column[regimes] <= u
+        return targets.ravel()[index]
 
     def generator(self) -> NDArray[np.float64]:
         """Generator matrix Q: off-diagonal rates, diagonal -row sums."""

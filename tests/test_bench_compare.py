@@ -13,14 +13,15 @@ bench_compare = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_compare)
 
 SPEC = {
-    "end_to_end": [{"name": "total_ref", "better": "lower"},
-                   {"name": "pass_frac", "better": "higher"}],
+    "end_to_end": [{"name": "total_ref", "better": "lower", "bound": 0.25},
+                   {"name": "pass_frac", "better": "higher", "bound": 0.05}],
     "per_layer": [{"name": "mc.paths", "better": "higher"}],
 }
 
 
 def make_tree(root: Path, runs: dict) -> Path:
-    """runs: (workload, seed, trace) -> {metric: value}."""
+    """runs: (workload, seed, trace) -> {metric: value}, plus the run's
+    "failed" count and "commit" when they are given."""
     root.mkdir()
     (root / "BENCHMARK.json").write_text(json.dumps(SPEC))
     for (workload, seed, trace), metrics in runs.items():
@@ -29,8 +30,9 @@ def make_tree(root: Path, runs: dict) -> Path:
         record = {
             "failed": metrics.get("failed", 0),
             "metrics": {name: {"value": v, "unit": "u"} for name, v in metrics.items()
-                        if name != "failed"},
-            "environment": {"nproc": 2, "load1_start": 0.1 * seed, "load1_end": 0.5},
+                        if name not in ("failed", "commit")},
+            "environment": {"nproc": 2, "load1_start": 0.1 * seed, "load1_end": 0.5,
+                            "commit": metrics.get("commit", root.name)},
         }
         (run_dir / f"result-trace{trace}.json").write_text(json.dumps(record))
     return root
@@ -102,3 +104,63 @@ def test_no_common_run_fails(tmp_path, monkeypatch):
     out = tmp_path / "BENCH.json"
     assert run_script(monkeypatch, parent, change, out) == 1
     assert not out.exists()
+
+
+def ten_pairs(tmp_path, parent_values, change_values, **extra):
+    parent = make_tree(tmp_path / "parent", {("w", k, 0): {"total_ref": v, **extra.get("p", {})}
+                                             for k, v in enumerate(parent_values)})
+    change = make_tree(tmp_path / "change", {("w", k, 0): {"total_ref": v, **extra.get("c", {})}
+                                             for k, v in enumerate(change_values)})
+    return parent, change
+
+
+def compare_trees(monkeypatch, tmp_path, parent, change) -> dict:
+    out = tmp_path / "BENCH.json"
+    assert run_script(monkeypatch, parent, change, out) == 0
+    return json.loads(out.read_text())["comparisons"][0]
+
+
+PARENT = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]  # IQR 0.175
+
+
+@pytest.mark.parametrize("change, expected", [
+    ([v - 1.0 for v in PARENT], "gain"),  # 10/10 wins, median 1 below
+    ([v - 1.0 for v in PARENT[:9]] + [11.0], "gain"),  # 9/10
+    ([v - 1.0 for v in PARENT[:8]] + [11.0, 11.0], "no change"),  # 8/10
+    ([v - 0.1 for v in PARENT], "no change"),  # 10/10, but within the parent's IQR
+    (PARENT[:2] + [v - 1.0 for v in PARENT[2:]], "gain"),  # 8/8 untied pairs
+    ([v + 2.0 for v in PARENT], "no change"),  # worse by 20%, inside the 25% bound
+    ([v + 3.0 for v in PARENT], "worse"),  # worse by 30%
+])
+def test_verdicts(tmp_path, monkeypatch, change, expected):
+    row = compare_trees(monkeypatch, tmp_path, *ten_pairs(tmp_path, PARENT, change))
+    assert row["metrics"]["total_ref"]["verdict"] == expected
+    assert row["flags"] == []
+
+
+def test_worse_follows_the_declared_direction(tmp_path, monkeypatch):
+    parent = make_tree(tmp_path / "parent", {("w", k, 0): {"pass_frac": 1.0, "mc.paths": 9.0}
+                                             for k in range(3)})
+    change = make_tree(tmp_path / "change", {("w", k, 0): {"pass_frac": 0.9, "mc.paths": 1.0}
+                                             for k in range(3)})
+    metrics = compare_trees(monkeypatch, tmp_path, parent, change)["metrics"]
+    assert metrics["pass_frac"]["verdict"] == "worse"  # lower, by more than 5%
+    assert metrics["mc.paths"]["verdict"] == "no change"  # no bound: never worse
+
+
+@pytest.mark.parametrize("commits, flag", [
+    ({"p": {"commit": "unknown (not a git checkout)"}}, "parent runs name an unknown commit"),
+    ({"c": {"commit": "unknown"}}, "change runs name an unknown commit"),
+])
+def test_unknown_commit_flagged(tmp_path, monkeypatch, capsys, commits, flag):
+    row = compare_trees(monkeypatch, tmp_path, *ten_pairs(tmp_path, PARENT, PARENT, **commits))
+    assert row["flags"] == [flag]
+    assert flag in capsys.readouterr().err
+
+
+def test_mixed_commits_flagged(tmp_path, monkeypatch):
+    parent = make_tree(tmp_path / "parent", {("w", k, 0): {"total_ref": 1.0, "commit": f"c{k % 2}"}
+                                             for k in range(4)})
+    change = make_tree(tmp_path / "change", {("w", k, 0): {"total_ref": 1.0} for k in range(4)})
+    row = compare_trees(monkeypatch, tmp_path, parent, change)
+    assert row["flags"] == ["parent runs name 2 commits: c0, c1"]

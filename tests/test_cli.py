@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -12,9 +13,10 @@ import pytest
 import sedopt
 from sedopt import cli
 from sedopt.analytic import ErgodicSolution, SmoothSolution
-from sedopt.mc import CostEstimate
+from sedopt.mc import CostEstimate, estimate_cost
 from sedopt.pde import (
-    CostSpec, Grid, SolveResult, ValueField, extract_policy, read_free_boundary_csv, residual,
+    CostSpec, Grid, SolveResult, ThresholdPolicy, ValueField, extract_policy,
+    read_free_boundary_csv, residual, single_regime_chain,
 )
 from sedopt.regime import RegimeChain
 from sedopt.transport import SedimentProperties, rates_for_chain
@@ -29,6 +31,18 @@ def chain_file(tmp_path):
     path = tmp_path / "chain.json"
     chain.to_json(path)
     return path
+
+
+def realistic_chain(seed):
+    """43 regimes on 2.5 m^3/s bins, nearest-neighbour switching with seeded
+    jitter: the paper's dam-downstream chain."""
+    rng = np.random.default_rng(seed)
+    count = 43
+    nu = np.zeros((count, count))
+    low = np.arange(count - 1)
+    nu[low, low + 1] = 0.7 * rng.uniform(0.9, 1.1, count - 1)
+    nu[low + 1, low] = 1.1 * rng.uniform(0.9, 1.1, count - 1)
+    return RegimeChain(discharges=1.25 + 2.5 * np.arange(count), rates=nu)
 
 
 def run_cli(*args):
@@ -293,13 +307,8 @@ class TestSolveSimulate:
         # (n = 301), and coarse grids whose solves passed through a slow
         # phase (n = 31) or a weight two-cycle (n = 61) while the WENO3 eps
         # was a fixed 1e-6 instead of 0.1 h^2
-        rng = np.random.default_rng(seed)
-        count = 43
-        nu = np.zeros((count, count))
-        low = np.arange(count - 1)
-        nu[low, low + 1] = 0.7 * rng.uniform(0.9, 1.1, count - 1)
-        nu[low + 1, low] = 1.1 * rng.uniform(0.9, 1.1, count - 1)
-        chain = RegimeChain(discharges=1.25 + 2.5 * np.arange(count), rates=nu)
+        chain = realistic_chain(seed)
+        count = chain.count
         chain.to_json(tmp_path / "chain.json")
         out = tmp_path / "solve"
         status = run_cli(
@@ -316,6 +325,38 @@ class TestSolveSimulate:
                          costs=CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0))
         assert np.max(np.abs(residual(fld))) <= 1e-9
         assert extract_policy(fld).boundaries.size == count
+
+    def test_absorbing_last_regime(self, tmp_path):
+        # the paper chain with its top regime made absorbing: the discounted
+        # solve still has one fixed point, and a path started in that regime
+        # never switches, so the run is the single-regime run of its drain
+        # rate and threshold; the hold / 0 of the absorbing regime raises no
+        # RuntimeWarning, which pytest turns into an error
+        rates = realistic_chain(0).rates.copy()
+        rates[-1] = 0.0
+        chain = RegimeChain(discharges=realistic_chain(0).discharges, rates=rates)
+        chain.to_json(tmp_path / "chain.json")
+        costs = ["--delta", "0.2", "--c", "0.02", "--d", "0.01", "--lambda", "1/7"]
+        solve, sim = tmp_path / "solve", tmp_path / "sim"
+        assert run_cli("solve", "--chain", tmp_path / "chain.json", *costs, "--n", "31",
+                       "--tol", "1e-9", "--outdir", solve) == 0
+        assert json.loads((solve / "solve_result.json").read_text())["converged"] is True
+        drains = rates_for_chain(chain, SedimentProperties())
+        spec = CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0)
+        with open(solve / "value_field.csv", newline="") as fh:
+            phi = [float(row["phi"]) for row in csv.DictReader(fh)]
+        fld = ValueField(values=np.reshape(phi, (chain.count, 31)), grid=Grid(31), chain=chain,
+                         rates=drains, costs=spec)
+        assert np.max(np.abs(residual(fld))) <= 1e-9
+        policy = read_free_boundary_csv(solve / "free_boundary.csv")
+        assert run_cli("simulate", "--chain", tmp_path / "chain.json", *costs, "--policy",
+                       solve / "free_boundary.csv", "--y0", "1", "--initial-regime", "42",
+                       "--horizon", "200", "--paths", "200", "--seed", "3", "--outdir", sim) == 0
+        est = json.loads((sim / "cost_estimate.json").read_text())
+        alone = estimate_cost(single_regime_chain(), drains[-1:],
+                              ThresholdPolicy(boundaries=policy.boundaries[-1:]), spec,
+                              1.0, 200.0, 200, seed=3)
+        assert (est["mean"], est["events_per_path"]) == (alone.mean, alone.events_per_path)
 
     def test_rerun_from_echo_is_bit_identical(self, chain_file, tmp_path):
         first = tmp_path / "first"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sedopt.analytic import (
     BENCHMARK,
@@ -21,6 +23,7 @@ from sedopt.mc import (
 )
 from sedopt.pde import CostSpec, ThresholdPolicy, single_regime_chain
 from sedopt.regime import RegimeChain, RegimePath, sample_regime_path
+from sedopt.transport import SedimentProperties, rates_for_chain
 
 BENCH_COSTS = CostSpec(delta=BENCHMARK.delta, c=BENCHMARK.c, d=BENCHMARK.d, lam=BENCHMARK.lam)
 BENCH_RATES = np.array([BENCHMARK.S])
@@ -34,6 +37,108 @@ def three_regime_chain():
         [0.3, 1.5, 0.0],
     ])
     return RegimeChain(discharges=np.array([1.0, 5.0, 20.0]), rates=rates)
+
+
+def realistic_chain(seed=0, count=43):
+    """The paper's dam-downstream chain: 2.5 m^3/s bins, nearest-neighbour
+    switching with seeded jitter."""
+    rng = np.random.default_rng(seed)
+    nu = np.zeros((count, count))
+    low = np.arange(count - 1)
+    nu[low, low + 1] = 0.7 * rng.uniform(0.9, 1.1, count - 1)
+    nu[low + 1, low] = 1.1 * rng.uniform(0.9, 1.1, count - 1)
+    return RegimeChain(discharges=1.25 + 2.5 * np.arange(count), rates=nu)
+
+
+def reference_simulate(chain, rates, policy, costs, y0, initial_regime, horizon, n_paths,
+                       seed):
+    """The event loop as it stood before the fused step, frozen as the
+    bit-for-bit reference of `mc._simulate`, with the dense jump rule: a
+    separate decay, horizon check and event decision per step, and paths
+    leaving the arrays at the horizon."""
+    def decay(t, y, rate, target):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_hit = t + y / rate
+        empty = t_hit <= target
+        y_end = np.where(empty, 0.0, np.maximum(y - rate * (target - t), 0.0))
+        return y_end, np.where(empty & (y > 0.0), t_hit, np.nan)
+
+    def next_switch(rng, t, out):
+        hold = rng.exponential(size=t.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(out > 0.0, t + hold / out, np.inf)
+
+    def jump(regimes, u):
+        return np.count_nonzero(u[:, None] >= chain.jump_table[regimes], axis=-1)
+
+    def interval(t0, t1):
+        if delta == 0.0:
+            return t1 - t0
+        return (np.exp(-delta * t0) - np.exp(-delta * t1)) / delta
+
+    rng_regime, rng_obs = [np.random.default_rng(s)
+                           for s in np.random.SeedSequence(seed).spawn(2)]
+    delta, lam, out_rates = costs.delta, costs.lam, chain.out_rates
+    thresholds = np.full(chain.count, -np.inf) if policy is None else policy.boundaries
+    path = np.arange(n_paths)
+    t = np.zeros(n_paths)
+    y = np.full(n_paths, float(y0))
+    regime = np.full(n_paths, int(initial_regime))
+    t_switch = next_switch(rng_regime, t, out_rates[regime])
+    t_obs = rng_obs.exponential(size=n_paths) / lam
+    depleted_since = np.full(n_paths, 0.0 if y0 == 0.0 else np.nan)
+    cost, samples = np.zeros(n_paths), np.empty(n_paths)
+    events = replenishments = 0
+    depleted_time = 0.0
+    while path.size:
+        t_next = np.minimum(np.minimum(t_switch, t_obs), horizon)
+        y, t_hit = decay(t, y, rates[regime], t_next)
+        depleted_since = np.where(np.isnan(t_hit), depleted_since, t_hit)
+        t = t_next
+        live = t < horizon
+        if np.any(live & (t_switch == t_obs)):
+            raise StructureError("an observation coincides with a regime switch")
+        switch = np.flatnonzero(live & (t_switch < t_obs))
+        observe = np.flatnonzero(live & (t_obs < t_switch))
+        regime[switch] = jump(regime[switch], rng_regime.random(switch.size))
+        t_switch[switch] = next_switch(rng_regime, t[switch], out_rates[regime[switch]])
+        t_obs[observe] = t[observe] + rng_obs.exponential(size=observe.size) / lam
+        acted = observe[y[observe] <= thresholds[regime[observe]]]
+        closing = np.concatenate([acted, np.flatnonzero(~live)])
+        closing = closing[~np.isnan(depleted_since[closing])]
+        cost[closing] += interval(depleted_since[closing], t[closing])
+        depleted_time += float(np.sum(t[closing] - depleted_since[closing]))
+        filled = acted[y[acted] < 1.0]
+        cost[filled] += np.exp(-delta * t[filled]) * costs.intervention_cost(y[filled])
+        y[filled] = 1.0
+        depleted_since[closing] = np.nan
+        events += switch.size + observe.size
+        replenishments += filled.size
+        if not live.all():
+            samples[path[~live]] = cost[~live]
+            path, t, y, regime, t_switch, t_obs, depleted_since, cost = (
+                a[live] for a in (path, t, y, regime, t_switch, t_obs, depleted_since, cost)
+            )
+    return samples, events, replenishments, depleted_time
+
+
+def absorbing_chain():
+    """Three regimes; regime 2 is entered from both others and never left."""
+    rates = np.array([
+        [0.0, 0.8, 0.1],
+        [1.0, 0.0, 0.4],
+        [0.0, 0.0, 0.0],
+    ])
+    return RegimeChain(discharges=np.array([1.0, 5.0, 20.0]), rates=rates)
+
+
+ENGINE_CASES = {
+    "realistic43": (realistic_chain(), rates_for_chain(realistic_chain(), SedimentProperties())),
+    "three-regime, zero transport": (three_regime_chain(), np.array([0.0, 0.08, 0.5])),
+    "absorbing": (absorbing_chain(), np.array([0.02, 0.08, 0.5])),
+    "single": (CHAIN_1, BENCH_RATES),
+}
+THRESHOLDS = st.one_of(st.sampled_from([-np.inf, 0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 def integrated_rate_oracle(path: RegimePath, rates, t):
@@ -358,6 +463,59 @@ class TestEstimateCost:
                             n_paths=8, seed=0, keep_samples=True)
         assert len(est.samples) == 8
         assert math.fsum(est.samples) / 8 == pytest.approx(est.mean, rel=1e-15)
+
+
+class TestEngineOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(sorted(ENGINE_CASES)), y0=st.sampled_from([0.0, 0.4, 1.0]),
+           n_paths=st.sampled_from([1, 2, 257]), delta=st.sampled_from([0.0, 0.2]),
+           thresholds=st.lists(THRESHOLDS, min_size=43, max_size=43),
+           initial=st.integers(0, 42), seed=st.integers(0, 2**32 - 1))
+    # full storage observed under a threshold of 1: it acts but fills nothing
+    @example(case="three-regime, zero transport", y0=1.0, n_paths=257, delta=0.2,
+             thresholds=[1.0] * 43, initial=0, seed=3)
+    @example(case="single", y0=0.0, n_paths=2, delta=0.0, thresholds=[-np.inf] * 43,
+             initial=0, seed=0)
+    def test_bit_identical_to_the_frozen_loop(self, case, y0, n_paths, delta, thresholds,
+                                              initial, seed):
+        chain, rates = ENGINE_CASES[case]
+        policy = ThresholdPolicy(boundaries=np.array(thresholds[:chain.count]))
+        costs = CostSpec(delta=delta, c=0.3, d=0.05, lam=0.4)
+        args = (costs, y0, initial % chain.count, 30.0, n_paths, seed)
+        samples, events, replenishments, depleted_time = mc._simulate(
+            chain, rates, policy.boundaries[None, :], *args)
+        expected = reference_simulate(chain, rates, policy, *args)
+        np.testing.assert_array_equal(samples, expected[0][None, :])
+        assert (events, replenishments, depleted_time) == (expected[1], [expected[2]],
+                                                           [expected[3]])
+
+    def test_rows_equal_separate_runs(self):
+        # one driver pass for a stack of policies gives each row what a run
+        # of that policy alone gives, depleted time included
+        chain, rates = ENGINE_CASES["realistic43"]
+        rng = np.random.default_rng(4)
+        stack = np.vstack([np.full(chain.count, -np.inf), np.ones(chain.count),
+                           rng.uniform(0.0, 1.0, (3, chain.count))])
+        costs = CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0)
+        args = (costs, 0.0, 5, 60.0, 300, 17)
+        samples, events, replenishments, depleted_time = mc._simulate(chain, rates, stack, *args)
+        for k, row in enumerate(stack):
+            alone = mc._simulate(chain, rates, row[None, :], *args)
+            np.testing.assert_array_equal(samples[k], alone[0][0])
+            assert (events, replenishments[k], depleted_time[k]) == (
+                alone[1], alone[2][0], alone[3][0])
+
+    def test_gap_rows_equal_estimate_cost(self):
+        perturbations = [-0.3, -0.05, 0.0, 0.2, 1.0]
+        rows = policy_gap_check(BENCHMARK, perturbations, y0=0.6, horizon=80.0,
+                                n_paths=300, seed=9)
+        assert [row.delta_shift for row in rows] == perturbations
+        assert rows[-1].threshold == 1.0
+        for row in rows:
+            est = estimate_cost(CHAIN_1, BENCH_RATES,
+                                ThresholdPolicy(boundaries=np.array([row.threshold])),
+                                BENCHMARK, 0.6, 80.0, 300, seed=9)
+            assert (row.mean, row.stderr) == (est.mean, est.stderr)
 
 
 class TestPolicyGapCheck:

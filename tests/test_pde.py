@@ -507,6 +507,12 @@ class TestAmbiguity:
                                  (0.0, 0.5), Grid(41))
 
 
+def read_phi(path, shape):
+    """The phi column of a value_field.csv, as an array of the field's shape."""
+    with open(path, newline="") as fh:
+        return np.reshape([float(row["phi"]) for row in csv.DictReader(fh)], shape)
+
+
 class TestCsvInterfaces:
     def test_free_boundary_round_trip(self, tmp_path):
         chain, rates = two_regime_setup()
@@ -552,6 +558,15 @@ class TestCsvInterfaces:
             out.writerow(["regime", "y", "phi", "action"])
             for i in range(chain.count):
                 for k in range(grid.n):
-                    out.writerow([i, f"{grid.vertices[k]:.12g}", f"{values[i, k]:.15g}",
+                    out.writerow([i, f"{grid.vertices[k]:.12g}", repr(float(values[i, k])),
                                   "replenish" if replenish[i, k] else "none"])
         assert path.read_bytes() == reference.read_bytes()
+        back = read_phi(path, values.shape)
+        np.testing.assert_array_equal(back, values)
+        np.testing.assert_array_equal(np.signbit(back), np.signbit(values))
+
+    def test_value_field_reads_back_as_the_solved_field(self, tmp_path):
+        fld = solve_benchmark(21).field
+        path = tmp_path / "value_field.csv"
+        write_value_field_csv(fld, path)
+        np.testing.assert_array_equal(read_phi(path, fld.values.shape), fld.values)

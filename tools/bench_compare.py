@@ -8,7 +8,16 @@ workload, seed and trace setting form a pair. For every metric the output
 gives both sides' medians and quartiles, the relative change of the median,
 the number of pairs, how many the change wins (better in the direction
 `BENCHMARK.json` gives; ties win for neither), the seeds and each side's
-environment. Standard library only.
+environment.
+
+Each metric also gets a verdict. `gain`: the change wins at least nine
+tenths of the pairs that are not ties, and its median is better than the
+parent's by more than the parent's quartile distance. `worse`: the median
+is worse by more than the metric's `bound` in `BENCHMARK.json`, a fraction
+of the parent's median (metrics without a bound are never `worse`). `no
+change`: anything else. A side whose runs name more than one commit, or an
+unknown one, is flagged: its runs may not be of the code it stands for.
+Standard library only.
 """
 
 import argparse
@@ -34,10 +43,11 @@ def load_runs(tree: Path) -> dict[tuple[str, int, int], dict]:
     return runs
 
 
-def directions(tree: Path) -> dict[str, str]:
-    """metric name -> "lower" or "higher", from the tree's BENCHMARK.json."""
+def metric_specs(tree: Path) -> dict[str, dict]:
+    """metric name -> its entry in the tree's BENCHMARK.json ("better", and
+    "bound" for the end-to-end metrics)."""
     spec = json.loads((tree / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -57,7 +67,30 @@ def environment(records: list[dict]) -> dict:
     return shared
 
 
-def compare(parent: dict, change: dict, better: dict[str, str]) -> list[dict]:
+def verdict(metric: dict, bound: float | None) -> str:
+    """gain, worse or no change, by the rule in the module docstring."""
+    sign = -1.0 if metric["better"] == "higher" else 1.0
+    worsening = sign * (metric["change"]["median"] - metric["parent"]["median"])
+    untied = metric["pairs"] - metric["ties"]
+    if untied and metric["wins"] >= 0.9 * untied and -worsening > metric["parent"]["iqr"]:
+        return "gain"
+    if bound is not None and worsening > bound * abs(metric["parent"]["median"]):
+        return "worse"
+    return "no change"
+
+
+def commit_flags(side: str, records: list[dict]) -> list[str]:
+    """Warnings when a side's runs name more than one commit or an unknown one."""
+    commits = sorted({str(r["environment"].get("commit", "unknown")) for r in records})
+    flags = []
+    if len(commits) > 1:
+        flags.append(f"{side} runs name {len(commits)} commits: {', '.join(commits)}")
+    if any(c.startswith("unknown") for c in commits):
+        flags.append(f"{side} runs name an unknown commit")
+    return flags
+
+
+def compare(parent: dict, change: dict, specs: dict[str, dict]) -> list[dict]:
     rows = []
     groups = sorted({(w, t) for w, _, t in parent} & {(w, t) for w, _, t in change})
     for workload, trace in groups:
@@ -72,11 +105,13 @@ def compare(parent: dict, change: dict, better: dict[str, str]) -> list[dict]:
                 continue
             old = [p["metrics"][name]["value"] for p, _ in pairs]
             new = [c["metrics"][name]["value"] for _, c in pairs]
-            sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
+            spec = specs.get(name, {})
+            better = spec.get("better", "lower")
+            sign = -1.0 if better == "higher" else 1.0
             q_old, q_new = quartiles(old), quartiles(new)
             metrics[name] = {
                 "unit": pairs[0][0]["metrics"][name]["unit"],
-                "better": better.get(name, "lower"),
+                "better": better,
                 "parent": {"median": q_old[1], "q1": q_old[0], "q3": q_old[2],
                            "iqr": q_old[2] - q_old[0]},
                 "change": {"median": q_new[1], "q1": q_new[0], "q3": q_new[2],
@@ -86,6 +121,7 @@ def compare(parent: dict, change: dict, better: dict[str, str]) -> list[dict]:
                 "wins": sum(sign * (b - a) < 0 for a, b in zip(old, new)),
                 "ties": sum(a == b for a, b in zip(old, new)),
             }
+            metrics[name]["verdict"] = verdict(metrics[name], spec.get("bound"))
         rows.append({
             "workload": workload,
             "trace": trace,
@@ -95,6 +131,8 @@ def compare(parent: dict, change: dict, better: dict[str, str]) -> list[dict]:
             "metrics": metrics,
             "environment": {"parent": environment([p for p, _ in pairs]),
                             "change": environment([c for _, c in pairs])},
+            "flags": (commit_flags("parent", [p for p, _ in pairs])
+                      + commit_flags("change", [c for _, c in pairs])),
         })
     return rows
 
@@ -109,17 +147,20 @@ def main() -> int:
         if not (tree / "BENCHMARK.json").is_file() or not (tree / "perfbench" / "_runs").is_dir():
             parser.error(f"{tree}: no BENCHMARK.json or no perfbench/_runs/")
     parent, change = load_runs(args.parent), load_runs(args.change)
-    rows = compare(parent, change, directions(args.change))
+    rows = compare(parent, change, metric_specs(args.change))
     if not rows:
         print("bench_compare: no workload and seed was run in both trees", file=sys.stderr)
         return 1
     args.out.write_text(json.dumps({"comparisons": rows}, indent=1) + "\n")
     for row in rows:
+        for flag in row["flags"]:
+            print(f"bench_compare: {row['workload']} trace{row['trace']}: {flag}", file=sys.stderr)
         for name, m in row["metrics"].items():
             rel = "" if m["median_change"] is None else f" ({m['median_change']:+.1%})"
             print(f"{row['workload']} trace{row['trace']} {name}: {m['parent']['median']:.6g} -> "
                   f"{m['change']['median']:.6g} {m['unit']}{rel}, "
-                  f"wins {m['wins']}/{m['pairs']}, parent IQR {m['parent']['iqr']:.3g}")
+                  f"wins {m['wins']}/{m['pairs']}, parent IQR {m['parent']['iqr']:.3g}: "
+                  f"{m['verdict']}")
     return 0
 
 
