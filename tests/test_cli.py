@@ -332,9 +332,10 @@ class TestSolveSimulate:
         # never switches, so the run is the single-regime run of its drain
         # rate and threshold; the hold / 0 of the absorbing regime raises no
         # RuntimeWarning, which pytest turns into an error
-        rates = realistic_chain(0).rates.copy()
+        paper = realistic_chain(0)
+        rates = paper.rates.copy()
         rates[-1] = 0.0
-        chain = RegimeChain(discharges=realistic_chain(0).discharges, rates=rates)
+        chain = RegimeChain(discharges=paper.discharges, rates=rates)
         chain.to_json(tmp_path / "chain.json")
         costs = ["--delta", "0.2", "--c", "0.02", "--d", "0.01", "--lambda", "1/7"]
         solve, sim = tmp_path / "solve", tmp_path / "sim"

@@ -39,10 +39,10 @@ def three_regime_chain():
     return RegimeChain(discharges=np.array([1.0, 5.0, 20.0]), rates=rates)
 
 
-def realistic_chain(seed=0, count=43):
-    """The paper's dam-downstream chain: 2.5 m^3/s bins, nearest-neighbour
-    switching with seeded jitter."""
-    rng = np.random.default_rng(seed)
+def paper_chain():
+    """The 43-regime chain of `test_cli.py::realistic_chain` at seed 0."""
+    rng = np.random.default_rng(0)
+    count = 43
     nu = np.zeros((count, count))
     low = np.arange(count - 1)
     nu[low, low + 1] = 0.7 * rng.uniform(0.9, 1.1, count - 1)
@@ -133,7 +133,7 @@ def absorbing_chain():
 
 
 ENGINE_CASES = {
-    "realistic43": (realistic_chain(), rates_for_chain(realistic_chain(), SedimentProperties())),
+    "realistic43": (paper_chain(), rates_for_chain(paper_chain(), SedimentProperties())),
     "three-regime, zero transport": (three_regime_chain(), np.array([0.0, 0.08, 0.5])),
     "absorbing": (absorbing_chain(), np.array([0.02, 0.08, 0.5])),
     "single": (CHAIN_1, BENCH_RATES),
