@@ -52,13 +52,10 @@ __all__ = [
     "read_free_boundary_csv",
 ]
 
-# linear weights of the two second-order candidate stencils
-_W_ONESIDED = 1.0 / 3.0
-_W_CENTERED = 2.0 / 3.0
-# WENO3 regularizer of the smoothness indicators is eps = _WENO_EPS * h^2,
-# so it shrinks with the grid like the indicators do at a critical point
-# (Arandiga, Baeza, Belda & Mulet 2011). Part of the scheme: changing it
-# moves the fixed point the scheme converges to.
+# WENO3 regularizer of the smoothness indicators is eps = _WENO_EPS * h^2
+# on derivatives, so it shrinks with the grid like the indicators do at a
+# critical point (Arandiga, Baeza, Belda & Mulet 2011). Part of the scheme:
+# changing it moves the fixed point the scheme converges to.
 _WENO_EPS = 0.1
 
 
@@ -83,9 +80,12 @@ class Grid:
         return y
 
 
-def _intervention_gap(v: NDArray[np.float64], costs: CostSpec, grid: Grid) -> NDArray[np.float64]:
-    """v - (v_i(1) + c (1-y) + d): positive where replenishing strictly wins."""
-    return v - (v[:, -1:] + costs.intervention_cost(grid.vertices))
+def _intervention_gap(v: NDArray[np.float64], refill: NDArray[np.float64],
+                      out: NDArray[np.float64] | None = None) -> NDArray[np.float64]:
+    """v - (v_i(1) + refill), refill = c (1-y) + d on the grid: positive
+    where replenishing strictly wins."""
+    gap = np.add(v[:, -1:], refill, out=out)
+    return np.subtract(v, gap, out=gap)
 
 
 @dataclass
@@ -110,7 +110,8 @@ class ValueField:
     def replenish(self) -> NDArray[np.bool_]:
         """Where replenishing strictly beats waiting: P_i(1) + c (1-y) + d <
         P_i(y). Ties do nothing (never pay the fixed cost for zero gain)."""
-        return _intervention_gap(self.values, self.costs, self.grid) > 0.0
+        refill = self.costs.intervention_cost(self.grid.vertices)
+        return _intervention_gap(self.values, refill) > 0.0
 
 
 @dataclass(frozen=True)
@@ -172,39 +173,107 @@ class SolveResult:
 
 
 def weno3_left_derivative(values, h: float):
-    """Left-biased WENO3 derivative of grid data (last axis is the grid).
+    """Left-biased WENO3 derivative of grid data (last axis is the grid),
+    the upwind derivative of the residual; `_Weno3` gives the scheme.
 
-    Combines the one-sided stencil {k-2, k-1, k} and the centered stencil
-    {k-1, k, k+1} built from forward differences, with linear weights
-    (1/3, 2/3), smoothness indicators beta = (difference jump)^2 and
-    nonlinear weights proportional to linear / (eps + beta)^2, with
-    eps = `_WENO_EPS` h^2. Ghost values linearly extrapolate beyond both
-    ends (vanishing second difference), so the result is exact for linear
-    data and third-order accurate at smooth interior points.
+    The spacing must be finite and positive and the grid hold at least 5
+    values; otherwise `InputError`.
     """
-    if h <= 0:
-        raise InputError("spacing must be positive")
+    if not 0.0 < h < math.inf:  # NaN fails too
+        raise InputError("spacing must be finite and positive")
     v = np.asarray(values, dtype=float)
-    single = v.ndim == 1
-    v2 = v[None, :] if single else v
-    n = v2.shape[-1]
-    if n < 5:
+    if v.ndim == 0 or v.shape[-1] < 5:
         raise InputError("need at least 5 grid values")
+    return _Weno3(v.shape, h)(v) / h
 
-    dif = (v2[..., 1:] - v2[..., :-1]) / h
-    # ghosts: d_{-2} = d_{-1} = d_0 and d_{n-1} = d_{n-2}
-    ext = np.concatenate([dif[..., :1], dif[..., :1], dif, dif[..., -1:]], axis=-1)
-    dm2 = ext[..., 0:n]
-    dm1 = ext[..., 1:n + 1]
-    dm0 = ext[..., 2:n + 2]
 
-    one_sided = 1.5 * dm1 - 0.5 * dm2
-    centered = 0.5 * (dm1 + dm0)
-    eps = _WENO_EPS * h * h
-    alpha0 = _W_ONESIDED / (eps + (dm1 - dm2) ** 2) ** 2
-    alpha1 = _W_CENTERED / (eps + (dm0 - dm1) ** 2) ** 2
-    out = (alpha0 * one_sided + alpha1 * centered) / (alpha0 + alpha1)
-    return out[0] if single else out
+class _Weno3:
+    """h times the left-biased WENO3 derivative of grid data of one shape
+    (last axis is the grid), with work arrays sized once.
+
+    It combines the one-sided stencil {k-2, k-1, k} and the centered
+    stencil {k-1, k, k+1} with linear weights (1/3, 2/3) and nonlinear
+    weights proportional to linear / (eps + beta)^2, where the smoothness
+    indicators beta are the squared jumps of the derivative differences
+    and eps = `_WENO_EPS` h^2. In the raw differences d_k = v_{k+1} - v_k
+    that is the ratio form
+
+        d_{k-1} + (a + r b) / (2 (1 + r)),   r = 2 ((eps' + a^2) / (eps' + b^2))^2,
+
+    with jumps a = d_{k-1} - d_{k-2}, b = d_k - d_{k-1} and eps' =
+    `_WENO_EPS` h^4; r is the ratio alpha1 / alpha0 of the two nonlinear
+    weights. Ghost values linearly extrapolate beyond both ends
+    (d_{-2} = d_{-1} = d_0, d_{n-1} = d_{n-2}), so the result is exact for
+    linear data and third-order accurate at smooth interior points. A call
+    returns a work array that the next call overwrites.
+    """
+
+    def __init__(self, shape: tuple[int, ...], h: float):
+        *lead, n = shape
+        self.eps = _WENO_EPS * h ** 4
+        self.steps = np.empty((*lead, n + 2))  # d_{-2}, d_{-1}, d_0, ..., d_{n-1}
+        self.jumps = np.empty((*lead, n + 1))
+        self.spread = np.empty((*lead, n + 1))  # eps' + jump^2
+        self.ratio = np.empty((*lead, n))
+        self.out = np.empty((*lead, n))
+
+    def __call__(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
+        n = v.shape[-1]
+        steps, jumps, spread, r, out = self.steps, self.jumps, self.spread, self.ratio, self.out
+        np.subtract(v[..., 1:], v[..., :-1], out=steps[..., 2:n + 1])
+        steps[..., :2] = steps[..., 2:3]
+        steps[..., n + 1] = steps[..., n]
+        np.subtract(steps[..., 1:], steps[..., :-1], out=jumps)  # a = jumps[k], b = jumps[k + 1]
+        np.multiply(jumps, jumps, out=spread)
+        spread += self.eps
+        np.divide(spread[..., :-1], spread[..., 1:], out=r)
+        r *= r
+        r *= 2.0
+        np.multiply(r, jumps[..., 1:], out=out)
+        out += jumps[..., :-1]
+        r += 1.0
+        r *= 2.0
+        out /= r
+        out += steps[..., 1:n + 1]
+        return out
+
+
+class _Residual:
+    """The residual of the stationary system on one chain, rates, costs and
+    grid, with its work arrays sized once:
+
+        (delta + outflow) v + S/h W(v) - nu v + lam max(gap, 0) - 1{y=0},
+
+    where W(v) is `_Weno3` (h times the derivative), switched off at y = 0,
+    and gap is `_intervention_gap`. S/h, delta + outflow and the refill
+    cost c (1 - y) + d are computed once. A call returns the residual and
+    the gap in work arrays that the next call overwrites.
+    """
+
+    def __init__(self, chain: RegimeChain, rates, costs: CostSpec, grid: Grid):
+        shape = (chain.count, grid.n)
+        self.weno = _Weno3(shape, grid.h)
+        self.speed = (rates / grid.h)[:, None]
+        self.decay = (costs.delta + chain.out_rates)[:, None]
+        self.switching = chain.rates if np.any(chain.rates) else None
+        self.refill = costs.intervention_cost(grid.vertices)
+        self.lam = costs.lam
+        self.res, self.gap, self.work = np.empty(shape), np.empty(shape), np.empty(shape)
+
+    def __call__(self, v: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        res, gap, work = self.res, self.gap, self.work
+        np.multiply(self.speed, self.weno(v), out=work)
+        work[:, 0] = 0.0  # advection switched off at y = 0
+        np.multiply(self.decay, v, out=res)
+        res += work
+        if self.switching is not None:
+            res -= np.dot(self.switching, v, out=work)
+        _intervention_gap(v, self.refill, out=gap)
+        np.maximum(gap, 0.0, out=work)
+        work *= self.lam
+        res += work
+        res[:, 0] -= 1.0  # depletion penalty source lives on the y = 0 vertex
+        return res, gap
 
 
 def _residual_arrays(
@@ -215,14 +284,7 @@ def _residual_arrays(
     grid: Grid,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """The residual and the intervention gap it is built from."""
-    deriv = weno3_left_derivative(v, grid.h)
-    adv = rates[:, None] * deriv
-    adv[:, 0] = 0.0  # advection switched off at y = 0
-    coupling = chain.out_rates[:, None] * v - chain.rates @ v
-    gap = _intervention_gap(v, costs, grid)
-    res = costs.delta * v + adv + coupling + costs.lam * np.maximum(gap, 0.0)
-    res[:, 0] -= 1.0  # depletion penalty source lives on the y = 0 vertex
-    return res, gap
+    return _Residual(chain, rates, costs, grid)(v)
 
 
 def residual(fld: ValueField) -> NDArray[np.float64]:
@@ -266,7 +328,8 @@ class _BlockSweep:
     sweep a doubling scan of about log2(n) vectorised steps. Otherwise the
     forward sweep is one product x_k = [D_k^-1 s | D_k^-1] [x_{k-1}; c_k]
     per vertex. The work arrays are sized once and every solve shares
-    them: one factorization at a time, one solve at a time.
+    them, the result too: one factorization at a time, one solve at a
+    time, and a solve's result is overwritten by the next.
     """
 
     def __init__(self, chain: RegimeChain, rates, costs: CostSpec, grid: Grid, ergodic: bool):
@@ -277,8 +340,11 @@ class _BlockSweep:
         self.lam = costs.lam
         self.ergodic = ergodic
         self.adjoint = np.empty((inner, count, count))  # P_k^T
-        if count == 1:
-            self.x, self.c = np.empty((inner + 1, 1)), np.empty((inner, 1))
+        self.border, self.z = np.empty(2 * count + ergodic), np.empty(2 * count + ergodic)
+        self.result = np.empty((inner + 2) * count + ergodic)
+        self.head = self.result[:(inner + 1) * count].reshape(inner + 1, count)  # x_0..x_{n-2}
+        if count == 1:  # the scan runs in the result, its products go to `carry`
+            self.x, self.c, self.carry = self.head, np.empty((inner, 1)), np.empty((inner, 1))
         else:
             # [D_k^-1 s | D_k^-1], one per run of equal D_k, and the pairs
             # [x_{k-1}; c_k] each product of the forward sweep reads
@@ -326,11 +392,14 @@ class _BlockSweep:
 
     def solve(self, b: NDArray[np.float64]) -> NDArray[np.float64]:
         """J^-1 b, both in the storage-major numbering."""
-        count = self.s.size
+        count, border, z = self.s.size, self.border, self.z
         size = (len(self.adjoint) + 2) * count
         vertex = b[:size].reshape(-1, count)
-        upwind = vertex[1:-1].ravel() @ self.weights
-        z = self.schur_inverse @ np.concatenate([vertex[0], vertex[-1] + upwind, b[size:]])
+        border[:count] = vertex[0]
+        upwind = np.dot(vertex[1:-1].ravel(), self.weights, out=border[count:2 * count])
+        upwind += vertex[-1]
+        border[2 * count:] = b[size:]
+        np.dot(self.schur_inverse, border, out=z)
         c = np.multiply(self.jump[1:], z[count:2 * count], out=self.c)
         c += vertex[1:-1]
         if self.ergodic:
@@ -340,11 +409,13 @@ class _BlockSweep:
         if count == 1:
             np.multiply(c, self.scale, out=x[1:])
             for shift, gain in self.levels:
-                x[shift:] += gain * x[:-shift]
+                x[shift:] += np.multiply(gain, x[:-shift], out=self.carry[:len(gain)])
         else:
             for step, pair, out in self.sweep:
                 np.dot(step, pair, out=out)
-        return np.concatenate([x.ravel(), z[count:]])
+            self.head[:] = x
+        self.result[size - count:] = z[count:]
+        return self.result
 
 
 def _doubling_levels(gain: NDArray[np.float64]) -> list[tuple[int, NDArray[np.float64]]]:
@@ -450,34 +521,39 @@ def solve_stationary(
     if ergodic and len(closed := chain.closed_classes()) > 1:
         raise StructureError(f"the ergodic solve needs one closed class of regimes, found {closed}")
 
+    kernel = _Residual(chain, rates, costs, grid)
     sweep = _BlockSweep(chain, rates, costs, grid, ergodic)
 
     v = np.zeros((chain.count, grid.n))
-    cost_rate = min_seen = max_seen = step_change = 0.0
-    replenish = np.zeros(v.shape, dtype=bool)
+    # in ergodic mode the pin row's residual is w(0, 1) = 0, kept by every update
+    rhs = np.zeros(v.size + ergodic)
+    rhs_vertices = rhs[:v.size].reshape(v.shape[::-1])  # storage-major
+    magnitude = np.empty(v.shape)
+    cost_rate = min_seen = max_seen = 0.0
+    replenish, now = np.zeros(v.shape, dtype=bool), np.empty(v.shape, dtype=bool)
     history: list[float] = []
     changes: list[int] = []
     while True:
-        res, gap = _residual_arrays(v, chain, rates, costs, grid)
+        res, gap = kernel(v)
         res += cost_rate
-        now = gap > 0.0
+        np.greater(gap, 0.0, out=now)
         changes.append(int(np.count_nonzero(now != replenish)))
-        replenish = now
-        history.append(float(np.max(np.abs(res))))
+        replenish, now = now, replenish
+        history.append(float(np.abs(res, out=magnitude).max()))
         converged = history[-1] <= config.tol
         earlier_best = min(history[:-_STALL_WINDOW], default=math.inf)
         if converged or not history[-1] <= 0.5 * earlier_best:  # stalled or not finite
             break
         if len(history) == 1 or changes[-1]:
             sweep.factor(replenish)
-        # in ergodic mode the pin row's residual is w(0, 1) = 0, kept by every update
-        step = sweep.solve(np.append(res.T.ravel(), [0.0] if ergodic else []))
+        rhs_vertices[:] = res.T
+        step = sweep.solve(rhs)
         v -= step[:v.size].reshape(v.shape[::-1]).T
         if ergodic:
             cost_rate -= step[-1]
-        step_change = float(np.max(np.abs(step[:v.size])))
         min_seen = min(min_seen, float(v.min()))
         max_seen = max(max_seen, float(v.max()))
+    step_change = float(np.max(np.abs(step[:v.size]))) if len(history) > 1 else 0.0
 
     fld = ValueField(values=v, grid=grid, chain=chain, rates=rates, costs=costs)
     notes: tuple[str, ...] = ()

@@ -73,6 +73,22 @@ def test_pairs_by_workload_seed_and_trace(trees, tmp_path, monkeypatch):
     assert all(m["pairs"] == 3 for m in rows[0]["metrics"].values())
 
 
+def test_one_sided_seeds_and_groups_flagged(trees, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "BENCH.json"
+    run_script(monkeypatch, *trees, out)
+    result = json.loads(out.read_text())
+    assert result["comparisons"][0]["flags"] == ["seeds [3] ran on the parent only",
+                                                 "seeds [5] ran on the change only"]
+    assert result["unpaired"] == [
+        {"workload": "realistic43", "trace": 0, "parent_seeds": [], "change_seeds": [0]},
+        {"workload": "scalar-mc", "trace": 0, "parent_seeds": [0], "change_seeds": []},
+        {"workload": "table1", "trace": 1, "parent_seeds": [0], "change_seeds": []},
+    ]
+    err = capsys.readouterr().err
+    assert "table1 trace0: seeds [3] ran on the parent only" in err
+    assert "table1 trace1: no pair, parent seeds [0], change seeds []" in err
+
+
 def test_wins_follow_the_declared_direction_and_ties_win_for_neither(trees, tmp_path,
                                                                       monkeypatch):
     out = tmp_path / "BENCH.json"

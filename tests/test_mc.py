@@ -14,7 +14,7 @@ from sedopt.analytic import (
 )
 from sedopt import mc
 from sedopt.errors import DomainError, InputError, StructureError
-from sedopt.pde import Grid, ValueField, solve_stationary
+from sedopt.pde import Grid, ValueField, extract_policy, solve_stationary
 from sedopt.mc import (
     estimate_cost,
     policy_gap_check,
@@ -22,7 +22,13 @@ from sedopt.mc import (
     simulate_storage,
 )
 from sedopt.pde import CostSpec, ThresholdPolicy, single_regime_chain
-from sedopt.regime import RegimeChain, RegimePath, sample_regime_path
+from sedopt.regime import (
+    DischargeSeries,
+    RegimeChain,
+    RegimePath,
+    estimate_chain,
+    sample_regime_path,
+)
 from sedopt.transport import SedimentProperties, rates_for_chain
 
 BENCH_COSTS = CostSpec(delta=BENCHMARK.delta, c=BENCHMARK.c, d=BENCHMARK.d, lam=BENCHMARK.lam)
@@ -463,6 +469,56 @@ class TestEstimateCost:
                             n_paths=8, seed=0, keep_samples=True)
         assert len(est.samples) == 8
         assert math.fsum(est.samples) / 8 == pytest.approx(est.mean, rel=1e-15)
+
+
+class TestUnvisitedRegime:
+    """A chain estimated from a record that never enters its top bin: that
+    regime keeps zero rates in and out, so it is a closed class of its own."""
+
+    COSTS = CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0)
+
+    @pytest.fixture(scope="class")
+    def estimated(self):
+        # ten days of hourly discharges wandering over bins 0-2 of 4
+        walk = np.cumsum(np.random.default_rng(0).integers(-1, 2, 240)) % 6
+        bins = np.where(walk > 2, 5 - walk, walk)
+        series = DischargeSeries(times=np.arange(240) / 24.0, discharges=1.25 + 2.5 * bins)
+        with pytest.warns(UserWarning, match=r"never visited in the record: \[3\]"):
+            chain = estimate_chain(series, width=2.5, count=4)
+        return chain, rates_for_chain(chain, SedimentProperties())
+
+    def test_discounted_solve_converges(self, estimated):
+        chain, drains = estimated
+        assert chain.rates[3].sum() == chain.rates[:, 3].sum() == 0.0
+        result = solve_stationary(chain, drains, self.COSTS, Grid(51))
+        assert result.converged
+        assert np.all(np.isfinite(result.field.values))
+        # the unvisited regime solves its own single-regime problem
+        alone = solve_stationary(single_regime_chain(), drains[3:], self.COSTS, Grid(51))
+        np.testing.assert_allclose(result.field.values[3], alone.field.values[0], atol=1e-9)
+
+    def test_ergodic_solve_sees_two_closed_classes(self, estimated):
+        chain, drains = estimated
+        with pytest.raises(StructureError, match="closed class"):
+            solve_stationary(chain, drains, CostSpec(delta=0.0, c=0.02, d=0.01, lam=1.0 / 7.0),
+                             Grid(51))
+
+    def test_cost_started_there_stays_and_matches_the_field(self, estimated):
+        chain, drains = estimated
+        fld = solve_stationary(chain, drains, self.COSTS, Grid(51)).field
+        policy = extract_policy(fld)
+        est = estimate_cost(chain, drains, policy, self.COSTS, y0=1.0, horizon=100.0,
+                            n_paths=4000, seed=5, initial_regime=3)
+        # it never switches: the run is the single-regime run of regime 3
+        alone = estimate_cost(single_regime_chain(), drains[3:],
+                              ThresholdPolicy(boundaries=policy.boundaries[3:]), self.COSTS,
+                              y0=1.0, horizon=100.0, n_paths=4000, seed=5)
+        assert (est.mean, est.events_per_path) == (alone.mean, alone.events_per_path)
+        # the field is the scheme's, off the exact value by its grid error
+        exact = evaluate_candidate(solve_smooth_pasting(ScalarProblem(
+            S=float(drains[3]), delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0)), 1.0)
+        grid_error = abs(fld.values[3, -1] - exact)
+        assert abs(est.mean - fld.values[3, -1]) <= 3.0 * est.stderr + grid_error
 
 
 class TestEngineOracle:

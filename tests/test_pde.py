@@ -14,6 +14,7 @@ from sedopt.pde import (
     ThresholdPolicy,
     ValueField,
     _BlockSweep,
+    _Residual,
     _residual_arrays,
     convergence_study,
     extract_policy,
@@ -27,6 +28,7 @@ from sedopt.pde import (
     write_value_field_csv,
 )
 from sedopt.regime import RegimeChain
+from sedopt.transport import SedimentProperties, rates_for_chain
 
 BENCH_COSTS = CostSpec(delta=BENCHMARK.delta, c=BENCHMARK.c, d=BENCHMARK.d, lam=BENCHMARK.lam)
 BENCH_RATES = np.array([BENCHMARK.S])
@@ -51,6 +53,17 @@ def two_regime_setup():
         rates=np.array([[0.0, 0.5], [1.0, 0.0]]),
     )
     return chain, np.array([0.02, 0.3])
+
+
+def paper_chain():
+    """The 43-regime chain of `test_cli.py::realistic_chain` at seed 0."""
+    rng = np.random.default_rng(0)
+    count = 43
+    nu = np.zeros((count, count))
+    low = np.arange(count - 1)
+    nu[low, low + 1] = 0.7 * rng.uniform(0.9, 1.1, count - 1)
+    nu[low + 1, low] = 1.1 * rng.uniform(0.9, 1.1, count - 1)
+    return RegimeChain(discharges=1.25 + 2.5 * np.arange(count), rates=nu)
 
 
 def explicit_march(chain, rates, costs, grid, tol):
@@ -122,6 +135,93 @@ class TestWeno3:
     def test_too_short(self):
         with pytest.raises(InputError):
             weno3_left_derivative(np.ones(4), 0.25)
+
+    @pytest.mark.parametrize("h", [0.0, -0.25, np.nan, np.inf])
+    def test_spacing_must_be_finite_and_positive(self, h):
+        with pytest.raises(InputError):
+            weno3_left_derivative(np.linspace(0.0, 1.0, 5), h)
+
+
+def reference_weno3(values, h):
+    """The WENO3 derivative in alpha-weight form as it stood before the
+    ratio-form kernel, frozen as the reference of `_Weno3`."""
+    v = np.asarray(values, dtype=float)
+    v2 = v[None, :] if v.ndim == 1 else v
+    n = v2.shape[-1]
+    dif = (v2[..., 1:] - v2[..., :-1]) / h
+    ext = np.concatenate([dif[..., :1], dif[..., :1], dif, dif[..., -1:]], axis=-1)
+    dm2, dm1, dm0 = ext[..., 0:n], ext[..., 1:n + 1], ext[..., 2:n + 2]
+    one_sided = 1.5 * dm1 - 0.5 * dm2
+    centered = 0.5 * (dm1 + dm0)
+    eps = 0.1 * h * h
+    alpha0 = (1.0 / 3.0) / (eps + (dm1 - dm2) ** 2) ** 2
+    alpha1 = (2.0 / 3.0) / (eps + (dm0 - dm1) ** 2) ** 2
+    out = (alpha0 * one_sided + alpha1 * centered) / (alpha0 + alpha1)
+    return out[0] if v.ndim == 1 else out
+
+
+def reference_residual_arrays(v, chain, rates, costs, grid):
+    """`_residual_arrays` as it stood before `_Residual`, frozen with it."""
+    adv = rates[:, None] * reference_weno3(v, grid.h)
+    adv[:, 0] = 0.0
+    coupling = chain.out_rates[:, None] * v - chain.rates @ v
+    gap = v - (v[:, -1:] + costs.intervention_cost(grid.vertices))
+    res = costs.delta * v + adv + coupling + costs.lam * np.maximum(gap, 0.0)
+    res[:, 0] -= 1.0
+    return res, gap
+
+
+def assert_close_to_reference(actual, reference):
+    """Agreement to 1e-13 relative, and absolute below magnitude 1."""
+    bound = 1e-13 * np.maximum(1.0, np.abs(reference))
+    assert np.all(np.abs(actual - reference) <= bound)
+
+
+def kernel_cases():
+    """(chain, rates, field) on smooth, kinked, flat and 43-regime data."""
+    y = Grid(101).vertices
+    paper = paper_chain()
+    drains = rates_for_chain(paper, SedimentProperties())
+    solved = solve_stationary(paper, drains, CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0),
+                              Grid(31), SolverConfig(tol=1e-9)).field.values
+    wavy = solved + 1e-3 * np.sin(7.0 * np.arange(solved.size)).reshape(solved.shape)
+    two, two_rates = two_regime_setup()
+    return {
+        "smooth": (single_regime_chain(), BENCH_RATES, (np.exp(-2.0 * y) + np.sin(5.0 * y))[None]),
+        "kinked": (single_regime_chain(), BENCH_RATES, np.abs(y - 0.5)[None]),
+        "flat": (two, two_rates, np.full((2, 101), 3.0)),
+        "43-regime solved": (paper, drains, solved),
+        "43-regime perturbed": (paper, drains, wavy),
+    }
+
+
+class TestResidualKernel:
+    """`_Residual` and `_Weno3` against the frozen alpha-weight form."""
+
+    @pytest.mark.parametrize("delta", [0.2, 0.0], ids=["discounted", "ergodic"])
+    @pytest.mark.parametrize("case", sorted(kernel_cases()))
+    def test_matches_the_frozen_residual(self, case, delta):
+        chain, rates, v = kernel_cases()[case]
+        costs, grid = CostSpec(delta=delta, c=0.02, d=0.01, lam=1.0 / 7.0), Grid(v.shape[1])
+        res, gap = _residual_arrays(v, chain, rates, costs, grid)
+        ref_res, ref_gap = reference_residual_arrays(v, chain, rates, costs, grid)
+        assert_close_to_reference(res, ref_res)
+        np.testing.assert_array_equal(gap, ref_gap)
+        assert_close_to_reference(weno3_left_derivative(v, grid.h), reference_weno3(v, grid.h))
+
+    def test_successive_calls_share_no_stale_data(self):
+        # the work arrays are overwritten in full: the second call's result
+        # is the second field's residual, whatever the first field was
+        chain, rates, solved = kernel_cases()["43-regime solved"]
+        _, _, wavy = kernel_cases()["43-regime perturbed"]
+        costs, grid = CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0), Grid(31)
+        kernel = _Residual(chain, rates, costs, grid)
+        for first, second in ((solved, wavy), (wavy, solved), (np.full_like(solved, 1e6), solved)):
+            kernel(first)
+            res, gap = kernel(second)
+            ref_res, ref_gap = reference_residual_arrays(second, chain, rates, costs, grid)
+            assert_close_to_reference(res, ref_res)
+            np.testing.assert_array_equal(gap, ref_gap)
 
 
 class TestResidual:

@@ -17,6 +17,9 @@ is worse by more than the metric's `bound` in `BENCHMARK.json`, a fraction
 of the parent's median (metrics without a bound are never `worse`). `no
 change`: anything else. A side whose runs name more than one commit, or an
 unknown one, is flagged: its runs may not be of the code it stands for.
+A seed that ran on one side only of a workload and trace setting is
+flagged too, and a workload and trace setting with no pair at all is
+listed under `unpaired`: such runs are left out of every comparison.
 Standard library only.
 """
 
@@ -90,12 +93,35 @@ def commit_flags(side: str, records: list[dict]) -> list[str]:
     return flags
 
 
+def seeds_by_group(runs: dict) -> dict[tuple[str, int], set[int]]:
+    """(workload, trace) -> the seeds run in it."""
+    groups: dict[tuple[str, int], set[int]] = {}
+    for workload, seed, trace in runs:
+        groups.setdefault((workload, trace), set()).add(seed)
+    return groups
+
+
+def one_sided_flags(parent_seeds: set[int], change_seeds: set[int]) -> list[str]:
+    """Warnings naming the seeds that ran on one side only."""
+    return [f"seeds {sorted(only)} ran on the {side} only"
+            for side, only in (("parent", parent_seeds - change_seeds),
+                               ("change", change_seeds - parent_seeds)) if only]
+
+
+def unpaired(parent: dict, change: dict) -> list[dict]:
+    """The workload and trace settings that ran on neither side with a pair."""
+    ran_old, ran_new = seeds_by_group(parent), seeds_by_group(change)
+    return [{"workload": w, "trace": t, "parent_seeds": sorted(ran_old.get((w, t), ())),
+             "change_seeds": sorted(ran_new.get((w, t), ()))}
+            for w, t in sorted(ran_old.keys() | ran_new.keys())
+            if not ran_old.get((w, t), set()) & ran_new.get((w, t), set())]
+
+
 def compare(parent: dict, change: dict, specs: dict[str, dict]) -> list[dict]:
     rows = []
-    groups = sorted({(w, t) for w, _, t in parent} & {(w, t) for w, _, t in change})
-    for workload, trace in groups:
-        seeds = sorted(s for w, s, t in parent
-                       if (w, t) == (workload, trace) and (w, s, t) in change)
+    ran_old, ran_new = seeds_by_group(parent), seeds_by_group(change)
+    for workload, trace in sorted(ran_old.keys() & ran_new.keys()):
+        seeds = sorted(ran_old[workload, trace] & ran_new[workload, trace])
         if not seeds:
             continue
         pairs = [(parent[workload, s, trace], change[workload, s, trace]) for s in seeds]
@@ -132,7 +158,8 @@ def compare(parent: dict, change: dict, specs: dict[str, dict]) -> list[dict]:
             "environment": {"parent": environment([p for p, _ in pairs]),
                             "change": environment([c for _, c in pairs])},
             "flags": (commit_flags("parent", [p for p, _ in pairs])
-                      + commit_flags("change", [c for _, c in pairs])),
+                      + commit_flags("change", [c for _, c in pairs])
+                      + one_sided_flags(ran_old[workload, trace], ran_new[workload, trace])),
         })
     return rows
 
@@ -151,7 +178,11 @@ def main() -> int:
     if not rows:
         print("bench_compare: no workload and seed was run in both trees", file=sys.stderr)
         return 1
-    args.out.write_text(json.dumps({"comparisons": rows}, indent=1) + "\n")
+    lone = unpaired(parent, change)
+    args.out.write_text(json.dumps({"comparisons": rows, "unpaired": lone}, indent=1) + "\n")
+    for group in lone:
+        print(f"bench_compare: {group['workload']} trace{group['trace']}: no pair, parent seeds "
+              f"{group['parent_seeds']}, change seeds {group['change_seeds']}", file=sys.stderr)
     for row in rows:
         for flag in row["flags"]:
             print(f"bench_compare: {row['workload']} trace{row['trace']}: {flag}", file=sys.stderr)
