@@ -194,9 +194,9 @@ class _Weno3:
     It combines the one-sided stencil {k-2, k-1, k} and the centered
     stencil {k-1, k, k+1} with linear weights (1/3, 2/3) and nonlinear
     weights proportional to linear / (eps + beta)^2, where the smoothness
-    indicators beta are the squared jumps of the derivative differences
-    and eps = `_WENO_EPS` h^2. In the raw differences d_k = v_{k+1} - v_k
-    that is the ratio form
+    indicators beta are the squared jumps of the divided differences
+    d_k / h and eps = `_WENO_EPS` h^2. In the raw differences
+    d_k = v_{k+1} - v_k that is the ratio form
 
         d_{k-1} + (a + r b) / (2 (1 + r)),   r = 2 ((eps' + a^2) / (eps' + b^2))^2,
 

@@ -1,4 +1,5 @@
 import csv
+from functools import cache
 
 import numpy as np
 import pytest
@@ -177,6 +178,7 @@ def assert_close_to_reference(actual, reference):
     assert np.all(np.abs(actual - reference) <= bound)
 
 
+@cache
 def kernel_cases():
     """(chain, rates, field) on smooth, kinked, flat and 43-regime data."""
     y = Grid(101).vertices

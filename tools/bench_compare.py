@@ -109,19 +109,20 @@ def one_sided_flags(parent_seeds: set[int], change_seeds: set[int]) -> list[str]
 
 
 def unpaired(parent: dict, change: dict) -> list[dict]:
-    """The workload and trace settings that ran on neither side with a pair."""
-    ran_old, ran_new = seeds_by_group(parent), seeds_by_group(change)
-    return [{"workload": w, "trace": t, "parent_seeds": sorted(ran_old.get((w, t), ())),
-             "change_seeds": sorted(ran_new.get((w, t), ()))}
-            for w, t in sorted(ran_old.keys() | ran_new.keys())
-            if not ran_old.get((w, t), set()) & ran_new.get((w, t), set())]
+    """The workload and trace settings without a single pair, with the
+    seeds each side ran."""
+    ran_parent, ran_change = seeds_by_group(parent), seeds_by_group(change)
+    return [{"workload": w, "trace": t, "parent_seeds": sorted(ran_parent.get((w, t), ())),
+             "change_seeds": sorted(ran_change.get((w, t), ()))}
+            for w, t in sorted(ran_parent.keys() | ran_change.keys())
+            if not ran_parent.get((w, t), set()) & ran_change.get((w, t), set())]
 
 
 def compare(parent: dict, change: dict, specs: dict[str, dict]) -> list[dict]:
     rows = []
-    ran_old, ran_new = seeds_by_group(parent), seeds_by_group(change)
-    for workload, trace in sorted(ran_old.keys() & ran_new.keys()):
-        seeds = sorted(ran_old[workload, trace] & ran_new[workload, trace])
+    ran_parent, ran_change = seeds_by_group(parent), seeds_by_group(change)
+    for workload, trace in sorted(ran_parent.keys() & ran_change.keys()):
+        seeds = sorted(ran_parent[workload, trace] & ran_change[workload, trace])
         if not seeds:
             continue
         pairs = [(parent[workload, s, trace], change[workload, s, trace]) for s in seeds]
@@ -159,7 +160,7 @@ def compare(parent: dict, change: dict, specs: dict[str, dict]) -> list[dict]:
                             "change": environment([c for _, c in pairs])},
             "flags": (commit_flags("parent", [p for p, _ in pairs])
                       + commit_flags("change", [c for _, c in pairs])
-                      + one_sided_flags(ran_old[workload, trace], ran_new[workload, trace])),
+                      + one_sided_flags(ran_parent[workload, trace], ran_change[workload, trace])),
         })
     return rows
 
