@@ -58,6 +58,7 @@ from .regime import (
     check_horizon,
     check_rates,
     estimate_chain,
+    realistic_chain,
     sample_regime_path,
     stationary_distribution,
 )

@@ -175,6 +175,19 @@ def _is_consistent(sol: SmoothSolution) -> bool:
     return bool(np.all(gain[below] >= -tol) and np.all(gain[~below] <= tol))
 
 
+def _bisect(lo: float, hi: float, below_root) -> float:
+    """The root in [lo, hi], bisected down to adjacent floats: the midpoint
+    of the last bracket. `below_root(y)` tells whether y lies below it."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: done
+            return mid
+        if below_root(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
 def solve_smooth_pasting(problem: ScalarProblem) -> SmoothSolution:
     """Find the C^1 pasting pair (psi1, ybar) by scan + bisection.
 
@@ -204,16 +217,8 @@ def solve_smooth_pasting(problem: ScalarProblem) -> SmoothSolution:
 
     for i in brackets:
         lo, hi = float(grid[i]), float(grid[i + 1])
-        r_lo = _pasting_residuals(problem, lo)[0]
-        while True:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:  # adjacent floats: done
-                break
-            if (_pasting_residuals(problem, mid)[0] > 0) == (r_lo > 0):
-                lo = mid
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
+        sign_lo = _pasting_residuals(problem, lo)[0] > 0
+        roots.append(_bisect(lo, hi, lambda y: (_pasting_residuals(problem, y)[0] > 0) == sign_lo))
 
     if not roots:
         raise NoInteriorThresholdError(
@@ -257,17 +262,8 @@ def ergodic_threshold(S: float, c: float, d: float, lam: float) -> ErgodicSoluti
         return ErgodicSolution(ybar=1.0, u=u, degenerate=True)
 
     target = d * S / (1.0 - c * S)
-    decay = lambda y: (1.0 - y) * math.exp(-lam / S * y)  # strictly decreasing
-    lo, hi = 0.0, 1.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if decay(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    ybar = 0.5 * (lo + hi)
+    # (1 - y) exp(-lam y / S) is strictly decreasing
+    ybar = _bisect(0.0, 1.0, lambda y: (1.0 - y) * math.exp(-lam / S * y) > target)
     u = c * S + d * S / (1.0 - ybar)
     return ErgodicSolution(ybar=ybar, u=u)
 

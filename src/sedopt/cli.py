@@ -11,6 +11,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import types
+import typing
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,8 +23,6 @@ from . import analytic, mc, pde, regime, transport
 from .errors import InputError, SedoptError
 
 __all__ = ["RunConfig", "run", "default_realistic_config", "main"]
-
-COMMANDS = ("identify", "solve", "exact", "simulate", "convergence")
 
 
 @dataclass
@@ -61,7 +62,7 @@ class RunConfig:
     per_path: bool = False
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in _COMMAND_TABLE:
             raise InputError(f"unknown command {self.command!r}")
 
     def sediment_properties(self) -> transport.SedimentProperties:
@@ -121,21 +122,13 @@ def _write_text(path: Path, text: str) -> None:
     _write_atomic(path, lambda p: p.write_text(text))
 
 
-def _require(config: RunConfig, *names: str) -> None:
-    for name in names:
-        if getattr(config, name) is None:
-            raise InputError(f"{config.command}: --{name.replace('_', '-')} is required")
-
-
 def _run_identify(config: RunConfig, outdir: Path) -> None:
-    _require(config, "series")
     series = regime.DischargeSeries.from_csv(config.series)
     chain = regime.estimate_chain(series, width=config.width, count=config.count)
     _write_atomic(outdir / "chain.json", chain.to_json)
 
 
 def _load_chain_and_rates(config: RunConfig):
-    _require(config, "chain")
     chain = regime.RegimeChain.from_json(config.chain)
     props = config.sediment_properties()
     return chain, transport.rates_for_chain(chain, props)
@@ -168,7 +161,6 @@ def _run_solve(config: RunConfig, outdir: Path) -> None:
 
 
 def _run_exact(config: RunConfig, outdir: Path) -> None:
-    _require(config, "S")
     problem = config.costs()
     extra = {}
     if problem.delta > 0:
@@ -210,7 +202,6 @@ def _run_simulate(config: RunConfig, outdir: Path) -> None:
 
 
 def _run_convergence(config: RunConfig, outdir: Path) -> None:
-    _require(config, "S")
     rows = pde.convergence_study(config.costs(), config.resolutions, config.solver_config())
     lines = ["n,linf_error,l1_error,linf_rate,l1_rate,ybar,ybar_error"]
     for r in rows:
@@ -223,13 +214,53 @@ def _run_convergence(config: RunConfig, outdir: Path) -> None:
     _write_text(outdir / "convergence.csv", "\n".join(lines) + "\n")
 
 
-_RUNNERS = {
-    "identify": _run_identify,
-    "solve": _run_solve,
-    "exact": _run_exact,
-    "simulate": _run_simulate,
-    "convergence": _run_convergence,
+# a subcommand's runner, help line, the RunConfig fields it requires and the
+# other fields it takes; each field is a flag
+_Command = namedtuple("_Command", "runner help required takes")
+_COSTS = ("delta", "c", "d", "lam")
+_SOLVER = ("n", "dt", "t_end", "tol")
+
+_COMMAND_TABLE = {
+    "identify": _Command(_run_identify, "estimate a regime chain from a discharge CSV",
+                         ("series",), ("width", "count")),
+    "solve": _Command(_run_solve, "solve the stationary system, extract the policy",
+                      ("chain",), ("props", *_COSTS, "lam_upper", *_SOLVER)),
+    "exact": _Command(_run_exact, "closed-form single-regime solution",
+                      ("S",), (*_COSTS, "samples")),
+    "simulate": _Command(_run_simulate, "Monte Carlo cost of a threshold policy",
+                         ("chain",), ("props", "policy", *_COSTS, "y0", "horizon", "paths",
+                                      "seed", "initial_regime", "per_path")),
+    "convergence": _Command(_run_convergence, "refinement study against the closed form",
+                            ("S",), (*_COSTS, "resolutions", *_SOLVER)),
 }
+
+_ALIASES = {"lam": "--lambda", "lam_upper": "--lambda-upper"}
+_FLAG_HELP = {
+    "S": "transport rate, 1/day",
+    "lam": "observation intensity, 1/day; fractions like 1/7 work",
+    "lam_upper": "upper intensity of an ambiguity interval",
+    "n": "grid vertex count",
+    "dt": "ignored",
+    "t_end": "ignored",
+    "tol": "bound on max |residual|",
+    "samples": "also sample the candidate on this many vertices",
+    "policy": "free_boundary.csv; omit for the null policy",
+    "per_path": "also write per-path costs",
+}
+
+
+def _flag(name: str) -> str:
+    """The flag of a RunConfig field: --<name>, with - for _."""
+    return _ALIASES.get(name, "--" + name.replace("_", "-"))
+
+
+def _flag_options(hint) -> dict:
+    """argparse options for a RunConfig field annotated `hint`."""
+    if isinstance(hint, types.UnionType):  # X | None
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    if hint is bool:
+        return {"action": "store_const", "const": True}
+    return {"type": {float: parse_rate, int: int, str: str, list[int]: parse_resolutions}[hint]}
 
 
 def run(config: RunConfig) -> int:
@@ -238,7 +269,11 @@ def run(config: RunConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     # echo first, so a failed run never leaves an earlier run's echo behind
     _write_atomic(outdir / "run_config.json", config.to_json)
-    _RUNNERS[config.command](config, outdir)
+    command = _COMMAND_TABLE[config.command]
+    for name in command.required:
+        if getattr(config, name) is None:
+            raise InputError(f"{config.command}: {_flag(name)} is required")
+    command.runner(config, outdir)
     return 0
 
 
@@ -248,68 +283,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Optimal sediment replenishment under random observation",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    hints = typing.get_type_hints(RunConfig)  # what config files are checked against too
+    for command, spec in _COMMAND_TABLE.items():
+        p = sub.add_parser(command, help=spec.help)
         p.add_argument("--config", help="JSON file with RunConfig fields")
-        p.add_argument("--outdir", default=None)
-
-    def costs(p, with_s):
-        if with_s:
-            p.add_argument("--S", type=parse_rate, default=None,
-                           help="transport rate, 1/day")
-        p.add_argument("--delta", type=parse_rate, default=None)
-        p.add_argument("--c", type=parse_rate, default=None)
-        p.add_argument("--d", type=parse_rate, default=None)
-        p.add_argument("--lambda", dest="lam", type=parse_rate, default=None,
-                       help="observation intensity, 1/day; fractions like 1/7 work")
-
-    def solver(p):
-        p.add_argument("--n", type=int, default=None, help="grid vertex count")
-        p.add_argument("--dt", type=parse_rate, default=None, help="ignored")
-        p.add_argument("--t-end", dest="t_end", type=parse_rate, default=None, help="ignored")
-        p.add_argument("--tol", type=float, default=None, help="bound on max |residual|")
-
-    p = sub.add_parser("identify", help="estimate a regime chain from a discharge CSV")
-    common(p)
-    p.add_argument("--series", default=None)
-    p.add_argument("--width", type=parse_rate, default=None)
-    p.add_argument("--count", type=int, default=None)
-
-    p = sub.add_parser("solve", help="solve the stationary system, extract the policy")
-    common(p)
-    p.add_argument("--chain", default=None)
-    p.add_argument("--props", default=None)
-    costs(p, with_s=False)
-    p.add_argument("--lambda-upper", dest="lam_upper", type=parse_rate, default=None,
-                   help="upper intensity of an ambiguity interval")
-    solver(p)
-
-    p = sub.add_parser("exact", help="closed-form single-regime solution")
-    common(p)
-    costs(p, with_s=True)
-    p.add_argument("--samples", type=int, default=None,
-                   help="also sample the candidate on this many vertices")
-
-    p = sub.add_parser("simulate", help="Monte Carlo cost of a threshold policy")
-    common(p)
-    p.add_argument("--chain", default=None)
-    p.add_argument("--props", default=None)
-    p.add_argument("--policy", default=None,
-                   help="free_boundary.csv; omit for the null policy")
-    costs(p, with_s=False)
-    p.add_argument("--y0", type=parse_rate, default=None)
-    p.add_argument("--horizon", type=parse_rate, default=None)
-    p.add_argument("--paths", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--initial-regime", dest="initial_regime", type=int, default=None)
-    p.add_argument("--per-path", dest="per_path", action="store_const", const=True,
-                   default=None, help="also write per-path costs")
-
-    p = sub.add_parser("convergence", help="refinement study against the closed form")
-    common(p)
-    costs(p, with_s=True)
-    p.add_argument("--resolutions", type=parse_resolutions, default=None)
-    solver(p)
+        for name in ("outdir", *spec.required, *spec.takes):
+            p.add_argument(_flag(name), dest=name, default=None, help=_FLAG_HELP.get(name),
+                           **_flag_options(hints[name]))
     return top
 
 

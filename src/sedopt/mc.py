@@ -22,6 +22,7 @@ from .errors import DomainError, InputError, StructureError
 from .pde import ThresholdPolicy, single_regime_chain
 from .regime import RegimeChain, RegimePath, check_horizon, check_rates
 from .regime import sample_regime_path  # noqa: F401  perfbench/run.py traces it here
+from .regime import spawn_streams as _streams  # looked up per run, so tests can patch it
 
 __all__ = [
     "StoragePath",
@@ -126,11 +127,6 @@ def simulate_storage(regime_path: RegimePath, rates, y0: float) -> StoragePath:
         times.append(t1)
         values.append(y)
     return StoragePath(times=np.asarray(times), values=np.asarray(values))
-
-
-def _streams(seed) -> list[np.random.Generator]:
-    """Independent regime and observation generators from one seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
 
 
 def _next_switch(rng: np.random.Generator, t, out_rates):
@@ -300,7 +296,7 @@ def simulate_controlled(
     costs: CostSpec,
     y0: float,
     horizon: float,
-    seed: int | np.random.SeedSequence | None = None,
+    seed: int | None = None,
     initial_regime: int = 0,
 ) -> PathRecord:
     """One controlled trajectory under the threshold rule, fully recorded.
@@ -325,7 +321,7 @@ def estimate_cost(
     y0: float,
     horizon: float,
     n_paths: int,
-    seed: int | np.random.SeedSequence | None = None,
+    seed: int | None = None,
     initial_regime: int = 0,
     keep_samples: bool = False,
 ) -> CostEstimate:

@@ -276,20 +276,9 @@ class _Residual:
         return res, gap
 
 
-def _residual_arrays(
-    v: NDArray[np.float64],
-    chain: RegimeChain,
-    rates: NDArray[np.float64],
-    costs: CostSpec,
-    grid: Grid,
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """The residual and the intervention gap it is built from."""
-    return _Residual(chain, rates, costs, grid)(v)
-
-
 def residual(fld: ValueField) -> NDArray[np.float64]:
     """Pointwise residual of the stationary optimality system (same shape)."""
-    return _residual_arrays(fld.values, fld.chain, fld.rates, fld.costs, fld.grid)[0]
+    return _Residual(fld.chain, fld.rates, fld.costs, fld.grid)(fld.values)[0]
 
 
 class _BlockSweep:

@@ -38,6 +38,8 @@ __all__ = [
     "check_horizon",
     "read_csv_rows",
     "read_json_fields",
+    "realistic_chain",
+    "spawn_streams",
     "strong_components",
     "write_json_fields",
 ]
@@ -492,6 +494,30 @@ def stationary_distribution(chain: RegimeChain) -> NDArray[np.float64]:
     return p
 
 
+def realistic_chain(seed: int) -> RegimeChain:
+    """The paper's dam-downstream chain: 43 regimes on 2.5 m^3/s bins with
+    nearest-neighbour switching. Up and down rates are drawn by
+    `default_rng(seed)` uniformly within 10% of 0.7 and 1.1 per day."""
+    rng = np.random.default_rng(seed)
+    count = 43
+    rates = np.zeros((count, count))
+    low = np.arange(count - 1)
+    rates[low, low + 1] = 0.7 * rng.uniform(0.9, 1.1, count - 1)
+    rates[low + 1, low] = 1.1 * rng.uniform(0.9, 1.1, count - 1)
+    return RegimeChain(discharges=1.25 + 2.5 * np.arange(count), rates=rates)
+
+
+def spawn_streams(seed: int | None) -> list[np.random.Generator]:
+    """Independent regime and observation generators from one seed, in
+    that order; :class:`InputError` for a seed that `SeedSequence` rejects,
+    a negative one for instance."""
+    try:
+        sequence = np.random.SeedSequence(seed)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad seed {reprlib.repr(seed)}: {exc}") from None
+    return [np.random.default_rng(s) for s in sequence.spawn(2)]
+
+
 def sample_regime_path(
     chain: RegimeChain,
     initial: int,
@@ -506,11 +532,16 @@ def sample_regime_path(
     cost more than the draw. An absorbing regime (zero outgoing rate)
     yields a path that simply stays there; that is a valid single-segment
     result, not an error.
+
+    It draws from the regime stream of `spawn_streams(seed)` in the engine's
+    order (a hold, then a uniform and a hold per switch), so it gives the
+    regime path that `mc.simulate_controlled` records with the same seed. A
+    Generator passed as `seed` is drawn from as it is.
     """
     horizon = check_horizon(horizon)
     if not 0 <= initial < chain.count:
         raise InputError(f"initial regime {initial} out of range")
-    rng = np.random.default_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else spawn_streams(seed)[0]
     out_rates = chain.out_rates.tolist()
     targets, cum = (a.tolist() for a in chain.jump_rows)
 

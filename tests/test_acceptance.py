@@ -35,7 +35,7 @@ from sedopt.pde import (
     solve_stationary,
     solve_with_ambiguity,
 )
-from sedopt.regime import RegimeChain, sample_regime_path
+from sedopt.regime import RegimeChain, realistic_chain, sample_regime_path
 from sedopt.transport import SedimentProperties, rates_for_chain
 
 EXACT_YBAR = 0.615195  # six-digit reference threshold of the benchmark
@@ -286,24 +286,13 @@ def test_multi_regime_policy_verified_by_monte_carlo():
     assert ok, "; ".join(details)
 
 
-def paper_chain():
-    """The 43-regime chain of `test_cli.py::test_realistic_chain` at seed 0."""
-    rng = np.random.default_rng(0)
-    count = 43
-    nu = np.zeros((count, count))
-    low = np.arange(count - 1)
-    nu[low, low + 1] = 0.7 * rng.uniform(0.9, 1.1, count - 1)
-    nu[low + 1, low] = 1.1 * rng.uniform(0.9, 1.1, count - 1)
-    return RegimeChain(discharges=1.25 + 2.5 * np.arange(count), rates=nu)
-
-
 def test_paper_size_policy_verified_by_monte_carlo():
     # the same check at the paper's size, 43 regimes x 301 vertices, plus a
     # common-random-numbers check from regime 0 at full storage: shifting
     # every threshold by 0.05 up or down does not beat the policy beyond
     # 3 se of the paired per-path difference
     start = time.perf_counter()
-    chain = paper_chain()
+    chain = realistic_chain(0)
     rates = rates_for_chain(chain, SedimentProperties())
     costs = CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0)
     coarse, fine = (solve_stationary(chain, rates, costs, Grid(n), SolverConfig(tol=1e-9))

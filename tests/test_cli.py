@@ -18,7 +18,7 @@ from sedopt.pde import (
     CostSpec, Grid, SolveResult, ThresholdPolicy, ValueField, extract_policy,
     read_free_boundary_csv, residual, single_regime_chain,
 )
-from sedopt.regime import RegimeChain
+from sedopt.regime import RegimeChain, realistic_chain
 from sedopt.transport import SedimentProperties, rates_for_chain
 
 
@@ -31,18 +31,6 @@ def chain_file(tmp_path):
     path = tmp_path / "chain.json"
     chain.to_json(path)
     return path
-
-
-def realistic_chain(seed):
-    """43 regimes on 2.5 m^3/s bins, nearest-neighbour switching with seeded
-    jitter: the paper's dam-downstream chain."""
-    rng = np.random.default_rng(seed)
-    count = 43
-    nu = np.zeros((count, count))
-    low = np.arange(count - 1)
-    nu[low, low + 1] = 0.7 * rng.uniform(0.9, 1.1, count - 1)
-    nu[low + 1, low] = 1.1 * rng.uniform(0.9, 1.1, count - 1)
-    return RegimeChain(discharges=1.25 + 2.5 * np.arange(count), rates=nu)
 
 
 def run_cli(*args):
@@ -90,6 +78,39 @@ class TestParsing:
 
     def test_resolutions(self):
         assert cli.parse_resolutions("51,101,201") == [51, 101, 201]
+
+    def test_flag_sets(self):
+        # each command's flags, in order, as they stood before the command
+        # table built the parser; no flag is added, dropped or renamed
+        costs = ["--delta", "--c", "--d", "--lambda"]
+        solver = ["--n", "--dt", "--t-end", "--tol"]
+        expected = {
+            "identify": ["--series", "--width", "--count"],
+            "solve": ["--chain", "--props", *costs, "--lambda-upper", *solver],
+            "exact": ["--S", *costs, "--samples"],
+            "simulate": ["--chain", "--props", "--policy", *costs, "--y0", "--horizon",
+                         "--paths", "--seed", "--initial-regime", "--per-path"],
+            "convergence": ["--S", *costs, "--resolutions", *solver],
+        }
+        subparsers = next(action for action in cli._build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert list(subparsers.choices) == list(expected)
+        dests = set()
+        for command, flags in expected.items():
+            actions = subparsers.choices[command]._actions[1:]  # after -h
+            assert [a.option_strings for a in actions] == [
+                [flag] for flag in ["--config", "--outdir", *flags]]
+            dests.update(a.dest for a in actions)
+        fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+        assert fields - {"command"} == dests - {"config"}
+
+    def test_every_float_flag_takes_fractions(self):
+        config = cli.resolve_config(["solve", "--tol", "1/1e8", "--t-end", "180/2"])
+        assert (config.tol, config.t_end) == (1e-8, 90.0)
+        config = cli.resolve_config(["simulate", "--y0", "1/2", "--per-path", "--seed", "3"])
+        assert (config.y0, config.per_path, config.seed) == (0.5, True, 3)
+        config = cli.resolve_config(["convergence", "--resolutions", "11,21"])
+        assert config.resolutions == [11, 21] and config.S is None
 
     def test_default_realistic_config(self):
         config = cli.default_realistic_config()
@@ -244,6 +265,17 @@ class TestIdentify:
 
 
 class TestSolveSimulate:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n", "4", "grid needs at least 5 vertices"),
+        ("--delta", "-1", "discount rate must be >= 0"),
+        ("--c", "-1", "costs must be >= 0"),
+    ])
+    def test_bad_solve_input_fails(self, chain_file, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "solve"
+        assert run_cli("solve", "--chain", chain_file, flag, value, "--outdir", out) == 1
+        assert capsys.readouterr().err == f"sedopt: error: {message}\n"
+        assert not (out / "solve_result.json").exists()
+
     def solve(self, chain_file, out):
         return run_cli(
             "solve", "--chain", chain_file, "--delta", "0.2", "--c", "0.02",
@@ -459,6 +491,34 @@ class TestSolveSimulate:
         assert err == f"sedopt: error: {policy}: {rows} thresholds for a chain of 2 regimes\n"
         assert not (out / "cost_estimate.json").exists()
 
+    @pytest.mark.parametrize("rows, message", [
+        ("", "no policy rows"),
+        ("0,1,0.3\n2,10,0.3\n", "regime indices must be 0..1"),
+    ], ids=["header-only", "regime-gap"])
+    def test_simulate_policy_rows_fail(self, chain_file, tmp_path, capsys, rows, message):
+        policy = tmp_path / "free_boundary.csv"
+        policy.write_text("regime,q,Ybar\n" + rows)
+        out = tmp_path / "sim"
+        status = run_cli("simulate", "--chain", chain_file, "--policy", policy,
+                         "--paths", "8", "--outdir", out)
+        assert status == 1
+        assert capsys.readouterr().err == f"sedopt: error: {policy}: {message}\n"
+        assert not (out / "cost_estimate.json").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_simulate_negative_seed_fails(self, chain_file, tmp_path, capsys, source):
+        # it used to end in numpy's "expected non-negative integer" traceback
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"seed": -1}))
+        seed = ["--seed", "-1"] if source == "flag" else ["--config", config]
+        out = tmp_path / "sim"
+        status = run_cli("simulate", "--chain", chain_file, *seed, "--paths", "8",
+                         "--outdir", out)
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sedopt: error: bad seed -1") and err.count("\n") == 1
+        assert not (out / "cost_estimate.json").exists()
+
     def test_simulate_reproducible(self, chain_file, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -643,3 +703,13 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             cli.main(["solve", "--no-such-flag"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--resolutions", "a,b"), ("--tol", "1e-9x"), ("--n", "1.5"),
+    ])
+    def test_bad_flag_value_is_two(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["convergence", flag, value, "--outdir", str(tmp_path)])
+        assert info.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "run_config.json").exists()

@@ -27,6 +27,7 @@ from sedopt.regime import (
     RegimeChain,
     RegimePath,
     estimate_chain,
+    realistic_chain,
     sample_regime_path,
 )
 from sedopt.transport import SedimentProperties, rates_for_chain
@@ -43,17 +44,6 @@ def three_regime_chain():
         [0.3, 1.5, 0.0],
     ])
     return RegimeChain(discharges=np.array([1.0, 5.0, 20.0]), rates=rates)
-
-
-def paper_chain():
-    """The 43-regime chain of `test_cli.py::realistic_chain` at seed 0."""
-    rng = np.random.default_rng(0)
-    count = 43
-    nu = np.zeros((count, count))
-    low = np.arange(count - 1)
-    nu[low, low + 1] = 0.7 * rng.uniform(0.9, 1.1, count - 1)
-    nu[low + 1, low] = 1.1 * rng.uniform(0.9, 1.1, count - 1)
-    return RegimeChain(discharges=1.25 + 2.5 * np.arange(count), rates=nu)
 
 
 def reference_simulate(chain, rates, policy, costs, y0, initial_regime, horizon, n_paths,
@@ -139,7 +129,7 @@ def absorbing_chain():
 
 
 ENGINE_CASES = {
-    "realistic43": (paper_chain(), rates_for_chain(paper_chain(), SedimentProperties())),
+    "realistic43": (realistic_chain(0), rates_for_chain(realistic_chain(0), SedimentProperties())),
     "three-regime, zero transport": (three_regime_chain(), np.array([0.0, 0.08, 0.5])),
     "absorbing": (absorbing_chain(), np.array([0.02, 0.08, 0.5])),
     "single": (CHAIN_1, BENCH_RATES),
@@ -188,6 +178,44 @@ def test_bad_drain_rates_rejected(entry, rates, error):
 def test_bad_horizon_rejected(entry, horizon):
     with pytest.raises(InputError):
         entry(horizon)
+
+
+@pytest.mark.parametrize("y0, initial", [(1.5, 0), (math.nan, 0), (1.0, -1), (1.0, 3)],
+                         ids=["y0-above-1", "y0-nan", "regime-negative", "regime-count"])
+def test_bad_start_rejected(y0, initial):
+    with pytest.raises(InputError):
+        estimate_cost(three_regime_chain(), np.zeros(3), None, BENCH_COSTS, y0, 10.0, 8,
+                      seed=0, initial_regime=initial)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda seed: estimate_cost(CHAIN_1, BENCH_RATES, None, BENCH_COSTS, 1.0, 10.0, 8, seed),
+    lambda seed: simulate_controlled(CHAIN_1, BENCH_RATES, None, BENCH_COSTS, 1.0, 10.0, seed),
+    lambda seed: sample_regime_path(three_regime_chain(), 0, 10.0, seed),
+], ids=["estimate_cost", "simulate_controlled", "sample_regime_path"])
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_bad_seed_rejected(entry, seed):
+    # numpy's SeedSequence raises a bare ValueError or TypeError
+    with pytest.raises(InputError, match="bad seed"):
+        entry(seed)
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_sample_regime_path_is_the_engine_regime_path(case):
+    # one seed contract: both draw the regime stream of `spawn_streams(seed)`
+    # in the same order, so the sampled path is the one the engine records
+    chain, rates = ENGINE_CASES[case]
+    absorbed = 0
+    for seed in range(25):
+        initial = seed % chain.count
+        recorded = simulate_controlled(chain, rates, None, BENCH_COSTS, 0.5, 40.0, seed,
+                                       initial).regime_path
+        sampled = sample_regime_path(chain, initial, 40.0, seed)
+        np.testing.assert_array_equal(sampled.start_times, recorded.start_times)
+        np.testing.assert_array_equal(sampled.regimes, recorded.regimes)
+        absorbed += sampled.regimes.size > 1 and sampled.regimes[-1] == 2
+    if case == "absorbing":
+        assert absorbed  # some paths switch into the absorbing regime and stay
 
 
 class TestSimulateStorage:

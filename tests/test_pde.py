@@ -16,7 +16,6 @@ from sedopt.pde import (
     ValueField,
     _BlockSweep,
     _Residual,
-    _residual_arrays,
     convergence_study,
     extract_policy,
     read_free_boundary_csv,
@@ -28,7 +27,7 @@ from sedopt.pde import (
     write_free_boundary_csv,
     write_value_field_csv,
 )
-from sedopt.regime import RegimeChain
+from sedopt.regime import RegimeChain, realistic_chain
 from sedopt.transport import SedimentProperties, rates_for_chain
 
 BENCH_COSTS = CostSpec(delta=BENCHMARK.delta, c=BENCHMARK.c, d=BENCHMARK.d, lam=BENCHMARK.lam)
@@ -56,17 +55,6 @@ def two_regime_setup():
     return chain, np.array([0.02, 0.3])
 
 
-def paper_chain():
-    """The 43-regime chain of `test_cli.py::realistic_chain` at seed 0."""
-    rng = np.random.default_rng(0)
-    count = 43
-    nu = np.zeros((count, count))
-    low = np.arange(count - 1)
-    nu[low, low + 1] = 0.7 * rng.uniform(0.9, 1.1, count - 1)
-    nu[low + 1, low] = 1.1 * rng.uniform(0.9, 1.1, count - 1)
-    return RegimeChain(discharges=1.25 + 2.5 * np.arange(count), rates=nu)
-
-
 def explicit_march(chain, rates, costs, grid, tol):
     """Reference solve: forward Euler in pseudo-time, P <- P - dt residual(P),
     at a CFL-stable step until the step change drops below tol.
@@ -78,8 +66,9 @@ def explicit_march(chain, rates, costs, grid, tol):
     outflow = chain.rates.sum(axis=1)
     dt = 0.4 * grid.h / (rates.max() + grid.h * (costs.delta + costs.lam + outflow.max()))
     v = np.zeros((chain.count, grid.n))
+    kernel = _Residual(chain, rates, costs, grid)
     for _ in range(10**6):
-        step = dt * _residual_arrays(v, chain, rates, costs, grid)[0]
+        step = dt * kernel(v)[0]
         v = v - step
         if np.max(np.abs(step)) < tol:
             return v, dt
@@ -162,7 +151,8 @@ def reference_weno3(values, h):
 
 
 def reference_residual_arrays(v, chain, rates, costs, grid):
-    """`_residual_arrays` as it stood before `_Residual`, frozen with it."""
+    """The residual and intervention gap as computed before `_Residual`,
+    frozen with it."""
     adv = rates[:, None] * reference_weno3(v, grid.h)
     adv[:, 0] = 0.0
     coupling = chain.out_rates[:, None] * v - chain.rates @ v
@@ -182,7 +172,7 @@ def assert_close_to_reference(actual, reference):
 def kernel_cases():
     """(chain, rates, field) on smooth, kinked, flat and 43-regime data."""
     y = Grid(101).vertices
-    paper = paper_chain()
+    paper = realistic_chain(0)
     drains = rates_for_chain(paper, SedimentProperties())
     solved = solve_stationary(paper, drains, CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0),
                               Grid(31), SolverConfig(tol=1e-9)).field.values
@@ -205,7 +195,7 @@ class TestResidualKernel:
     def test_matches_the_frozen_residual(self, case, delta):
         chain, rates, v = kernel_cases()[case]
         costs, grid = CostSpec(delta=delta, c=0.02, d=0.01, lam=1.0 / 7.0), Grid(v.shape[1])
-        res, gap = _residual_arrays(v, chain, rates, costs, grid)
+        res, gap = _Residual(chain, rates, costs, grid)(v)
         ref_res, ref_gap = reference_residual_arrays(v, chain, rates, costs, grid)
         assert_close_to_reference(res, ref_res)
         np.testing.assert_array_equal(gap, ref_gap)

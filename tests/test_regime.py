@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from sedopt.regime import (
     RegimePath,
     bin_discharge,
     estimate_chain,
+    realistic_chain,
     sample_regime_path,
     stationary_distribution,
     strong_components,
@@ -287,6 +290,21 @@ class TestStationaryDistribution:
         assert np.max(np.abs(p @ chain.generator())) < 1e-12
 
 
+def test_realistic_chain_is_the_benchmark_chain():
+    # perfbench/workloads.py keeps its own copy of the generator: the seed-s
+    # chain of its realistic43 workload is realistic_chain(default_rng(s))
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed in range(3):
+        ours = realistic_chain(seed)
+        theirs = workloads.realistic_chain(np.random.default_rng(seed))
+        assert ours.count == 43
+        np.testing.assert_array_equal(ours.discharges, theirs.discharges)
+        np.testing.assert_array_equal(ours.rates, theirs.rates)
+
+
 class TestSampleRegimePath:
     def test_single_regime_single_segment(self):
         chain = RegimeChain(discharges=np.array([1.0]), rates=np.zeros((1, 1)))
@@ -453,6 +471,16 @@ class TestRegimePathValidation:
                 regimes=np.array([0, 0]),
                 horizon=2.0,
             )
+
+    @pytest.mark.parametrize("start_times, regimes, horizon", [
+        ([0.0, 2.0, 1.0], [0, 1, 0], 3.0),
+        ([0.0, 1.0], [0, 1], 1.0),
+        ([0.0, 1.0], [0, 2], 2.0),
+    ], ids=["decreasing-starts", "horizon-at-last-start", "regime-out-of-range"])
+    def test_malformed_path_rejected(self, start_times, regimes, horizon):
+        with pytest.raises(InputError):
+            RegimePath(start_times=np.array(start_times), regimes=np.array(regimes),
+                       horizon=horizon, count=2)
 
     def test_occupancy_sums_segment_lengths(self):
         path = RegimePath(

@@ -2,8 +2,8 @@
 
     python3 tools/solver_sweep.py --n 11 31 --seeds 1000 [--first 0] [--tol 1e-9] [--out FILE]
 
-Seed s draws the chain of `tests/test_cli.py::test_realistic_chain`: 43
-regimes on 2.5 m^3/s bins, nearest-neighbour switching with seeded jitter,
+Seed s draws the chain `sedopt.regime.realistic_chain(s)`: 43 regimes on
+2.5 m^3/s bins, nearest-neighbour switching with seeded jitter,
 Meyer-Peter-Mueller rates and delta 0.2, c 0.02, d 0.01, lambda 1/7. Per
 grid size the report gives the median, p99 and worst iteration counts, the
 worst seed, the unconverged seeds and `needed_window`: the smallest stall
@@ -31,20 +31,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sedopt.analytic import CostSpec  # noqa: E402
 from sedopt.pde import Grid, SolverConfig, solve_stationary  # noqa: E402
-from sedopt.regime import RegimeChain  # noqa: E402
+from sedopt.regime import realistic_chain  # noqa: E402
 from sedopt.transport import SedimentProperties, rates_for_chain  # noqa: E402
 
-COUNT = 43
 COSTS = CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0)
-
-
-def realistic_chain(seed: int) -> RegimeChain:
-    rng = np.random.default_rng(seed)
-    nu = np.zeros((COUNT, COUNT))
-    low = np.arange(COUNT - 1)
-    nu[low, low + 1] = 0.7 * rng.uniform(0.9, 1.1, COUNT - 1)
-    nu[low + 1, low] = 1.1 * rng.uniform(0.9, 1.1, COUNT - 1)
-    return RegimeChain(discharges=1.25 + 2.5 * np.arange(COUNT), rates=nu)
 
 
 def needed_window(history) -> int:
