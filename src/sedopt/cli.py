@@ -118,14 +118,10 @@ def _write_atomic(path: Path, writer) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _write_text(path: Path, text: str) -> None:
-    _write_atomic(path, lambda p: p.write_text(text))
-
-
-def _run_identify(config: RunConfig, outdir: Path) -> None:
+def _run_identify(config: RunConfig):
     series = regime.DischargeSeries.from_csv(config.series)
     chain = regime.estimate_chain(series, width=config.width, count=config.count)
-    _write_atomic(outdir / "chain.json", chain.to_json)
+    yield "chain.json", chain.to_json
 
 
 def _load_chain_and_rates(config: RunConfig):
@@ -134,7 +130,7 @@ def _load_chain_and_rates(config: RunConfig):
     return chain, transport.rates_for_chain(chain, props)
 
 
-def _run_solve(config: RunConfig, outdir: Path) -> None:
+def _run_solve(config: RunConfig):
     chain, rates = _load_chain_and_rates(config)
     costs = config.costs()
     grid = pde.Grid(config.n)
@@ -145,23 +141,20 @@ def _run_solve(config: RunConfig, outdir: Path) -> None:
         )
     else:
         result = pde.solve_stationary(chain, rates, costs, grid, solver)
-    _write_atomic(outdir / "solve_result.json",
-                  lambda p: regime.write_json_fields(p, result, drop=("field",)))
-    if not result.converged:
-        # a later `simulate --policy` must not pick up an earlier run's policy
-        for stale in ("value_field.csv", "free_boundary.csv"):
-            (outdir / stale).unlink(missing_ok=True)
+    yield "solve_result.json", lambda p: regime.write_json_fields(p, result, drop=("field",))
     result.check_converged()
     policy = pde.extract_policy(result.field)
-
-    _write_atomic(outdir / "value_field.csv",
-                  lambda p: pde.write_value_field_csv(result.field, p))
-    _write_atomic(outdir / "free_boundary.csv",
-                  lambda p: pde.write_free_boundary_csv(chain, policy, p))
+    yield "value_field.csv", lambda p: pde.write_value_field_csv(result.field, p)
+    yield "free_boundary.csv", lambda p: pde.write_free_boundary_csv(chain, policy, p)
 
 
-def _run_exact(config: RunConfig, outdir: Path) -> None:
+def _run_exact(config: RunConfig):
     problem = config.costs()
+    if config.samples < 0:
+        raise InputError(f"--samples must be >= 0, got {config.samples}")
+    if config.samples and not problem.delta > 0:
+        raise InputError("--samples needs --delta > 0: the ergodic case has no "
+                         "candidate value function")
     extra = {}
     if problem.delta > 0:
         sol = analytic.solve_smooth_pasting(problem)
@@ -169,18 +162,17 @@ def _run_exact(config: RunConfig, outdir: Path) -> None:
             extra["u"] = analytic.ergodic_threshold(
                 problem.S, problem.c, problem.d, problem.lam
             ).u
-        if config.samples > 0:
-            ys = np.linspace(0.0, 1.0, config.samples)
-            vals = analytic.evaluate_candidate(sol, ys)
-            lines = ["y,psi"] + [f"{y:.12g},{v:.15g}" for y, v in zip(ys, vals)]
-            _write_text(outdir / "candidate_values.csv", "\n".join(lines) + "\n")
     else:
         sol = analytic.ergodic_threshold(problem.S, problem.c, problem.d, problem.lam)
-    _write_atomic(outdir / "exact.json",
-                  lambda p: regime.write_json_fields(p, sol, drop=("problem",), **extra))
+    yield "exact.json", lambda p: regime.write_json_fields(p, sol, drop=("problem",), **extra)
+    if config.samples > 0:
+        ys = np.linspace(0.0, 1.0, config.samples)
+        vals = analytic.evaluate_candidate(sol, ys)
+        lines = ["y,psi"] + [f"{y:.12g},{v:.15g}" for y, v in zip(ys, vals)]
+        yield "candidate_values.csv", lambda p: p.write_text("\n".join(lines) + "\n")
 
 
-def _run_simulate(config: RunConfig, outdir: Path) -> None:
+def _run_simulate(config: RunConfig):
     chain, rates = _load_chain_and_rates(config)
     policy = pde.read_free_boundary_csv(config.policy) if config.policy else None
     if policy is not None and policy.boundaries.size != chain.count:
@@ -192,16 +184,15 @@ def _run_simulate(config: RunConfig, outdir: Path) -> None:
         seed=config.seed, initial_regime=config.initial_regime,
         keep_samples=config.per_path,
     )
-    _write_atomic(outdir / "cost_estimate.json",
-                  lambda p: regime.write_json_fields(p, est, drop=("samples",)))
+    yield "cost_estimate.json", lambda p: regime.write_json_fields(p, est, drop=("samples",))
     if config.per_path:
         lines = ["path,cost"] + [
             f"{k},{x:.15g}" for k, x in enumerate(est.samples)
         ]
-        _write_text(outdir / "paths.csv", "\n".join(lines) + "\n")
+        yield "paths.csv", lambda p: p.write_text("\n".join(lines) + "\n")
 
 
-def _run_convergence(config: RunConfig, outdir: Path) -> None:
+def _run_convergence(config: RunConfig):
     rows = pde.convergence_study(config.costs(), config.resolutions, config.solver_config())
     lines = ["n,linf_error,l1_error,linf_rate,l1_rate,ybar,ybar_error"]
     for r in rows:
@@ -211,27 +202,29 @@ def _run_convergence(config: RunConfig, outdir: Path) -> None:
             f"{'' if r.l1_rate is None else f'{r.l1_rate:.3f}'},"
             f"{r.ybar:.12g},{r.ybar_error:.6e}"
         )
-    _write_text(outdir / "convergence.csv", "\n".join(lines) + "\n")
+    yield "convergence.csv", lambda p: p.write_text("\n".join(lines) + "\n")
 
 
-# a subcommand's runner, help line, the RunConfig fields it requires and the
-# other fields it takes; each field is a flag
-_Command = namedtuple("_Command", "runner help required takes")
+# a subcommand's runner, help line, the RunConfig fields it requires, the
+# other fields it takes (each field is a flag) and the files it may write
+_Command = namedtuple("_Command", "runner help required takes outputs")
 _COSTS = ("delta", "c", "d", "lam")
 _SOLVER = ("n", "dt", "t_end", "tol")
 
 _COMMAND_TABLE = {
     "identify": _Command(_run_identify, "estimate a regime chain from a discharge CSV",
-                         ("series",), ("width", "count")),
+                         ("series",), ("width", "count"), ("chain.json",)),
     "solve": _Command(_run_solve, "solve the stationary system, extract the policy",
-                      ("chain",), ("props", *_COSTS, "lam_upper", *_SOLVER)),
+                      ("chain",), ("props", *_COSTS, "lam_upper", *_SOLVER),
+                      ("solve_result.json", "value_field.csv", "free_boundary.csv")),
     "exact": _Command(_run_exact, "closed-form single-regime solution",
-                      ("S",), (*_COSTS, "samples")),
+                      ("S",), (*_COSTS, "samples"), ("exact.json", "candidate_values.csv")),
     "simulate": _Command(_run_simulate, "Monte Carlo cost of a threshold policy",
                          ("chain",), ("props", "policy", *_COSTS, "y0", "horizon", "paths",
-                                      "seed", "initial_regime", "per_path")),
+                                      "seed", "initial_regime", "per_path"),
+                         ("cost_estimate.json", "paths.csv")),
     "convergence": _Command(_run_convergence, "refinement study against the closed form",
-                            ("S",), (*_COSTS, "resolutions", *_SOLVER)),
+                            ("S",), (*_COSTS, "resolutions", *_SOLVER), ("convergence.csv",)),
 }
 
 _ALIASES = {"lam": "--lambda", "lam_upper": "--lambda-upper"}
@@ -264,16 +257,24 @@ def _flag_options(hint) -> dict:
 
 
 def run(config: RunConfig) -> int:
-    """Dispatch a resolved configuration; returns the exit status."""
+    """Dispatch a resolved configuration; returns the exit status.
+
+    Only this writes into the outdir: the echo first, then, once every file
+    the command may write is removed, the files its runner yields. So an
+    outdir never mixes two runs of one command.
+    """
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     # echo first, so a failed run never leaves an earlier run's echo behind
     _write_atomic(outdir / "run_config.json", config.to_json)
     command = _COMMAND_TABLE[config.command]
+    for name in command.outputs:
+        (outdir / name).unlink(missing_ok=True)
     for name in command.required:
         if getattr(config, name) is None:
             raise InputError(f"{config.command}: {_flag(name)} is required")
-    command.runner(config, outdir)
+    for name, writer in command.runner(config):
+        _write_atomic(outdir / name, writer)
     return 0
 
 

@@ -727,4 +727,7 @@ def read_free_boundary_csv(path: str | Path) -> ThresholdPolicy:
     rows.sort()
     if [r for r, _ in rows] != list(range(len(rows))):
         raise InputError(f"{path}: regime indices must be 0..{len(rows) - 1}")
-    return ThresholdPolicy(boundaries=np.array([b for _, b in rows]))
+    try:
+        return ThresholdPolicy(boundaries=np.array([b for _, b in rows]))
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None

@@ -16,7 +16,7 @@ import types
 import typing
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime
 from functools import cached_property
 from pathlib import Path
@@ -38,6 +38,7 @@ __all__ = [
     "check_horizon",
     "read_csv_rows",
     "read_json_fields",
+    "read_json_record",
     "realistic_chain",
     "spawn_streams",
     "strong_components",
@@ -120,6 +121,20 @@ def read_json_fields(path: str | Path, cls) -> dict:
         if not _fits(hints[name], value):
             raise InputError(f"{path}: key {name!r} has the wrong type: {reprlib.repr(value)}")
     return data
+
+
+def read_json_record(path: str | Path, cls):
+    """Dataclass `cls` built from the JSON object in `path`; an error of
+    `read_json_fields`, a missing key of a field with no default or an
+    :class:`InputError` of `cls` is an :class:`InputError` naming the file."""
+    data = read_json_fields(path, cls)
+    missing = [f.name for f in fields(cls) if f.name not in data and f.default is MISSING]
+    if missing:
+        raise InputError(f"{path}: missing keys {missing}")
+    try:
+        return cls(**data)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _fits(hint, value) -> bool:
@@ -304,14 +319,7 @@ class RegimeChain:
     @classmethod
     def from_json(cls, path: str | Path) -> "RegimeChain":
         """Read a chain written by `to_json`; errors name the file."""
-        data = read_json_fields(path, cls)
-        missing = [f.name for f in fields(cls) if f.name not in data]
-        if missing:
-            raise InputError(f"{path}: missing keys {missing}")
-        try:
-            return cls(**data)
-        except InputError as exc:
-            raise InputError(f"{path}: {exc}") from None
+        return read_json_record(path, cls)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .regime import SECONDS_PER_DAY, RegimeChain, read_json_fields
+from .regime import SECONDS_PER_DAY, RegimeChain, read_json_record
 
 __all__ = [
     "SedimentProperties",
@@ -61,8 +61,8 @@ class SedimentProperties:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SedimentProperties":
-        """Load from a JSON object; missing keys take the defaults."""
-        return cls(**read_json_fields(path, cls))
+        """Load from a JSON object; missing keys take the defaults, errors name the file."""
+        return read_json_record(path, cls)
 
 
 def shear_stress(q, props: SedimentProperties):

@@ -125,6 +125,10 @@ class TestSmoothPasting:
         scalar = [_pasting_residuals(problem, y)[0] for y in grid]
         np.testing.assert_array_equal(np.sign(scan), np.sign(scalar))
 
+    def test_zero_discount_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="delta > 0"):
+            solve_smooth_pasting(ScalarProblem(S=0.05, delta=0.0, c=0.2, d=0.3, lam=1.0 / 7.0))
+
     def test_overflowing_residual_is_a_domain_error(self):
         # exp(delta / S) overflows a double once delta / S exceeds about 709
         with pytest.raises(DomainError, match="overflows"):

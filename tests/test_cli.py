@@ -13,6 +13,7 @@ import pytest
 import sedopt
 from sedopt import cli
 from sedopt.analytic import ErgodicSolution, SmoothSolution
+from sedopt.errors import InputError
 from sedopt.mc import CostEstimate, estimate_cost
 from sedopt.pde import (
     CostSpec, Grid, SolveResult, ThresholdPolicy, ValueField, extract_policy,
@@ -78,6 +79,10 @@ class TestParsing:
 
     def test_resolutions(self):
         assert cli.parse_resolutions("51,101,201") == [51, 101, 201]
+
+    def test_unknown_command_rejected(self):
+        with pytest.raises(InputError, match="unknown command 'bogus'"):
+            cli.RunConfig(command="bogus")
 
     def test_flag_sets(self):
         # each command's flags, in order, as they stood before the command
@@ -149,6 +154,19 @@ class TestExact:
         assert record["ybar"] == pytest.approx(0.835, abs=1e-3)
         assert record["u"] > 0.2 * 0.05
 
+
+    @pytest.mark.parametrize("args, message", [
+        (("--delta", "0", "--samples", "5"), "--samples needs --delta > 0"),
+        (("--samples", "-1"), "--samples must be >= 0"),
+    ], ids=["ergodic", "negative"])
+    def test_bad_samples_fail(self, tmp_path, capsys, args, message):
+        # ergodic mode used to drop --samples without a word, and a negative
+        # count was ignored
+        out = tmp_path / "out"
+        assert run_cli("exact", "--S", "0.05", *args, "--outdir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"sedopt: error: {message}") and err.count("\n") == 1
+        assert not (out / "exact.json").exists()
 
     @pytest.mark.parametrize("flag, value", [("--delta", "1e300"), ("--lambda", "1e308")])
     def test_overflowing_rate_is_domain_error(self, tmp_path, capsys, flag, value):
@@ -456,14 +474,17 @@ class TestSolveSimulate:
         assert not (out / "cost_estimate.json").exists()
 
     def test_simulate_nan_threshold_fails(self, chain_file, tmp_path, capsys):
-        policy = tmp_path / "free_boundary.csv"
-        policy.write_text("regime,q,Ybar\n0,1,0.3\n1,10,nan\n")
-        out = tmp_path / "sim"
-        status = run_cli("simulate", "--chain", chain_file, "--policy", policy,
-                         "--paths", "8", "--outdir", out)
-        assert status == 1
-        assert "[0, 1]" in capsys.readouterr().err
-        assert not (out / "cost_estimate.json").exists()
+        for threshold in ("nan", "1.5"):
+            policy = tmp_path / "free_boundary.csv"
+            policy.write_text(f"regime,q,Ybar\n0,1,0.3\n1,10,{threshold}\n")
+            out = tmp_path / "sim"
+            status = run_cli("simulate", "--chain", chain_file, "--policy", policy,
+                             "--paths", "8", "--outdir", out)
+            assert status == 1
+            err = capsys.readouterr().err
+            assert "[0, 1]" in err
+            assert err.startswith(f"sedopt: error: {policy}: ")
+            assert not (out / "cost_estimate.json").exists()
 
     @pytest.mark.parametrize("row", ["x,10,0.3", "1,10,abc", "1"],
                              ids=["regime", "threshold", "short-row"])
@@ -558,7 +579,8 @@ class TestJsonFiles:
         ('{"B": null}', "wrong type"),
         ('{"B": [1]}', "wrong type"),
         ('{"B": true}', "wrong type"),  # was read as B = 1.0
-    ], ids=["invalid-json", "string", "null", "list", "bool"])
+        ('{"rho_s": 900}', "sediment density must exceed water density"),
+    ], ids=["invalid-json", "string", "null", "list", "bool", "light-sediment"])
     def test_malformed_props_fails(self, chain_file, tmp_path, capsys, text, message):
         props = tmp_path / "props.json"
         props.write_text(text)
@@ -585,8 +607,9 @@ class TestJsonFiles:
         assert "Traceback" not in err and len(err) < 200
         assert not (out / "solve_result.json").exists()
 
-    @pytest.mark.parametrize("text", ['{"capacity": Infinity}', '{"theta_c": NaN}'],
-                             ids=["infinite-capacity", "nan-theta-c"])
+    @pytest.mark.parametrize("text", ['{"capacity": Infinity}', '{"theta_c": NaN}',
+                                      '{"B": -1}'],
+                             ids=["infinite-capacity", "nan-theta-c", "negative-B"])
     def test_non_finite_props_fail(self, chain_file, tmp_path, capsys, text):
         # an infinite capacity made every drain rate 0 and the solve succeed
         props = tmp_path / "props.json"
@@ -595,7 +618,9 @@ class TestJsonFiles:
         status = run_cli("solve", "--chain", chain_file, "--props", props, "--n", "21",
                          "--outdir", out)
         assert status == 1
-        assert "must be finite and positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "must be finite and positive" in err
+        assert err.startswith(f"sedopt: error: {props}: ")
         assert not (out / "solve_result.json").exists()
 
     def test_result_files_hold_their_dataclass_fields(self, chain_file, tmp_path):
@@ -713,3 +738,71 @@ class TestExitCodes:
         assert info.value.code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
         assert not (tmp_path / "run_config.json").exists()
+
+
+class TestOutdir:
+    @pytest.fixture()
+    def inputs(self, chain_file, tmp_path):
+        """Input files by placeholder: a good and a bad chain and series."""
+        series, bad_series = tmp_path / "series.csv", tmp_path / "bad_series.csv"
+        rows = [f"{k},{1.0 + 2.5 * (k % 3)}" for k in range(30)]
+        series.write_text("\n".join(["timestamp,discharge_m3s", *rows]) + "\n")
+        bad_series.write_text("timestamp,discharge_m3s\n0,1.0\n1,nan\n")
+        bad_chain = tmp_path / "bad_chain.json"
+        bad_chain.write_text('{"discharges": [1.0, 10.0]}')
+        return {"CHAIN": chain_file, "BAD_CHAIN": bad_chain,
+                "SERIES": series, "BAD_SERIES": bad_series}
+
+    def run_in(self, inputs, out, *argv):
+        return run_cli(*(inputs.get(a, a) for a in argv), "--outdir", out)
+
+    @staticmethod
+    def contents(out):
+        """Each file's bytes, with the echo less its outdir."""
+        found = {p.name: p.read_bytes() for p in out.iterdir()}
+        echo = json.loads(found.pop("run_config.json"))
+        del echo["outdir"]
+        return found, echo
+
+    ARGS = {
+        "identify": ("--series", "SERIES", "--count", "3"),
+        "solve": ("--chain", "CHAIN", "--n", "21"),
+        "exact": ("--S", "0.05"),
+        "simulate": ("--chain", "CHAIN", "--paths", "8", "--horizon", "5"),
+        "convergence": ("--S", "0.05", "--resolutions", "11,21"),
+    }
+
+    @pytest.mark.parametrize("command", list(cli._COMMAND_TABLE))
+    def test_fresh_run_writes_only_its_outputs(self, inputs, tmp_path, command):
+        spec = cli._COMMAND_TABLE[command]
+        extra = {"per_path": ("--per-path",), "samples": ("--samples", "5")}
+        argv = [command, *self.ARGS[command]]
+        for name in spec.takes:
+            argv += extra.get(name, ())
+        out = tmp_path / "out"
+        assert self.run_in(inputs, out, *argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*spec.outputs, "run_config.json"])
+
+    @pytest.mark.parametrize("first, second", [
+        (("simulate", "--chain", "CHAIN", "--paths", "50", "--horizon", "5", "--per-path"),
+         ("simulate", "--chain", "CHAIN", "--paths", "60", "--horizon", "5")),
+        (("simulate", "--chain", "CHAIN", "--paths", "50", "--horizon", "5", "--per-path"),
+         ("simulate", "--chain", "CHAIN", "--paths", "70", "--seed", "-1")),
+        (("exact", "--S", "0.05", "--samples", "5"), ("exact", "--S", "0.05", "--delta", "0")),
+        (("exact", "--S", "0.05", "--samples", "5"),
+         ("exact", "--S", "0.05", "--delta", "0", "--samples", "5")),
+        (("solve", "--chain", "CHAIN", "--n", "21"), ("solve", "--chain", "BAD_CHAIN")),
+        (("identify", "--series", "SERIES", "--count", "3"),
+         ("identify", "--series", "BAD_SERIES")),
+        (("convergence", "--S", "0.05", "--resolutions", "11,21"),
+         ("convergence", "--S", "0.05", "--resolutions", "21,21")),
+    ], ids=["simulate-narrower", "simulate-bad-seed", "exact-ergodic", "exact-bad-samples",
+            "solve-bad-chain", "identify-bad-series", "convergence-duplicate-n"])
+    def test_later_run_leaves_only_its_files(self, inputs, tmp_path, first, second):
+        # the outdir of a run after an earlier one holds what a fresh outdir would
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        assert self.run_in(inputs, shared, *first) == 0
+        status = self.run_in(inputs, shared, *second)
+        assert self.run_in(inputs, fresh, *second) == status
+        assert self.contents(shared) == self.contents(fresh)

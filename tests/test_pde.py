@@ -542,6 +542,8 @@ class TestExtractPolicy:
         for bad in (1.2, -0.1, np.nan):  # NaN compares false both ways
             with pytest.raises(InputError):
                 ThresholdPolicy(boundaries=np.array([0.5, bad]))
+        with pytest.raises(InputError, match="non-empty"):
+            ThresholdPolicy(boundaries=[])
 
     def test_never_boundary_round_trips(self, tmp_path):
         chain, _ = two_regime_setup()
@@ -559,6 +561,10 @@ class TestConvergenceStudy:
     def test_duplicate_resolution_rejected(self):
         with pytest.raises(InputError):
             convergence_study(BENCHMARK, [51, 51])
+
+    def test_no_resolution_rejected(self):
+        with pytest.raises(InputError, match="at least one resolution"):
+            convergence_study(BENCHMARK, [])
 
     def test_coarse_sweep_structure(self):
         rows = convergence_study(BENCHMARK, [21, 41, 81])
@@ -615,6 +621,13 @@ class TestCsvInterfaces:
         np.testing.assert_array_equal(back.boundaries, policy.boundaries)
         header = path.read_text().splitlines()[0]
         assert header == "regime,q,Ybar"
+
+    def test_free_boundary_of_the_wrong_size_rejected(self, tmp_path):
+        chain, _ = two_regime_setup()
+        path = tmp_path / "free_boundary.csv"
+        with pytest.raises(StructureError, match="policy size"):
+            write_free_boundary_csv(chain, ThresholdPolicy(boundaries=[0.5]), path)
+        assert not path.exists()
 
     def test_value_field_columns(self, tmp_path):
         result = solve_benchmark(21)

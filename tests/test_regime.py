@@ -58,6 +58,12 @@ class TestRegimeChain:
             RegimeChain(discharges=[1.0, 2.0], rates=[[0.0, 1.0], [1.0]])
         with pytest.raises(InputError, match="numbers"):
             RegimeChain(discharges=[1.0, 2.0], rates=[[0.0, "abc"], [1.0, 0.0]])
+        with pytest.raises(InputError, match="non-empty"):
+            RegimeChain(discharges=np.array([]), rates=np.zeros((0, 0)))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(InputError, match="finite"):
+                RegimeChain(discharges=np.array([1.0, 2.0]),
+                            rates=np.array([[0.0, bad], [1.0, 0.0]]))
 
     def test_generator_rows_sum_to_zero(self):
         chain = two_regime_chain()
@@ -149,6 +155,10 @@ class TestBinDischarge:
         with pytest.raises(InputError):
             bin_discharge(q, width, 43)
 
+    def test_zero_count_rejected(self):
+        with pytest.raises(InputError, match="regime count"):
+            bin_discharge(1.0, 2.5, 0)
+
     @given(
         q=st.floats(0.0, 1e5),
         step=st.floats(0.0, 1e3),
@@ -205,6 +215,10 @@ class TestEstimateChain:
         with pytest.raises(InputError):
             DischargeSeries(times=np.array([0.0, 0.0]), discharges=np.array([1.0, 1.0]))
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(InputError, match="equal length"):
+            DischargeSeries(times=np.arange(3.0), discharges=np.array([1.0, 2.0]))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_bad_discharges_rejected(self, bad):
         with pytest.raises(InputError):
@@ -237,6 +251,12 @@ class TestSeriesCsv:
         bad.write_text("time,flow\n0,1\n")
         with pytest.raises(InputError):
             DischargeSeries.from_csv(bad)
+
+    def test_header_only_is_an_empty_series(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("timestamp,discharge_m3s\n")
+        with pytest.raises(InputError, match="empty series"):
+            DischargeSeries.from_csv(empty)
 
 
 class TestStationaryDistribution:
@@ -312,6 +332,11 @@ class TestSampleRegimePath:
         assert path.start_times.tolist() == [0.0]
         assert path.regimes.tolist() == [0]
         assert path.horizon == 10.0
+
+    @pytest.mark.parametrize("initial", [-1, 2])
+    def test_initial_regime_out_of_range_rejected(self, initial):
+        with pytest.raises(InputError, match="initial regime"):
+            sample_regime_path(two_regime_chain(), initial=initial, horizon=5.0, seed=0)
 
     def test_absorbing_regime_is_valid(self):
         chain = RegimeChain(
@@ -476,7 +501,8 @@ class TestRegimePathValidation:
         ([0.0, 2.0, 1.0], [0, 1, 0], 3.0),
         ([0.0, 1.0], [0, 1], 1.0),
         ([0.0, 1.0], [0, 2], 2.0),
-    ], ids=["decreasing-starts", "horizon-at-last-start", "regime-out-of-range"])
+        ([], [], 1.0),
+    ], ids=["decreasing-starts", "horizon-at-last-start", "regime-out-of-range", "empty"])
     def test_malformed_path_rejected(self, start_times, regimes, horizon):
         with pytest.raises(InputError):
             RegimePath(start_times=np.array(start_times), regimes=np.array(regimes),
@@ -500,3 +526,6 @@ class TestRegimePathValidation:
         assert path.regime_at(0.5) == 0
         assert path.regime_at(1.0) == 1
         assert path.regime_at(3.0) == 0
+        for t in (-0.5, 4.5, np.nan):
+            with pytest.raises(InputError, match="outside"):
+                path.regime_at(t)

@@ -1,0 +1,92 @@
+"""SHA-256 of every file a fixed set of seeded CLI runs writes.
+
+    python3 tools/cli_digest.py TREE [--out FILE]
+
+Imports sedopt from `TREE/src` and, in a fresh temporary directory, runs
+`sedopt.cli.main` on a seeded 6-regime chain and a seeded 400-sample
+discharge series: discounted, ergodic and `--lambda-upper` solves (n = 41,
+21, 21), `simulate` with the discounted policy and `--per-path`, an
+ergodic `simulate`, `exact --samples 33` and an ergodic `exact`,
+`convergence` at 21,41,81 and `identify`. Each run writes into its own
+outdir, named after the run. The JSON maps each `run/file` to its digest
+and each run to its exit status. The temporary path is masked in each
+`run_config.json`, so digests of two checkouts, or of two runs of one,
+compare equal when their outputs are byte-identical.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+CHAIN = "chain.json"
+SERIES = "series.csv"
+POLICY = "solve/free_boundary.csv"
+
+# run name -> argv; a run's name starts with its command
+RUNS = {
+    "solve": ["solve", "--chain", CHAIN, "--n", "41"],
+    "solve-ergodic": ["solve", "--chain", CHAIN, "--delta", "0", "--n", "21"],
+    "solve-ambiguity": ["solve", "--chain", CHAIN, "--lambda-upper", "1/2", "--n", "21"],
+    "simulate": ["simulate", "--chain", CHAIN, "--policy", POLICY, "--paths", "200",
+                 "--horizon", "50", "--seed", "7", "--per-path"],
+    "simulate-ergodic": ["simulate", "--chain", CHAIN, "--delta", "0", "--paths", "200",
+                         "--horizon", "50", "--seed", "7"],
+    "exact": ["exact", "--S", "0.05", "--samples", "33"],
+    "exact-ergodic": ["exact", "--S", "0.05", "--delta", "0"],
+    "convergence": ["convergence", "--S", "0.05", "--resolutions", "21,41,81"],
+    "identify": ["identify", "--series", SERIES, "--count", "8"],
+}
+
+
+def write_inputs(root: Path) -> None:
+    """The seeded chain and discharge series, written directly, not through sedopt."""
+    rng = np.random.default_rng(6)
+    discharges = 10.0 + 15.0 * np.arange(6) + rng.uniform(0.0, 5.0, 6)
+    rates = rng.uniform(0.05, 0.5, (6, 6))
+    np.fill_diagonal(rates, 0.0)
+    chain = {"discharges": discharges.tolist(), "rates": rates.tolist()}
+    (root / CHAIN).write_text(json.dumps(chain) + "\n")
+    flows = np.abs(15.0 + np.cumsum(rng.normal(0.0, 1.5, 400)))
+    rows = [f"{day},{flow!r}" for day, flow in enumerate(flows.tolist())]
+    (root / SERIES).write_text("\n".join(["timestamp,discharge_m3s", *rows]) + "\n")
+
+
+def digest(tree: Path) -> dict:
+    sys.path.insert(0, str(tree.resolve() / "src"))
+    from sedopt import cli
+
+    files, status = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_inputs(root)
+        for name, argv in RUNS.items():
+            argv = [str(root / a) if a in (CHAIN, SERIES, POLICY) else a for a in argv]
+            status[name] = cli.main([*argv, "--outdir", str(root / name)])
+        for path in sorted(root.glob("*/*")):
+            data = path.read_bytes()
+            if path.name == "run_config.json":
+                data = data.replace(tmp.encode(), b"TMP")
+            files[f"{path.parent.name}/{path.name}"] = hashlib.sha256(data).hexdigest()
+    return {"files": files, "status": status}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree", type=Path, help="checkout whose src/ to import")
+    parser.add_argument("--out", type=Path, help="write the JSON here instead of stdout")
+    args = parser.parse_args(argv)
+    text = json.dumps(digest(args.tree), indent=1) + "\n"
+    if args.out:
+        args.out.write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
