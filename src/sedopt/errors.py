@@ -12,8 +12,8 @@ class InputError(SedoptError, ValueError):
 
 
 class StructureError(SedoptError):
-    """Data is well-formed but structurally unusable (reducible chain,
-    non-contiguous replenish set, mismatched field shapes)."""
+    """Data is well-formed but structurally unusable (several closed
+    classes of regimes, non-contiguous replenish set, mismatched shapes)."""
 
 
 class DomainError(SedoptError, ValueError):

@@ -475,9 +475,9 @@ def _run_inverses(switching, diagonals, out) -> tuple[NDArray[np.float64], NDArr
 
 
 # A solve whose residual has not halved within this many iterations has
-# stalled: about 3x the largest window a converging solve needed (10) over
-# 1000 seeded 43-regime chains each at n = 11, 21, 31 and 61
-# (tools/solver_sweep.py).
+# stalled: over twice the largest window a converging solve needed (10
+# discounted, 13 ergodic) over 1000 seeded 43-regime chains each at
+# n = 11, 21, 31 and 61 (tools/solver_sweep.py).
 _STALL_WINDOW = 30
 
 
@@ -500,15 +500,15 @@ def solve_stationary(
     Discounted mode (delta > 0) converges once max |residual| <= tol.
     Ergodic mode (delta = 0) solves residual(w) + u = 0 for the cost rate u
     and the relative value w, pinned to 0 at (regime 0, y = 1); it needs a
-    chain with one closed class. A residual that does not halve within
-    `_STALL_WINDOW` iterations (round-off above tol, say) ends the solve
-    with `converged = False`.
+    chain with one closed class (`RegimeChain.long_run_class`). A residual
+    that does not halve within `_STALL_WINDOW` iterations (round-off above
+    tol, say) ends the solve with `converged = False`.
     """
     config = config or SolverConfig()
     rates = check_rates(rates, chain.count)
     ergodic = costs.delta == 0.0
-    if ergodic and len(closed := chain.closed_classes()) > 1:
-        raise StructureError(f"the ergodic solve needs one closed class of regimes, found {closed}")
+    if ergodic:
+        chain.long_run_class()
 
     kernel = _Residual(chain, rates, costs, grid)
     sweep = _BlockSweep(chain, rates, costs, grid, ergodic)

@@ -292,19 +292,6 @@ class RegimeChain:
         np.fill_diagonal(q, -self.out_rates)
         return q
 
-    def check_irreducible(self) -> None:
-        """Raise :class:`StructureError` naming regimes outside the largest
-        strongly connected component of the positive-rate graph."""
-        labels = strong_components(self.rates > 0)
-        sizes = np.bincount(labels)
-        if sizes.size == 1:
-            return
-        isolated = np.flatnonzero(labels != np.argmax(sizes)).tolist()
-        raise StructureError(
-            f"chain is reducible: regimes {isolated} are not mutually "
-            "reachable with the rest"
-        )
-
     def closed_classes(self) -> list[list[int]]:
         """Communicating classes that no positive switching rate leaves."""
         labels = strong_components(self.rates > 0)
@@ -312,6 +299,17 @@ class RegimeChain:
         leaky = set(labels[src][labels[src] != labels[dst]].tolist())
         return [np.flatnonzero(labels == c).tolist()
                 for c in range(labels.max() + 1) if c not in leaky]
+
+    def long_run_class(self) -> list[int]:
+        """The one closed class: a chain has a unique stationary law and a
+        unique long-run cost rate exactly when it has one, and every other
+        regime is transient. Otherwise :class:`StructureError` names every
+        closed class."""
+        closed = self.closed_classes()
+        if len(closed) > 1:
+            raise StructureError(f"no unique long run: the chain has {len(closed)} "
+                                 f"closed classes of regimes, {closed}")
+        return closed[0]
 
     def to_json(self, path: str | Path) -> None:
         write_json_fields(path, self)
@@ -472,7 +470,6 @@ def estimate_chain(series: DischargeSeries, width: float, count: int) -> RegimeC
     rates = np.zeros_like(counts)
     visited = occupancy > 0
     rates[visited] = counts[visited] / occupancy[visited, None]
-    np.fill_diagonal(rates, 0.0)
 
     unvisited = np.flatnonzero(~visited)
     if unvisited.size:
@@ -488,17 +485,16 @@ def estimate_chain(series: DischargeSeries, width: float, count: int) -> RegimeC
 def stationary_distribution(chain: RegimeChain) -> NDArray[np.float64]:
     """Solve p Q = 0, sum(p) = 1 for the unique stationary distribution.
 
-    Least squares on the transposed balance equations with the
-    normalization row appended. Requires an irreducible chain.
+    It exists when the chain has one closed class (`long_run_class`) and
+    is zero off it; on the class, least squares solves the transposed
+    balance equations with the normalization row appended.
     """
-    chain.check_irreducible()
-    n = chain.count
-    if n == 1:
-        return np.ones(1)
-    system = np.vstack([chain.generator().T, np.ones(n)])
-    rhs = np.zeros(n + 1)
+    closed = chain.long_run_class()
+    system = np.vstack([chain.generator()[np.ix_(closed, closed)].T, np.ones(len(closed))])
+    rhs = np.zeros(len(closed) + 1)
     rhs[-1] = 1.0
-    p, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    p = np.zeros(chain.count)
+    p[closed] = np.linalg.lstsq(system, rhs, rcond=None)[0]
     return p
 
 

@@ -77,7 +77,7 @@ def test_criterion_2_table1_errors_and_orders():
     start = time.perf_counter()
     rows = convergence_study(
         BENCHMARK, [51, 101, 201, 401, 801],
-        SolverConfig(dt=1.0 / 800.0, t_end=365.0 / 2.0, tol=1e-10),
+        SolverConfig(tol=1e-10),
     )
     elapsed = time.perf_counter() - start
     _shared["table_rows"] = rows
@@ -200,14 +200,12 @@ def test_criterion_7_exact_path_law():
 
 def test_criterion_8_value_bounds_and_structure():
     instances = []
-    result = solve_stationary(single_regime_chain(), BENCH_RATES, BENCH_COSTS,
-                              Grid(101), SolverConfig(dt=1.0 / 800.0))
+    result = solve_stationary(single_regime_chain(), BENCH_RATES, BENCH_COSTS, Grid(101))
     instances.append(("benchmark", result))
     chain = coarse_chain()
     rates = rates_for_chain(chain, SedimentProperties())
     costs = CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0)
-    result = solve_stationary(chain, rates, costs, Grid(101),
-                              SolverConfig(t_end=90.0, tol=1e-9))
+    result = solve_stationary(chain, rates, costs, Grid(101), SolverConfig(tol=1e-9))
     instances.append(("coarse multi-regime", result))
 
     ok = True
@@ -235,8 +233,7 @@ def test_criterion_9_coarse_realistic_properties():
     boundaries = {}
     for lam in (1.0, 1.0 / 7.0, 1.0 / 30.0):
         costs = CostSpec(delta=0.2, c=0.02, d=0.01, lam=lam)
-        res = solve_stationary(chain, rates, costs, grid,
-                               SolverConfig(t_end=90.0, tol=1e-9))
+        res = solve_stationary(chain, rates, costs, grid, SolverConfig(tol=1e-9))
         assert res.converged
         boundaries[lam] = extract_policy(res.field).boundaries
     elapsed = time.perf_counter() - start
@@ -335,7 +332,7 @@ def test_criterion_10_ambiguity_reduction():
     rates = rates_for_chain(chain, SedimentProperties())
     costs = CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0)
     grid = Grid(61)
-    config = SolverConfig(t_end=60.0, tol=1e-9)
+    config = SolverConfig(tol=1e-9)
     plain = solve_stationary(chain, rates, costs, grid, config)
     worst = solve_with_ambiguity(chain, rates, costs, (1.0 / 7.0, 1.0), grid, config)
     gap = float(np.max(np.abs(plain.field.values - worst.field.values)))
@@ -347,7 +344,7 @@ def test_criterion_11_ergodic_pde_matches_effective_rate():
     u = ergodic_threshold(0.05, 0.2, 0.3, 1.0 / 7.0).u
     costs = CostSpec(delta=0.0, c=0.2, d=0.3, lam=1.0 / 7.0)
     res = solve_stationary(single_regime_chain(), BENCH_RATES, costs,
-                           Grid(401), SolverConfig(t_end=90.0, tol=1e-12))
+                           Grid(401), SolverConfig(tol=1e-12))
     rel = abs(res.cost_rate - u) / u
     ok = rel <= 0.02
     _report(11, "ergodic cost rate", ok,

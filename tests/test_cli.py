@@ -806,3 +806,22 @@ class TestOutdir:
         status = self.run_in(inputs, shared, *second)
         assert self.run_in(inputs, fresh, *second) == status
         assert self.contents(shared) == self.contents(fresh)
+
+    def test_other_commands_files_stay(self, inputs, tmp_path):
+        # a run removes only its own command's files: the others' may be its
+        # inputs, as identify's chain is for solve and solve's policy for simulate
+        out = tmp_path / "out"
+        assert self.run_in(inputs, out, "identify", "--series", "SERIES", "--count", "3") == 0
+        chain = (out / "chain.json").read_bytes()
+        assert self.run_in(inputs, out, "exact", "--S", "0.05") == 0
+        assert (out / "chain.json").read_bytes() == chain
+        assert self.run_in(inputs, out, "solve", "--chain", out / "chain.json",
+                           "--n", "21") == 0
+        assert self.run_in(inputs, out, "simulate", "--chain", out / "chain.json",
+                           "--policy", out / "free_boundary.csv", "--paths", "8",
+                           "--horizon", "5") == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted([
+            "chain.json", "exact.json", "solve_result.json", "value_field.csv",
+            "free_boundary.csv", "cost_estimate.json", "run_config.json"])
+        # the echo describes the last run only
+        assert json.loads((out / "run_config.json").read_text())["command"] == "simulate"

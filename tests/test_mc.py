@@ -12,7 +12,7 @@ from sedopt.analytic import (
     evaluate_candidate,
     solve_smooth_pasting,
 )
-from sedopt import mc
+from sedopt import cli, mc
 from sedopt.errors import DomainError, InputError, StructureError
 from sedopt.pde import Grid, ValueField, extract_policy, solve_stationary
 from sedopt.mc import (
@@ -29,6 +29,7 @@ from sedopt.regime import (
     estimate_chain,
     realistic_chain,
     sample_regime_path,
+    stationary_distribution,
 )
 from sedopt.transport import SedimentProperties, rates_for_chain
 
@@ -505,14 +506,17 @@ class TestUnvisitedRegime:
 
     COSTS = CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0)
 
-    @pytest.fixture(scope="class")
-    def estimated(self):
-        # ten days of hourly discharges wandering over bins 0-2 of 4
+    @staticmethod
+    def record() -> DischargeSeries:
+        """Ten days of hourly discharges wandering over bins 0-2 of 4."""
         walk = np.cumsum(np.random.default_rng(0).integers(-1, 2, 240)) % 6
         bins = np.where(walk > 2, 5 - walk, walk)
-        series = DischargeSeries(times=np.arange(240) / 24.0, discharges=1.25 + 2.5 * bins)
+        return DischargeSeries(times=np.arange(240) / 24.0, discharges=1.25 + 2.5 * bins)
+
+    @pytest.fixture(scope="class")
+    def estimated(self):
         with pytest.warns(UserWarning, match=r"never visited in the record: \[3\]"):
-            chain = estimate_chain(series, width=2.5, count=4)
+            chain = estimate_chain(self.record(), width=2.5, count=4)
         return chain, rates_for_chain(chain, SedimentProperties())
 
     def test_discounted_solve_converges(self, estimated):
@@ -526,10 +530,33 @@ class TestUnvisitedRegime:
         np.testing.assert_allclose(result.field.values[3], alone.field.values[0], atol=1e-9)
 
     def test_ergodic_solve_sees_two_closed_classes(self, estimated):
+        # no unique long run: the ergodic solve and the stationary law refuse
+        # it with the one closed-class error
         chain, drains = estimated
-        with pytest.raises(StructureError, match="closed class"):
+        with pytest.raises(StructureError, match="closed class") as solve_error:
             solve_stationary(chain, drains, CostSpec(delta=0.0, c=0.02, d=0.01, lam=1.0 / 7.0),
                              Grid(51))
+        with pytest.raises(StructureError) as law_error:
+            stationary_distribution(chain)
+        assert str(law_error.value) == str(solve_error.value)
+
+    def test_ergodic_cli_solve_names_both_classes(self, estimated, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        record = self.record()
+        rows = [f"{t!r},{q!r}" for t, q in zip(record.times.tolist(),
+                                               record.discharges.tolist())]
+        series.write_text("\n".join(["timestamp,discharge_m3s", *rows]) + "\n")
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="never visited"):
+            assert cli.main(["identify", "--series", str(series), "--width", "2.5",
+                             "--count", "4", "--outdir", str(out)]) == 0
+        np.testing.assert_array_equal(RegimeChain.from_json(out / "chain.json").rates,
+                                      estimated[0].rates)
+        capsys.readouterr()
+        assert cli.main(["solve", "--chain", str(out / "chain.json"), "--delta", "0",
+                         "--n", "21", "--outdir", str(out)]) == 1
+        assert "closed classes of regimes, [[0, 1, 2], [3]]" in capsys.readouterr().err
+        assert not (out / "solve_result.json").exists()
 
     def test_cost_started_there_stays_and_matches_the_field(self, estimated):
         chain, drains = estimated

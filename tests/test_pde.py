@@ -27,7 +27,7 @@ from sedopt.pde import (
     write_free_boundary_csv,
     write_value_field_csv,
 )
-from sedopt.regime import RegimeChain, realistic_chain
+from sedopt.regime import RegimeChain, realistic_chain, stationary_distribution
 from sedopt.transport import SedimentProperties, rates_for_chain
 
 BENCH_COSTS = CostSpec(delta=BENCHMARK.delta, c=BENCHMARK.c, d=BENCHMARK.d, lam=BENCHMARK.lam)
@@ -408,6 +408,28 @@ class TestSolveStationary:
         part = solve_stationary(closed, np.array([0.1, 0.3]), costs, Grid(41))
         assert whole.converged and part.converged
         assert whole.cost_rate == pytest.approx(part.cost_rate, rel=1e-9)
+        # so is its stationary law: that of the closed class, none on regime 0
+        np.testing.assert_allclose(stationary_distribution(transient),
+                                   [0.0, *stationary_distribution(closed)], rtol=0.0, atol=1e-15)
+
+    def test_transient_regimes_at_paper_size(self):
+        # the paper chain without its 5 -> 4 rate: regimes 0-4 only lead up
+        # into 5-42, so the long run is that of regimes 5-42 alone
+        paper = realistic_chain(0)
+        rates = paper.rates.copy()
+        rates[5, 4] = 0.0
+        chain = RegimeChain(discharges=paper.discharges, rates=rates)
+        closed = RegimeChain(discharges=paper.discharges[5:], rates=rates[5:, 5:])
+        assert chain.long_run_class() == list(range(5, 43))
+        drains = rates_for_chain(chain, SedimentProperties())
+        costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=1.0 / 7.0)
+        whole = solve_stationary(chain, drains, costs, Grid(101))
+        part = solve_stationary(closed, drains[5:], costs, Grid(101))
+        assert whole.converged and part.converged
+        assert whole.cost_rate == pytest.approx(part.cost_rate, rel=1e-9)
+        np.testing.assert_allclose(stationary_distribution(chain),
+                                   [0.0] * 5 + [*stationary_distribution(closed)],
+                                   rtol=0.0, atol=1e-13)
 
     def test_ergodic_without_transport_is_singular(self):
         # storage never drains, so every level is its own closed class

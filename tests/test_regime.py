@@ -108,8 +108,18 @@ class TestRegimeChain:
         chain = RegimeChain(discharges=np.arange(1.0, n + 1.0), rates=rates)
         src, dst = np.nonzero(rates)
         leaky = set(expected[src][expected[src] != expected[dst]].tolist())
-        assert chain.closed_classes() == [members for members in classes(expected)
-                                          if expected[members[0]] not in leaky]
+        closed = [members for members in classes(expected) if expected[members[0]] not in leaky]
+        assert chain.closed_classes() == closed
+        # a stationary law exists exactly when one class is closed, and it
+        # puts no mass off that class
+        if len(closed) > 1:
+            with pytest.raises(StructureError, match="closed class"):
+                stationary_distribution(chain)
+            return
+        p = stationary_distribution(chain)
+        assert np.max(np.abs(np.delete(p, closed[0])), initial=0.0) <= 1e-13
+        assert abs(p.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(p @ chain.generator())) <= 1e-12
 
     def test_json_round_trip(self, tmp_path):
         chain = two_regime_chain()
@@ -270,12 +280,19 @@ class TestStationaryDistribution:
         np.testing.assert_allclose(p, [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
 
     def test_reducible_chain_names_regimes(self):
+        # 2 -> 0 <-> 1: regime 2 is transient and gets no mass
         chain = RegimeChain(
             discharges=np.array([1.0, 2.0, 3.0]),
             rates=np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
         )
-        with pytest.raises(StructureError, match=r"\[2\]"):
-            stationary_distribution(chain)
+        assert chain.long_run_class() == [0, 1]
+        np.testing.assert_allclose(stationary_distribution(chain), [2.0 / 3.0, 1.0 / 3.0, 0.0],
+                                   rtol=0.0, atol=1e-15)
+        # three uncoupled regimes: three closed classes, no unique law
+        isolated = RegimeChain(discharges=chain.discharges, rates=np.zeros((3, 3)))
+        with pytest.raises(StructureError, match=r"closed classes of regimes, "
+                                                 r"\[\[0\], \[1\], \[2\]\]"):
+            stationary_distribution(isolated)
 
     def test_realistic_scale_chain_fully_supported(self):
         # nearest-neighbour chain over the full 43-level discharge binning:

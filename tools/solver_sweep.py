@@ -4,10 +4,12 @@
 
 Seed s draws the chain `sedopt.regime.realistic_chain(s)`: 43 regimes on
 2.5 m^3/s bins, nearest-neighbour switching with seeded jitter,
-Meyer-Peter-Mueller rates and delta 0.2, c 0.02, d 0.01, lambda 1/7. Per
-grid size the report gives the median, p99 and worst iteration counts, the
-worst seed, the unconverged seeds and `needed_window`: the smallest stall
-window that stops none of the converged solves early. A solve stops as
+Meyer-Peter-Mueller rates and c 0.02, d 0.01, lambda 1/7. Each grid size
+is swept in both modes, discounted (delta 0.2) and ergodic (delta 0), and
+every discounted entry comes first. Per grid size and mode the report
+gives the median, p99 and worst iteration counts, the worst seed, the
+unconverged seeds and `needed_window`: the smallest stall window that
+stops none of the converged solves early. A solve stops as
 stalled at iterate k when max |residual| r_k is not at most half of every
 r_j with j <= k - W, so iterate k needs W >= k - j*, where j* is the last
 j whose prefix minimum min(r_0..r_j) is still >= 2 r_k (j* = -1 if none).
@@ -34,7 +36,7 @@ from sedopt.pde import Grid, SolverConfig, solve_stationary  # noqa: E402
 from sedopt.regime import realistic_chain  # noqa: E402
 from sedopt.transport import SedimentProperties, rates_for_chain  # noqa: E402
 
-COSTS = CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0)
+DELTAS = (0.2, 0.0)  # discounted, then ergodic
 
 
 def needed_window(history) -> int:
@@ -48,13 +50,14 @@ def needed_window(history) -> int:
     return need
 
 
-def sweep(n: int, seeds, tol: float) -> dict:
+def sweep(n: int, seeds, tol: float, delta: float = DELTAS[0]) -> dict:
     grid, config = Grid(n), SolverConfig(tol=tol)
+    costs = CostSpec(delta=delta, c=0.02, d=0.01, lam=1.0 / 7.0)
     iterations, unconverged, window, window_seed = {}, [], 0, None
     for seed in seeds:
         chain = realistic_chain(seed)
         result = solve_stationary(chain, rates_for_chain(chain, SedimentProperties()),
-                                  COSTS, grid, config)
+                                  costs, grid, config)
         if not result.converged:
             unconverged.append(seed)
             continue
@@ -66,6 +69,7 @@ def sweep(n: int, seeds, tol: float) -> dict:
     worst_seed = max(iterations, key=iterations.get, default=None)
     return {
         "n": n,
+        "delta": delta,
         "seeds": len(seeds),
         "median": statistics.median(counts) if counts else None,
         "p99": float(np.percentile(counts, 99)) if counts else None,
@@ -87,7 +91,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, help="write the JSON here instead of stdout")
     args = parser.parse_args(argv)
     seeds = range(args.first, args.first + args.seeds)
-    report = {"tol": args.tol, "grids": [sweep(n, seeds, args.tol) for n in args.n]}
+    report = {"tol": args.tol,
+              "grids": [sweep(n, seeds, args.tol, delta) for delta in DELTAS for n in args.n]}
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
         args.out.write_text(text)
