@@ -6,7 +6,7 @@ are closed-form hitting times and the discounted depletion penalty is an
 exact exponential integral over the recorded depletion intervals. No
 time-stepping error enters, which is what makes the estimator a trustworthy
 independent check of the analytic and finite difference solutions. All
-paths of a run advance together in numpy, one event per path per step.
+paths of a run advance together in numpy; a recorded path is replayed alone.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from numpy.typing import NDArray
 from .analytic import CostSpec, ScalarProblem, evaluate_candidate, solve_smooth_pasting
 from .errors import DomainError, InputError, StructureError
 from .pde import ThresholdPolicy, single_regime_chain
-from .regime import RegimeChain, RegimePath, check_horizon, check_rates
-from .regime import sample_regime_path  # noqa: F401  perfbench/run.py traces it here
+from .regime import (RegimeChain, RegimePath, check_horizon, check_integer, check_rates,
+                     sample_regime_path)
 from .regime import spawn_streams as _streams  # looked up per run, so tests can patch it
 
 __all__ = [
@@ -104,29 +104,60 @@ def _decay(t, y, rate, target):
     return y_end, t_hit, empty & (y > 0.0)
 
 
+def _replay(regime_path: RegimePath, rates, y0: float, observations=(), limits=None,
+            costs: CostSpec | None = None):
+    """One path in closed form: the engine's step, event by event, under one
+    row of fill `limits`. Events are the switches, the observation times
+    (increasing, in [0, horizon)) and the horizon. Returns a PathRecord's tail:
+    refills (0 = none), storage curve, depletion intervals and the cost under
+    `costs`, the engine's bit for bit (ergodic: undivided; no costs: undiscounted)."""
+    if not 0.0 <= y0 <= 1.0:
+        raise InputError("initial storage must lie in [0, 1]")
+    rates = check_rates(rates, regime_path.count)
+    starts, regimes, horizon = regime_path.start_times, regime_path.regimes, regime_path.horizon
+    observations = np.asarray(observations, dtype=float)
+    if np.isin(observations, starts[1:]).any():
+        raise StructureError("an observation coincides with a regime switch")
+    # events in time order, each with the regime held up to it
+    at = np.concatenate([starts[1:], [horizon], observations])
+    held = np.concatenate([regimes, regimes[np.searchsorted(starts, observations, "right") - 1]])
+    order = np.argsort(at, kind="stable")
+    delta = 0.0 if costs is None else costs.delta
+    points, fills, depletion = [(0.0, float(y0))], [], []
+    t, y, cost, since = 0.0, float(y0), 0.0, 0.0 if y0 == 0.0 else None
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero rate never empties
+        for now, i, observed in zip(at[order].tolist(), held[order].tolist(),
+                                    (order >= regimes.size).tolist()):
+            y_end, t_hit, hit = _decay(t, y, rates[i], now)
+            if hit:
+                since = float(t_hit)
+                points.append((since, 0.0))
+            t, y = now, float(y_end)
+            filled = observed and y <= limits[i]
+            if since is not None and (filled or now == horizon):  # depletion ends
+                cost += _discounted_interval(delta, since, now)
+                depletion.append((since, now))
+                since = None
+            if observed:
+                fills.append(1.0 - y if filled else 0.0)
+            if filled:
+                cost += np.exp(-delta * now) * costs.intervention_cost(y)
+                points += [(now, y), (now, 1.0)]
+                y = 1.0
+            elif not observed:
+                points.append((now, y))
+    times, values = np.array(points).T
+    return np.asarray(fills, dtype=float), StoragePath(times, values), depletion, float(cost)
+
+
 def simulate_storage(regime_path: RegimePath, rates, y0: float) -> StoragePath:
     """Exact uncontrolled storage path: linear decay per regime, stuck at 0.
 
     Equals max{0, y0 - integral of the rate} at every time; breakpoints are
     placed at t = 0, every regime switch, the depletion instant and the
-    horizon.
+    horizon. It is the replay of `simulate_controlled` without observations.
     """
-    if not 0.0 <= y0 <= 1.0:
-        raise InputError("initial storage must lie in [0, 1]")
-    rates = check_rates(rates, regime_path.count)
-    times = [0.0]
-    values = [float(y0)]
-    y = float(y0)
-    for t0, t1, i in regime_path.spans():
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero rate never empties
-            y_end, t_hit, hit = _decay(t0, y, rates[i], t1)
-        if hit:
-            times.append(float(t_hit))
-            values.append(0.0)
-        y = float(y_end)
-        times.append(t1)
-        values.append(y)
-    return StoragePath(times=np.asarray(times), values=np.asarray(values))
+    return _replay(regime_path, rates, y0)[1]
 
 
 def _next_switch(rng: np.random.Generator, t, out_rates):
@@ -136,55 +167,20 @@ def _next_switch(rng: np.random.Generator, t, out_rates):
     return np.fmin(t + rng.exponential(size=t.size) / out_rates, np.inf)
 
 
-class _Recorder:
-    """Event log of a one-path run, turned into a PathRecord."""
-
-    def __init__(self, y0: float, regime: int):
-        self.starts, self.regimes, self.observations, self.actions = [0.0], [regime], [], []
-        self.points, self.depletion = [(0.0, float(y0))], []
-
-    def step(self, t, t_hit, y, switched_to, observed, acted, closed_since) -> None:
-        """One event at t: the zero-hitting time before it (NaN if none),
-        the storage before any replenishment, the regime entered (None
-        unless a switch), and the start of the depletion interval the event
-        closes (NaN if none). An event that is neither is the horizon."""
-        if not math.isnan(t_hit):
-            self.points.append((t_hit, 0.0))
-        if not math.isnan(closed_since):
-            self.depletion.append((closed_since, t))
-        if observed:
-            self.observations.append(t)
-            self.actions.append(1.0 - y if acted else 0.0)
-            if acted:
-                self.points += [(t, y), (t, 1.0)]
-            return
-        if switched_to is not None:
-            self.starts.append(t)
-            self.regimes.append(switched_to)
-        self.points.append((t, y))
-
-    def record(self, count: int, horizon: float, cost: float) -> PathRecord:
-        times, values = np.array(self.points).T
-        return PathRecord(
-            regime_path=RegimePath(start_times=np.asarray(self.starts),
-                                   regimes=np.asarray(self.regimes),
-                                   horizon=float(horizon), count=count),
-            observations=np.asarray(self.observations, dtype=float),
-            actions=np.asarray(self.actions, dtype=float),
-            storage=StoragePath(times=times, values=values),
-            depletion=self.depletion,
-            cost=cost,
-        )
-
-
 def _thresholds(policy: ThresholdPolicy | None, count: int) -> NDArray[np.float64]:
     """One policy as a 1 x count row of thresholds; None never replenishes."""
     return np.full((1, count), -np.inf) if policy is None else policy.boundaries[None, :]
 
 
+def _limits(thresholds, count: int) -> NDArray[np.float64]:
+    """Fill limits of threshold rows: only y < 1 fills, as a full store is never depleted."""
+    if thresholds.shape[1] != count:
+        raise StructureError("policy size does not match the chain")
+    return np.minimum(thresholds, np.nextafter(1.0, 0.0))
+
+
 def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
-              initial_regime: int, horizon: float, n_paths: int, seed,
-              recorder: _Recorder | None = None):
+              initial_regime: int, horizon: float, n_paths: int, seed):
     """Advance n_paths paths together, one event per live path per step, under
     every row of `thresholds` (P x regimes, one policy a row) at once.
 
@@ -207,22 +203,17 @@ def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
     """
     if not 0.0 <= y0 <= 1.0:
         raise InputError("initial storage must lie in [0, 1]")
-    if not 0 <= initial_regime < chain.count:
-        raise InputError(f"initial regime {initial_regime} out of range")
-    if thresholds.shape[1] != chain.count:
-        raise StructureError("policy size does not match the chain")
+    initial_regime = check_integer(initial_regime, "initial regime", chain.count)
+    limits = _limits(thresholds, chain.count)
     rates = check_rates(rates, chain.count)
     horizon = check_horizon(horizon)
     rng_regime, rng_obs = _streams(seed)
     delta, lam, out_rates = costs.delta, costs.lam, chain.out_rates
     rows = range(thresholds.shape[0])
 
-    # acting on full storage, never depleted, changes nothing: only y < 1 fills
-    limits = np.minimum(thresholds, np.nextafter(1.0, 0.0))
-
     path = np.arange(n_paths)
     t = np.zeros(n_paths)
-    regime = np.full(n_paths, int(initial_regime))
+    regime = np.full(n_paths, initial_regime)
     y = np.full((len(rows), n_paths), float(y0))
     depleted_since = np.full(y.shape, 0.0 if y0 == 0.0 else np.nan)
     cost, samples = np.zeros(y.shape), np.empty(y.shape)
@@ -263,10 +254,6 @@ def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
                 # a depletion interval ends at a replenishment or the horizon
                 closing = np.concatenate([filled, done]) if done.size else filled
                 closing = closing[~np.isnan(since_r[closing])]
-                if recorder is not None:
-                    recorder.step(t[0], t_hit[0, 0] if hit[0, 0] else np.nan, y_r[0],
-                                  regime[0] if switch.size else None, observe.size > 0,
-                                  filled.size > 0, since_r[0] if closing.size else np.nan)
                 if closing.size:
                     since, end = since_r[closing], t[closing]
                     cost_r[closing] += _discounted_interval(delta, since, end)
@@ -301,18 +288,22 @@ def simulate_controlled(
 ) -> PathRecord:
     """One controlled trajectory under the threshold rule, fully recorded.
 
-    It is a one-path run of the same engine as `estimate_cost`. The regime
-    chain and the observation stream are driven by two independent
-    generators spawned from one seed, so paths are reproducible, the two
-    noise sources stay independent and every policy sees the same drivers.
-    `policy = None` never replenishes (the null control). Each event is a
-    full engine step on one path, 40-60 us, so a 1e5-day path takes about
-    18 s; long-run averages belong in `estimate_cost`.
+    The regime chain and the observation stream are driven by two
+    independent generators spawned from one seed, so paths are
+    reproducible and every policy sees the same drivers. The regime path
+    is `sample_regime_path` on the regime stream and the observations are
+    drawn in the engine's order, so the record is a one-path run of the
+    engine of `estimate_cost`, replayed in closed form at about 10 us an
+    event. `policy = None` never replenishes (the null control).
     """
-    recorder = _Recorder(y0, initial_regime)
-    cost = _simulate(chain, rates, _thresholds(policy, chain.count), costs, y0, initial_regime,
-                     horizon, 1, seed, recorder)[0]
-    return recorder.record(chain.count, horizon, float(cost[0, 0]))
+    limits = _limits(_thresholds(policy, chain.count), chain.count)[0]
+    rng_regime, rng_obs = _streams(seed)
+    regime_path = sample_regime_path(chain, initial_regime, horizon, rng_regime)
+    observations, t = [], 0.0
+    while (t := t + rng_obs.exponential() / costs.lam) < regime_path.horizon:
+        observations.append(t)
+    return PathRecord(regime_path, np.asarray(observations, dtype=float),
+                      *_replay(regime_path, rates, y0, observations, limits, costs))
 
 
 def estimate_cost(
@@ -346,7 +337,7 @@ def _estimates(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float
                horizon: float, n_paths: int, seed, initial_regime: int = 0,
                keep_samples: bool = False) -> list[CostEstimate]:
     """`estimate_cost` of every row of `thresholds`, all from one run of the drivers."""
-    if n_paths < 2:
+    if check_integer(n_paths, "path count") < 2:
         raise InputError("need at least 2 paths for a standard error")
     if costs.delta == 0.0 and not 0.0 < horizon < math.inf:
         raise DomainError("ergodic cost-rate estimation needs a finite positive horizon")

@@ -30,7 +30,7 @@ from numpy.typing import NDArray
 
 from .analytic import CostSpec, ScalarProblem, evaluate_candidate, solve_smooth_pasting
 from .errors import ConvergenceError, InputError, StructureError
-from .regime import RegimeChain, check_rates, read_csv_rows
+from .regime import RegimeChain, check_integer, check_rates, read_csv_rows
 
 __all__ = [
     "Grid",
@@ -66,7 +66,7 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.n < 5:
+        if check_integer(self.n, "grid size") < 5:
             raise InputError("grid needs at least 5 vertices")
 
     @property
@@ -576,6 +576,8 @@ def extract_policy(fld: ValueField) -> ThresholdPolicy:
     is not a contiguous run starting at y = 0 breaks the threshold form and
     is an error.
     """
+    if not np.isfinite(fld.values).all():  # a failed solve, not a "never" policy
+        raise InputError("value field is not finite")
     y = fld.grid.vertices
     replenish = fld.replenish()
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import reprlib
 import types
 import typing
@@ -36,6 +37,7 @@ __all__ = [
     "sample_regime_path",
     "check_rates",
     "check_horizon",
+    "check_integer",
     "read_csv_rows",
     "read_json_fields",
     "read_json_record",
@@ -75,6 +77,19 @@ def check_horizon(horizon) -> float:
     if not 0.0 < horizon < math.inf:  # NaN fails too
         raise InputError(f"horizon must be finite and positive, got {horizon}")
     return horizon
+
+
+def check_integer(value, what: str, stop: float = math.inf) -> int:
+    """A count, or with `stop` a regime index, as an int; :class:`InputError`
+    naming `what` unless `operator.index` takes it (no float, not even 2.0)
+    and 0 <= value < stop."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {reprlib.repr(value)}") from None
+    if not 0 <= value < stop:
+        raise InputError(f"{what} {value} out of range")
+    return value
 
 
 def read_csv_rows(path: str | Path, fields: tuple[str, ...], parse) -> list:
@@ -538,20 +553,17 @@ def sample_regime_path(
     result, not an error.
 
     It draws from the regime stream of `spawn_streams(seed)` in the engine's
-    order (a hold, then a uniform and a hold per switch), so it gives the
-    regime path that `mc.simulate_controlled` records with the same seed. A
-    Generator passed as `seed` is drawn from as it is.
+    order (a hold, then a uniform and a hold per switch): the engine's regime
+    path for the same seed and initial regime, and `mc.simulate_controlled`'s.
+    A Generator passed as `seed` is drawn from as it is.
     """
     horizon = check_horizon(horizon)
-    if not 0 <= initial < chain.count:
-        raise InputError(f"initial regime {initial} out of range")
+    i = check_integer(initial, "initial regime", chain.count)
     rng = seed if isinstance(seed, np.random.Generator) else spawn_streams(seed)[0]
     out_rates = chain.out_rates.tolist()
     targets, cum = (a.tolist() for a in chain.jump_rows)
 
-    times = [0.0]
-    visited = [int(initial)]
-    t, i = 0.0, int(initial)
+    times, visited, t = [0.0], [i], 0.0
     while True:
         rate = out_rates[i]
         if rate <= 0.0:

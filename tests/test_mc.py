@@ -181,12 +181,21 @@ def test_bad_horizon_rejected(entry, horizon):
         entry(horizon)
 
 
-@pytest.mark.parametrize("y0, initial", [(1.5, 0), (math.nan, 0), (1.0, -1), (1.0, 3)],
-                         ids=["y0-above-1", "y0-nan", "regime-negative", "regime-count"])
+@pytest.mark.parametrize("y0, initial",
+                         [(1.5, 0), (math.nan, 0), (1.0, -1), (1.0, 3), (1.0, 0.5)],
+                         ids=["y0-above-1", "y0-nan", "regime-negative", "regime-count",
+                              "regime-fraction"])
 def test_bad_start_rejected(y0, initial):
     with pytest.raises(InputError):
         estimate_cost(three_regime_chain(), np.zeros(3), None, BENCH_COSTS, y0, 10.0, 8,
                       seed=0, initial_regime=initial)
+
+
+@pytest.mark.parametrize("n_paths", [2.5, math.nan, np.float64(8.0), 1, -3])
+def test_bad_path_count_rejected(n_paths):
+    # a float count used to raise a bare TypeError, and NaN a bare ValueError
+    with pytest.raises(InputError, match="path"):
+        estimate_cost(CHAIN_1, BENCH_RATES, None, BENCH_COSTS, 1.0, 10.0, n_paths, seed=0)
 
 
 @pytest.mark.parametrize("entry", [
@@ -203,18 +212,31 @@ def test_bad_seed_rejected(entry, seed):
 
 @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
 def test_sample_regime_path_is_the_engine_regime_path(case):
-    # one seed contract: both draw the regime stream of `spawn_streams(seed)`
-    # in the same order, so the sampled path is the one the engine records
+    # one seed contract: `simulate_controlled` draws its regime path with
+    # `sample_regime_path` and its observations in the engine's order, then
+    # replays them in closed form, so it is a one-path run of the engine:
+    # cost, events, refills and depleted time agree bit for bit
     chain, rates = ENGINE_CASES[case]
+    rng = np.random.default_rng(2024)
     absorbed = 0
-    for seed in range(25):
-        initial = seed % chain.count
-        recorded = simulate_controlled(chain, rates, None, BENCH_COSTS, 0.5, 40.0, seed,
-                                       initial).regime_path
-        sampled = sample_regime_path(chain, initial, 40.0, seed)
-        np.testing.assert_array_equal(sampled.start_times, recorded.start_times)
-        np.testing.assert_array_equal(sampled.regimes, recorded.regimes)
-        absorbed += sampled.regimes.size > 1 and sampled.regimes[-1] == 2
+    for delta in (0.2, 0.0):
+        costs = CostSpec(delta=delta, c=0.1, d=0.05, lam=0.5)
+        for seed in range(25):
+            initial, y0 = seed % chain.count, (0.0, 0.5, 1.0)[seed % 3]
+            thresholds = rng.choice([-np.inf, 1.0, *rng.uniform(size=3)], size=chain.count)
+            record = simulate_controlled(chain, rates, ThresholdPolicy(boundaries=thresholds),
+                                         costs, y0, 40.0, seed, initial)
+            cost, events, filled, depleted = mc._simulate(
+                chain, rates, thresholds[None, :], costs, y0, initial, 40.0, 1, seed)
+            assert record.cost == cost[0, 0]
+            assert record.regime_path.regimes.size - 1 + record.observations.size == events
+            assert np.count_nonzero(record.actions) == filled[0]
+            assert sum(end - start for start, end in record.depletion) == depleted[0]
+            np.testing.assert_array_equal(
+                record.regime_path.start_times,
+                sample_regime_path(chain, initial, 40.0, seed).start_times)
+            regimes = record.regime_path.regimes
+            absorbed += regimes.size > 1 and regimes[-1] == 2
     if case == "absorbing":
         assert absorbed  # some paths switch into the absorbing regime and stay
 
@@ -350,9 +372,15 @@ class TestSimulateControlled:
                                 BENCH_COSTS, 1.0, 10.0, seed=0)
 
     def test_observation_at_a_switch_rejected(self, monkeypatch):
-        # a null event for continuous draws, but the event order relies on it:
-        # with every exponential draw 1, the first switch (rate 1) and the
-        # first observation (lambda 1) both fall at t = 1
+        # a null event for continuous draws, but the event order relies on it
+        costs = CostSpec(delta=0.2, c=0.1, d=0.1, lam=1.0)
+        path = RegimePath(start_times=np.array([0.0, 1.0]), regimes=np.array([0, 1]),
+                          horizon=10.0)
+        with pytest.raises(StructureError, match="coincides"):
+            mc._replay(path, np.full(2, 0.1), 1.0, [1.0], np.full(2, 0.5), costs)
+
+        # in the engine: with every exponential draw 1, the first switch
+        # (rate 1) and the first observation (lambda 1) both fall at t = 1
         class Constant:
             def exponential(self, size):
                 return np.ones(size)
@@ -363,13 +391,8 @@ class TestSimulateControlled:
         monkeypatch.setattr(mc, "_streams", lambda seed: [Constant(), Constant()])
         chain = RegimeChain(discharges=np.array([1.0, 2.0]),
                             rates=np.array([[0.0, 1.0], [1.0, 0.0]]))
-        costs = CostSpec(delta=0.2, c=0.1, d=0.1, lam=1.0)
-        for run in (
-            lambda: simulate_controlled(chain, np.full(2, 0.1), None, costs, 1.0, 10.0),
-            lambda: estimate_cost(chain, np.full(2, 0.1), None, costs, 1.0, 10.0, 4),
-        ):
-            with pytest.raises(StructureError, match="coincides"):
-                run()
+        with pytest.raises(StructureError, match="coincides"):
+            estimate_cost(chain, np.full(2, 0.1), None, costs, 1.0, 10.0, 4)
 
     def test_common_random_numbers(self):
         chain = three_regime_chain()

@@ -75,6 +75,13 @@ def explicit_march(chain, rates, costs, grid, tol):
     raise AssertionError("the reference march did not converge")
 
 
+@pytest.mark.parametrize("n", [30.5, 31.0, np.nan, 4, -1])
+def test_bad_grid_size_rejected(n):
+    # Grid(30.5) used to be accepted and fail later with a bare TypeError
+    with pytest.raises(InputError, match="grid"):
+        Grid(n)
+
+
 class TestWeno3:
     def test_exact_on_linear_data(self):
         y = np.linspace(0.0, 1.0, 41)
@@ -560,6 +567,15 @@ class TestExtractPolicy:
         with pytest.raises(StructureError):
             extract_policy(fld)
 
+    def test_non_finite_field_rejected(self):
+        # a failed solve must not read as a "never replenish" policy
+        costs = CostSpec(delta=0.2, c=0.1, d=0.1, lam=1.0 / 7.0)
+        for bad in (np.nan, np.inf):
+            fld = ValueField(values=np.full((1, 11), bad), grid=Grid(11),
+                             chain=single_regime_chain(), rates=BENCH_RATES, costs=costs)
+            with pytest.raises(InputError, match="not finite"):
+                extract_policy(fld)
+
     def test_policy_bounds_validation(self):
         for bad in (1.2, -0.1, np.nan):  # NaN compares false both ways
             with pytest.raises(InputError):
@@ -617,6 +633,21 @@ class TestAmbiguity:
                                        Grid(41), cfg)
             assert np.max(np.abs(amb.field.values - plain.field.values)) < 1e-12
             assert any("reduced" in note for note in amb.notes)
+
+    def test_value_non_increasing_in_lam_at_paper_size(self):
+        # looking more often never costs more: the premise of taking the
+        # lower intensity as the worst case. 2 tol / delta bounds the solve
+        # error of each field
+        paper = realistic_chain(0)
+        drains = rates_for_chain(paper, SedimentProperties())
+        delta, tol = 0.2, 1e-9
+        values = []
+        for lam in (1 / 56, 1 / 28, 1 / 14, 1 / 7, 1 / 2, 1.0, 4.0):
+            costs = CostSpec(delta=delta, c=0.02, d=0.01, lam=lam)
+            result = solve_stationary(paper, drains, costs, Grid(301), SolverConfig(tol=tol))
+            assert result.converged
+            values.append(result.field.values)
+        assert np.max(np.diff(values, axis=0)) <= 2 * tol / delta
 
     def test_empty_interval_rejected(self):
         with pytest.raises(InputError):

@@ -355,6 +355,12 @@ class TestSampleRegimePath:
         with pytest.raises(InputError, match="initial regime"):
             sample_regime_path(two_regime_chain(), initial=initial, horizon=5.0, seed=0)
 
+    @pytest.mark.parametrize("initial", [0.5, 1.0, np.nan])
+    def test_non_integer_initial_regime_rejected(self, initial):
+        # 0.5 used to start in regime 0 without a word
+        with pytest.raises(InputError, match="initial regime must be an integer"):
+            sample_regime_path(two_regime_chain(), initial=initial, horizon=5.0, seed=0)
+
     def test_absorbing_regime_is_valid(self):
         chain = RegimeChain(
             discharges=np.array([1.0, 2.0]),
