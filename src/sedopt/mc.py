@@ -192,14 +192,14 @@ def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
     each row adds its own storage, depletion start (NaN when not depleted)
     and cost. Each step moves every live path to its next event (switch,
     observation or the horizon), draws what the event needs and updates
-    every row's storage in closed form. A path at the horizon parks there
-    with zero storage, which no step moves, until parked paths are a quarter
-    of the arrays and leave them. Which paths draw never depends on the
-    storage, so every row sees the same drivers. The seed contract is the
-    draw order of a step: the regime stream's `random(switching)`, then its
-    `exponential(switching)`, then the observation stream's
-    `exponential(observing)`, each in path order. A row of -inf never
-    replenishes (the null control).
+    every row's storage in closed form. A path at the horizon parks there,
+    where each later step has length 0 and adds nothing to its cost, until
+    parked paths are a quarter of the arrays and leave them. Which paths
+    draw never depends on the storage, so every row sees the same drivers.
+    The seed contract is the draw order of a step: the regime stream's
+    `random(switching)`, then its `exponential(switching)`, then the
+    observation stream's `exponential(observing)`, each in path order. A
+    row of -inf never replenishes (the null control).
     """
     if not 0.0 <= y0 <= 1.0:
         raise InputError("initial storage must lie in [0, 1]")
@@ -271,8 +271,6 @@ def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
                     a.compress(live, axis=-1)
                     for a in (path, t, regime, t_switch, t_obs, y, depleted_since, cost))
                 done = done[:0]
-            elif done.size:  # closed, and zero storage cannot hit zero again
-                y[:, done] = 0.0
     return samples, events, replenishments, depleted_time
 
 

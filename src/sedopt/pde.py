@@ -570,7 +570,8 @@ def extract_policy(fld: ValueField) -> ThresholdPolicy:
     """Free boundary per regime from the converged field.
 
     The replenishing vertices are `ValueField.replenish`. The boundary is
-    the midpoint between the last replenishing and first idle vertex, or
+    the midpoint between the last replenishing and first idle vertex (the
+    top vertex is idle: its gap v - fl(v + d) is never positive), or
     -inf when no vertex replenishes: a boundary of 0 would still replenish
     empty storage, where a path spends positive time. A replenish set that
     is not a contiguous run starting at y = 0 breaks the threshold form and
@@ -592,7 +593,7 @@ def extract_policy(fld: ValueField) -> ThresholdPolicy:
                 f"regime {i}: replenish set {hits.tolist()} is not a "
                 "contiguous interval containing y = 0"
             )
-        boundaries[i] = 1.0 if last == fld.grid.n - 1 else 0.5 * (y[last] + y[last + 1])
+        boundaries[i] = 0.5 * (y[last] + y[last + 1])
     return ThresholdPolicy(boundaries=boundaries)
 
 
@@ -625,7 +626,7 @@ def convergence_study(
     consecutive rows. A solve that does not converge raises
     :class:`ConvergenceError`.
     """
-    resolutions = [int(n) for n in resolutions]
+    resolutions = [check_integer(n, "resolution") for n in resolutions]
     if not resolutions:
         raise InputError("need at least one resolution")
     for n1, n2 in zip(resolutions, resolutions[1:]):

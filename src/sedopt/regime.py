@@ -43,7 +43,6 @@ __all__ = [
     "read_json_record",
     "realistic_chain",
     "spawn_streams",
-    "strong_components",
     "write_json_fields",
 ]
 
@@ -181,22 +180,6 @@ def write_json_fields(path: str | Path, record, drop: tuple[str, ...] = (), **ex
     Path(path).write_text(text + "\n")
 
 
-def strong_components(adjacency) -> NDArray[np.intp]:
-    """Strongly connected component of each node of a directed graph with a
-    square boolean adjacency matrix, numbered from 0 in the order of each
-    component's smallest node.
-
-    Reachability is the transitive closure of adjacency | identity, found by
-    repeated boolean squaring (about log2(nodes) products); two nodes share
-    a component when each reaches the other.
-    """
-    reach = np.asarray(adjacency, dtype=bool) | np.eye(len(adjacency), dtype=bool)
-    while not np.array_equal(reach, wider := reach @ reach):
-        reach = wider
-    smallest = np.argmax(reach & reach.T, axis=1)  # first node reaching and reached
-    return np.unique(smallest, return_inverse=True)[1]
-
-
 @dataclass(frozen=True)
 class RegimeChain:
     """Flow-regime Markov chain: discharge levels plus switching rates.
@@ -204,7 +187,7 @@ class RegimeChain:
     Parameters
     ----------
     discharges : (I,) array
-        Discharge q_i in m^3/s per regime, strictly increasing, all > 0.
+        Discharge q_i in m^3/s per regime, strictly increasing, finite, > 0.
     rates : (I, I) array
         Off-diagonal switching rates in 1/day (>= 0). Diagonal entries must
         be zero; the generator diagonal is derived, not stored.
@@ -225,8 +208,8 @@ class RegimeChain:
         q, nu = self.discharges, self.rates
         if q.ndim != 1 or q.size < 1:
             raise InputError("discharges must be a non-empty 1-d array")
-        if not np.all(q > 0):
-            raise InputError("discharges must be positive")
+        if not np.all((q > 0.0) & (q < math.inf)):  # NaN fails too
+            raise InputError("discharges must be finite and positive")
         if q.size > 1 and not np.all(np.diff(q) > 0):
             raise InputError("discharges must be strictly increasing")
         if nu.shape != (q.size, q.size):
@@ -251,38 +234,25 @@ class RegimeChain:
         return _read_only(self.rates.sum(axis=1))
 
     @cached_property
-    def jump_table(self) -> NDArray[np.float64]:
-        """Cumulative embedded-chain probabilities, one row per regime.
-
-        Each row is divided by its own last cumulative sum, so every entry
-        from the last positive rate on is exactly 1: a zero-probability
-        target, the diagonal included, cannot be reached by rounding.
-        Absorbing rows are all 1; no jump is ever drawn from them.
-        """
-        cum = np.cumsum(self.rates, axis=1)
-        total = cum[:, -1:]
-        return _read_only(np.divide(cum, total, out=np.ones_like(cum), where=total > 0))
-
-    @cached_property
     def jump_rows(self) -> tuple[NDArray[np.int64], NDArray[np.float64]]:
-        """Sparse `jump_table`: per regime, its positive-rate targets in
-        ascending order and their cumulative entries.
+        """Embedded-chain jump rows: per regime, its positive-rate targets in
+        ascending order and their cumulative probabilities.
 
-        Rows are padded to the largest out-degree (at least 1) with target 0
-        and a cumulative entry of 2, above every u. The first entry > u then
-        names the same target as the dense count of entries <= u: dense rows
-        are nondecreasing, a zero rate repeats the entry before it, and from
-        the last positive rate on every entry is exactly 1. An absorbing row
-        is all padding and gives 0, as the dense rule does.
+        A row's entries are the cumulative sums of its positive rates divided
+        by the last of them, so the last is exactly 1: a zero-probability
+        target, the diagonal included, cannot be reached by rounding. Rows
+        are padded to the largest out-degree (at least 1) with target 0 and
+        an entry of 2, above every u. An absorbing row is all padding; no
+        jump is ever drawn from it.
         """
-        positive = self.rates > 0
-        width = max(int(positive.sum(axis=1).max()), 1)
+        width = max(int((self.rates > 0).sum(axis=1).max()), 1)
         targets = np.zeros((self.count, width), dtype=np.int64)
         cum = np.full((self.count, width), 2.0)
-        for i, row in enumerate(positive):
-            to = np.flatnonzero(row)
+        for i, row in enumerate(self.rates):
+            to = np.flatnonzero(row > 0)
+            sums = np.cumsum(row[to])
             targets[i, : to.size] = to
-            cum[i, : to.size] = self.jump_table[i, to]
+            cum[i, : to.size] = sums / sums[-1:]  # empty for an absorbing row
         return _read_only(targets), _read_only(cum)
 
     def jump(self, regimes, u):
@@ -308,12 +278,20 @@ class RegimeChain:
         return q
 
     def closed_classes(self) -> list[list[int]]:
-        """Communicating classes that no positive switching rate leaves."""
-        labels = strong_components(self.rates > 0)
-        src, dst = np.nonzero(self.rates)
-        leaky = set(labels[src][labels[src] != labels[dst]].tolist())
-        return [np.flatnonzero(labels == c).tolist()
-                for c in range(labels.max() + 1) if c not in leaky]
+        """Communicating classes that no positive switching rate leaves, in
+        the order of each class's smallest regime.
+
+        Reachability is the transitive closure of (rates > 0) | identity,
+        found by repeated boolean squaring (about log2(count) products). A
+        regime lies in a closed class exactly when every regime it reaches
+        reaches it back, and its class is then the set it reaches.
+        """
+        reach = (self.rates > 0) | np.eye(self.count, dtype=bool)
+        while not np.array_equal(reach, wider := reach @ reach):
+            reach = wider
+        closed = (reach <= reach.T).all(axis=1)  # whatever it reaches reaches it back
+        return [np.flatnonzero(reach[i]).tolist() for i in np.flatnonzero(closed)
+                if reach[i].argmax() == i]  # each class once, at its smallest regime
 
     def long_run_class(self) -> list[int]:
         """The one closed class: a chain has a unique stationary law and a
@@ -419,7 +397,7 @@ class RegimePath:
             raise InputError("consecutive segments must hold different regimes")
         if check_horizon(self.horizon) <= t[-1]:
             raise InputError("horizon must exceed the last segment start")
-        n = self.count if self.count else int(r.max()) + 1
+        n = check_integer(self.count, "regime count") or int(r.max()) + 1
         object.__setattr__(self, "count", n)
         if r.min() < 0 or r.max() >= n:
             raise InputError("regime indices out of range")
@@ -452,7 +430,7 @@ def bin_discharge(q, width: float, count: int):
     q = np.asarray(q, dtype=float)
     if not 0.0 < width < math.inf:  # NaN fails too
         raise InputError("bin width must be finite and positive")
-    if count < 1:
+    if check_integer(count, "regime count") < 1:
         raise InputError("regime count must be >= 1")
     if not np.all((q >= 0.0) & (q < math.inf)):
         raise InputError("discharges must be finite and >= 0")

@@ -68,8 +68,8 @@ class SedimentProperties:
 def shear_stress(q, props: SedimentProperties):
     """Bottom shear stress tau(q) = rho g n^(3/5) l^(7/10) B^(-3/5) q^(3/5)."""
     q = np.asarray(q, dtype=float)
-    if q.size and q.min() < 0:
-        raise InputError("discharge must be >= 0")
+    if not np.all((q >= 0.0) & (q < math.inf)):  # NaN fails too
+        raise InputError("discharge must be finite and >= 0")
     coeff = props.rho * props.g * props.n ** 0.6 * props.l ** 0.7 * props.B ** -0.6
     out = coeff * q ** 0.6
     return out if out.ndim else float(out)

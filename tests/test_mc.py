@@ -65,8 +65,11 @@ def reference_simulate(chain, rates, policy, costs, y0, initial_regime, horizon,
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(out > 0.0, t + hold / out, np.inf)
 
+    cum = np.cumsum(chain.rates, axis=1)
+    table = np.divide(cum, cum[:, -1:], out=np.ones_like(cum), where=cum[:, -1:] > 0)
+
     def jump(regimes, u):
-        return np.count_nonzero(u[:, None] >= chain.jump_table[regimes], axis=-1)
+        return np.count_nonzero(u[:, None] >= table[regimes], axis=-1)
 
     def interval(t0, t1):
         if delta == 0.0:

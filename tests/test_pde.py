@@ -567,6 +567,23 @@ class TestExtractPolicy:
         with pytest.raises(StructureError):
             extract_policy(fld)
 
+    @given(st.integers(1, 3).flatmap(lambda count: st.tuples(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=count * 6, max_size=count * 6),
+        st.floats(0.0, 10.0),
+        st.one_of(st.just(0.0), st.floats(5e-324, 1e300)))))
+    @settings(max_examples=300, deadline=None)
+    def test_top_vertex_never_replenishes(self, case):
+        # its gap is v - fl(v + d) with d >= 0, never positive, so the last
+        # replenishing vertex always has an idle one above it
+        values, c, d = case
+        count = len(values) // 6
+        chain = RegimeChain(discharges=np.arange(1.0, count + 1.0), rates=np.zeros((count, count)))
+        fld = ValueField(values=np.reshape(values, (count, 6)), grid=Grid(6), chain=chain,
+                         rates=np.zeros(count), costs=CostSpec(delta=0.2, c=c, d=d, lam=1.0))
+        with np.errstate(over="ignore"):  # v + d may round to inf: the gap is then -inf
+            assert not fld.replenish()[:, -1].any()
+
     def test_non_finite_field_rejected(self):
         # a failed solve must not read as a "never replenish" policy
         costs = CostSpec(delta=0.2, c=0.1, d=0.1, lam=1.0 / 7.0)
@@ -599,6 +616,12 @@ class TestConvergenceStudy:
     def test_duplicate_resolution_rejected(self):
         with pytest.raises(InputError):
             convergence_study(BENCHMARK, [51, 51])
+
+    @pytest.mark.parametrize("resolutions", [[51.7, 101.2], [51, np.nan]])
+    def test_fractional_resolution_rejected(self, resolutions):
+        # 51.7 used to run as n = 51 without a word
+        with pytest.raises(InputError, match="resolution must be an integer"):
+            convergence_study(BENCHMARK, resolutions)
 
     def test_no_resolution_rejected(self):
         with pytest.raises(InputError, match="at least one resolution"):

@@ -19,14 +19,21 @@ from sedopt.regime import (
     realistic_chain,
     sample_regime_path,
     stationary_distribution,
-    strong_components,
 )
+
+
+def dense_table(chain):
+    """The dense embedded-chain table: each row's cumulative rates divided
+    by their last entry, and all 1 for an absorbing row."""
+    cum = np.cumsum(chain.rates, axis=1)
+    total = cum[:, -1:]
+    return np.divide(cum, total, out=np.ones_like(cum), where=total > 0)
 
 
 def dense_jump(chain, regimes, u):
     """The dense embedded-chain rule: the count of cumulative entries <= u."""
     u = np.asarray(u, dtype=float)
-    return np.count_nonzero(u[..., None] >= chain.jump_table[regimes], axis=-1)
+    return np.count_nonzero(u[..., None] >= dense_table(chain)[regimes], axis=-1)
 
 
 def two_regime_chain(up=1.0, down=2.0):
@@ -64,6 +71,10 @@ class TestRegimeChain:
             with pytest.raises(InputError, match="finite"):
                 RegimeChain(discharges=np.array([1.0, 2.0]),
                             rates=np.array([[0.0, bad], [1.0, 0.0]]))
+        # an infinite discharge used to pass and fail later as a transport rate
+        for discharges in ([1.0, np.inf], [np.nan, 2.0]):
+            with pytest.raises(InputError, match="discharges must be finite"):
+                RegimeChain(discharges=discharges, rates=np.zeros((2, 2)))
 
     def test_generator_rows_sum_to_zero(self):
         chain = two_regime_chain()
@@ -84,31 +95,28 @@ class TestRegimeChain:
         st.lists(st.sampled_from([0.0, 0.0, 0.4, 1.3]), min_size=n * n, max_size=n * n),
         st.lists(st.booleans(), min_size=n, max_size=n))))
     @settings(max_examples=300, deadline=None)
-    def test_strong_components_match_scipy(self, case):
-        # scipy is the reference here only; sedopt itself does not import it
-        from scipy.sparse.csgraph import connected_components
-
+    def test_closed_classes_match_search(self, case):
         entries, absorbing = case
         n = len(absorbing)
         rates = np.array(entries).reshape(n, n)
         np.fill_diagonal(rates, 0.0)
         rates[np.array(absorbing)] = 0.0  # no rate leaves an absorbing regime
-        labels = strong_components(rates > 0)
-        _, expected = connected_components((rates > 0).astype(int), directed=True,
-                                           connection="strong")
 
-        def classes(of):
-            return sorted(np.flatnonzero(of == c).tolist() for c in np.unique(of))
+        def reached(start):  # the reference: a depth-first search over positive rates
+            seen, stack = {start}, [start]
+            while stack:
+                for j in np.flatnonzero(rates[stack.pop()] > 0).tolist():
+                    if j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+            return seen
 
-        assert classes(labels) == classes(expected)
-        # numbered from 0 in the order of each component's smallest regime
-        assert [members[0] for members in classes(labels)] == \
-            [int(np.flatnonzero(labels == c)[0]) for c in range(labels.max() + 1)]
+        reach = [reached(i) for i in range(n)]
+        classes = sorted({tuple(sorted(j for j in reach[i] if i in reach[j])) for i in range(n)})
         # a closed class is one no positive rate leaves
+        closed = [list(members) for members in classes
+                  if set(np.nonzero(rates[list(members)])[1].tolist()) <= set(members)]
         chain = RegimeChain(discharges=np.arange(1.0, n + 1.0), rates=rates)
-        src, dst = np.nonzero(rates)
-        leaky = set(expected[src][expected[src] != expected[dst]].tolist())
-        closed = [members for members in classes(expected) if expected[members[0]] not in leaky]
         assert chain.closed_classes() == closed
         # a stationary law exists exactly when one class is closed, and it
         # puts no mass off that class
@@ -168,6 +176,18 @@ class TestBinDischarge:
     def test_zero_count_rejected(self):
         with pytest.raises(InputError, match="regime count"):
             bin_discharge(1.0, 2.5, 0)
+
+    @pytest.mark.parametrize("entry", [
+        lambda: bin_discharge([1.0, 6.0, 9.0], 2.5, 2.5),
+        lambda: estimate_chain(DischargeSeries(np.arange(3.0), np.array([1.0, 6.0, 9.0])),
+                               2.5, 3.0),
+        lambda: RegimePath(start_times=np.array([0.0, 1.0]), regimes=np.array([0, 1]),
+                           horizon=2.0, count=2.5),
+    ], ids=["bin_discharge", "estimate_chain", "RegimePath"])
+    def test_fractional_count_rejected(self, entry):
+        # these used to bin with a fractional top, or raise a bare TypeError
+        with pytest.raises(InputError, match="regime count must be an integer"):
+            entry()
 
     @given(
         q=st.floats(0.0, 1e5),
@@ -377,10 +397,10 @@ class TestSampleRegimePath:
             [1.0, 1.0, 1.0, 0.0],
         ]) / 3.0
         chain = RegimeChain(discharges=np.arange(1.0, 5.0), rates=rates)
-        table = chain.jump_table
-        # exactly 1 from the last positive rate on; an absorbing row is all 1
-        assert table[0, 3] == table[2, 1] == table[3, 2] == 1.0
-        assert np.all(table[1] == 1.0)
+        targets, cum = chain.jump_rows
+        # a row's last real entry is exactly 1; an absorbing row is all padding
+        assert cum[0, 1] == cum[2, 1] == cum[3, 2] == 1.0
+        assert np.all(cum[1] == 2.0) and np.all(targets[1] == 0)
         np.testing.assert_allclose(chain.out_rates, [1.0 / 3.0, 0.0, 0.1, 1.0])
         # neither end of [0, 1) reaches a zero-probability target
         start = np.array([0, 2, 3])
@@ -466,7 +486,7 @@ class TestSparseJump:
         # u also hits the table's own entries below 1, where ties decide
         u = np.array([data.draw(st.one_of(UNIFORMS, st.sampled_from(row[row < 1].tolist()))
                                 if np.any(row < 1) else UNIFORMS)
-                      for row in chain.jump_table[regimes]])
+                      for row in dense_table(chain)[regimes]])
         expected = dense_jump(chain, regimes, u)
         np.testing.assert_array_equal(chain.jump(regimes, u), expected)
         for r, x, target in zip(regimes, u, expected):
@@ -485,7 +505,7 @@ class TestSparseJump:
         targets, cum = chain.jump_rows
         assert targets.tolist() == [[1, 3, 0], [0, 0, 0], [0, 1, 0], [0, 1, 2]]
         assert cum[:, -1].tolist() == [2.0, 2.0, 2.0, 1.0]
-        assert cum[0, :2].tolist() == chain.jump_table[0, [1, 3]].tolist()
+        assert cum[0, :2].tolist() == dense_table(chain)[0, [1, 3]].tolist()
         assert not targets.flags.writeable and not cum.flags.writeable
 
     def test_seeded_costs_equal_the_dense_rule(self, monkeypatch):

@@ -73,6 +73,13 @@ class TestShearStress:
         with pytest.raises(InputError):
             shear_stress(-1.0, PROPS)
 
+    @pytest.mark.parametrize("q", [np.nan, np.inf, [1.0, np.nan]])
+    @pytest.mark.parametrize("formula", [shear_stress, transport_rate_physical, normalized_rate])
+    def test_non_finite_discharge(self, formula, q):
+        # NaN used to come back as a NaN stress and rate
+        with pytest.raises(InputError, match="finite"):
+            formula(q, PROPS)
+
 
 class TestTransportRate:
     def test_below_threshold_vanishes(self):
