@@ -9,6 +9,7 @@ outputs so any run can be reproduced from its own echo.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import types
@@ -278,13 +279,14 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+@functools.cache  # one parse leaves the parser as it was, so every call reuses it
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="sedopt",
         description="Optimal sediment replenishment under random observation",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    hints = typing.get_type_hints(RunConfig)  # what config files are checked against too
+    hints = regime.field_hints(RunConfig)  # what config files are checked against too
     for command, spec in _COMMAND_TABLE.items():
         p = sub.add_parser(command, help=spec.help)
         p.add_argument("--config", help="JSON file with RunConfig fields")

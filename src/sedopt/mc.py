@@ -164,7 +164,7 @@ def _next_switch(rng: np.random.Generator, t, out_rates):
     """Next switch times after t: exponential(1) / out-rate, or never (inf,
     also for a zero hold, where fmin drops the NaN of 0 / 0). The caller
     silences hold / 0."""
-    return np.fmin(t + rng.exponential(size=t.size) / out_rates, np.inf)
+    return np.fmin(t + rng.standard_exponential(t.size) / out_rates, np.inf)
 
 
 def _thresholds(policy: ThresholdPolicy | None, count: int) -> NDArray[np.float64]:
@@ -197,9 +197,9 @@ def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
     parked paths are a quarter of the arrays and leave them. Which paths
     draw never depends on the storage, so every row sees the same drivers.
     The seed contract is the draw order of a step: the regime stream's
-    `random(switching)`, then its `exponential(switching)`, then the
-    observation stream's `exponential(observing)`, each in path order. A
-    row of -inf never replenishes (the null control).
+    `random(switching)`, then its `standard_exponential(switching)`, then
+    the observation stream's `standard_exponential(observing)`, each in
+    path order. A row of -inf never replenishes (the null control).
     """
     if not 0.0 <= y0 <= 1.0:
         raise InputError("initial storage must lie in [0, 1]")
@@ -221,7 +221,7 @@ def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
     done = np.empty(0, dtype=np.intp)  # paths at the horizon, parked or just arrived
     with np.errstate(divide="ignore", invalid="ignore"):  # x / 0: never empties, never switches
         t_switch = _next_switch(rng_regime, t, out_rates[regime])
-        t_obs = rng_obs.exponential(size=n_paths) / lam
+        t_obs = rng_obs.standard_exponential(n_paths) / lam
         while path.size:
             t_next = np.minimum(t_switch, t_obs)
             switching, observing = t_switch < t_obs, t_obs < t_switch
@@ -244,7 +244,7 @@ def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
                 regime[switch] = entered
                 t_switch[switch] = _next_switch(rng_regime, t[switch], out_rates[entered])
             if observe.size:
-                t_obs[observe] = t[observe] + rng_obs.exponential(size=observe.size) / lam
+                t_obs[observe] = t[observe] + rng_obs.standard_exponential(observe.size) / lam
             events += switch.size + observe.size
 
             observed = regime[observe]

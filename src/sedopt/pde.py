@@ -111,7 +111,8 @@ class ValueField:
         """Where replenishing strictly beats waiting: P_i(1) + c (1-y) + d <
         P_i(y). Ties do nothing (never pay the fixed cost for zero gain)."""
         refill = self.costs.intervention_cost(self.grid.vertices)
-        return _intervention_gap(self.values, refill) > 0.0
+        with np.errstate(over="ignore"):  # a gap past the double range is still signed right
+            return _intervention_gap(self.values, refill) > 0.0
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,7 @@ __all__ = [
     "check_horizon",
     "check_integer",
     "read_csv_rows",
+    "field_hints",
     "read_json_fields",
     "read_json_record",
     "realistic_chain",
@@ -115,6 +116,13 @@ def read_csv_rows(path: str | Path, fields: tuple[str, ...], parse) -> list:
     return rows
 
 
+@cache
+def field_hints(cls) -> types.MappingProxyType:
+    """The resolved field annotations of dataclass `cls`, read-only: found
+    once per class, as `typing.get_type_hints` evaluates every annotation."""
+    return types.MappingProxyType(typing.get_type_hints(cls))
+
+
 def read_json_fields(path: str | Path, cls) -> dict:
     """The JSON object in `path` as a dict of fields of dataclass `cls`.
 
@@ -128,7 +136,7 @@ def read_json_fields(path: str | Path, cls) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from None
     if not isinstance(data, dict):
         raise InputError(f"{path} must hold a JSON object")
-    hints = typing.get_type_hints(cls)
+    hints = field_hints(cls)
     for name, value in data.items():
         if name not in hints:
             raise InputError(f"{path}: unknown key {name!r}")
@@ -246,14 +254,13 @@ class RegimeChain:
         jump is ever drawn from it.
         """
         width = max(int((self.rates > 0).sum(axis=1).max()), 1)
-        targets = np.zeros((self.count, width), dtype=np.int64)
-        cum = np.full((self.count, width), 2.0)
-        for i, row in enumerate(self.rates):
-            to = np.flatnonzero(row > 0)
-            sums = np.cumsum(row[to])
-            targets[i, : to.size] = to
-            cum[i, : to.size] = sums / sums[-1:]  # empty for an absorbing row
-        return _read_only(targets), _read_only(cum)
+        # each row's positive targets first, in ascending order, then its zeros
+        to = np.argsort(self.rates <= 0, axis=1, kind="stable")[:, :width]
+        ordered = np.take_along_axis(self.rates, to, axis=1)
+        real = ordered > 0
+        sums = np.cumsum(ordered, axis=1)  # sequential; a zero adds exactly 0.0
+        cum = np.divide(sums, sums[:, -1:], out=np.full(ordered.shape, 2.0), where=real)
+        return _read_only(np.where(real, to, 0)), _read_only(cum)
 
     def jump(self, regimes, u):
         """Regimes entered by embedded-chain jumps from `regimes`, one

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +117,35 @@ class TestParsing:
         assert (config.y0, config.per_path, config.seed) == (0.5, True, 3)
         config = cli.resolve_config(["convergence", "--resolutions", "11,21"])
         assert config.resolutions == [11, 21] and config.S is None
+
+    def test_parser_is_built_once_and_reused(self, chain_file, tmp_path, capsys):
+        # a parse leaves the parser as it was: each run on the one parser,
+        # after a rejected one too, writes what it writes on a new parser
+        assert cli._build_parser() is cli._build_parser()
+        out = tmp_path / "out"
+        runs = [("solve", "--chain", chain_file, "--n", "21"),
+                ("simulate", "--no-such-flag"),
+                ("simulate", "--chain", chain_file, "--policy", out / "free_boundary.csv",
+                 "--paths", "20", "--horizon", "5"),
+                ("convergence", "--S", "0.05", "--resolutions", "11,21")]
+
+        def outcomes(new_parser):
+            shutil.rmtree(out, ignore_errors=True)
+            seen = []
+            for argv in runs:
+                if new_parser:
+                    cli._build_parser.cache_clear()
+                try:
+                    status = run_cli(*argv, "--outdir", out)
+                except SystemExit as exc:
+                    status = exc.code
+                files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+                seen.append((status, capsys.readouterr().err, files))
+            return seen
+
+        reused = outcomes(new_parser=False)
+        assert [status for status, _, _ in reused] == [0, 2, 0, 0]
+        assert outcomes(new_parser=True) == reused
 
     def test_default_realistic_config(self):
         config = cli.default_realistic_config()

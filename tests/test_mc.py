@@ -385,7 +385,7 @@ class TestSimulateControlled:
         # in the engine: with every exponential draw 1, the first switch
         # (rate 1) and the first observation (lambda 1) both fall at t = 1
         class Constant:
-            def exponential(self, size):
+            def standard_exponential(self, size):
                 return np.ones(size)
 
             def random(self, size):

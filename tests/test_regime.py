@@ -508,6 +508,36 @@ class TestSparseJump:
         assert cum[0, :2].tolist() == dense_table(chain)[0, [1, 3]].tolist()
         assert not targets.flags.writeable and not cum.flags.writeable
 
+    def test_wide_rows_match_a_per_row_reference(self):
+        # rows of 9 or more positive rates pass numpy's 8-element pairwise
+        # summation block, so only the sequential cumulative sum's own last
+        # entry divides each of them to an exact 1
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            count = int(rng.integers(10, 41))
+            scale = 10.0 ** rng.integers(-9, 4, (count, count))
+            rates = rng.random((count, count)) * scale * (rng.random((count, count)) < 0.7)
+            dense = int(rng.integers(count))
+            rates[dense] = rng.random(count) * scale[0] + 1e-9  # at least 9 targets
+            rates[(dense + rng.integers(1, count)) % count] = 0.0  # an absorbing row
+            np.fill_diagonal(rates, 0.0)
+            targets, cum = RegimeChain(discharges=np.arange(1.0, count + 1), rates=rates).jump_rows
+            degree = (rates > 0).sum(axis=1)
+            assert degree.max() >= 9 and degree.min() == 0
+            ref_targets = np.zeros(targets.shape, dtype=np.int64)
+            ref_cum = np.full(cum.shape, 2.0)
+            for i, row in enumerate(rates):
+                to = np.flatnonzero(row > 0)  # ascending
+                sums = np.cumsum(row[to])
+                ref_targets[i, : to.size] = to
+                ref_cum[i, : to.size] = sums / sums[-1:]
+            assert targets.dtype == ref_targets.dtype and cum.dtype == ref_cum.dtype
+            assert targets.tobytes() == ref_targets.tobytes()
+            assert cum.tobytes() == ref_cum.tobytes()
+            for i, k in enumerate(degree):
+                assert k == 0 or cum[i, k - 1] == 1.0
+                assert np.all(targets[i, k:] == 0) and np.all(cum[i, k:] == 2.0)
+
     def test_seeded_costs_equal_the_dense_rule(self, monkeypatch):
         rng = np.random.default_rng(8)
         count = 8
