@@ -49,7 +49,7 @@ class RunConfig:
     lam_upper: float | None = None
     # solver
     n: int = 301
-    dt: float | None = None  # dt and t_end are accepted and ignored
+    dt: float | None = None  # dt and t_end are accepted and read by nothing
     t_end: float = 90.0
     tol: float = 1e-9
     resolutions: list[int] = field(default_factory=lambda: [51, 101, 201, 401, 801])
@@ -77,9 +77,6 @@ class RunConfig:
         if self.S is None:
             return analytic.CostSpec(**costs)
         return analytic.ScalarProblem(S=self.S, **costs)
-
-    def solver_config(self) -> pde.SolverConfig:
-        return pde.SolverConfig(dt=self.dt, t_end=self.t_end, tol=self.tol)
 
     def to_json(self, path: str | Path) -> None:
         regime.write_json_fields(path, self)
@@ -135,7 +132,7 @@ def _run_solve(config: RunConfig):
     chain, rates = _load_chain_and_rates(config)
     costs = config.costs()
     grid = pde.Grid(config.n)
-    solver = config.solver_config()
+    solver = pde.SolverConfig(tol=config.tol)
     if config.lam_upper is not None:
         result = pde.solve_with_ambiguity(
             chain, rates, costs, (config.lam, config.lam_upper), grid, solver
@@ -194,7 +191,8 @@ def _run_simulate(config: RunConfig):
 
 
 def _run_convergence(config: RunConfig):
-    rows = pde.convergence_study(config.costs(), config.resolutions, config.solver_config())
+    rows = pde.convergence_study(config.costs(), config.resolutions,
+                                 pde.SolverConfig(tol=config.tol))
     lines = ["n,linf_error,l1_error,linf_rate,l1_rate,ybar,ybar_error"]
     for r in rows:
         lines.append(
@@ -210,13 +208,13 @@ def _run_convergence(config: RunConfig):
 # other fields it takes (each field is a flag) and the files it may write
 _Command = namedtuple("_Command", "runner help required takes outputs")
 _COSTS = ("delta", "c", "d", "lam")
-_SOLVER = ("n", "dt", "t_end", "tol")
+_SOLVER = ("dt", "t_end", "tol")
 
 _COMMAND_TABLE = {
     "identify": _Command(_run_identify, "estimate a regime chain from a discharge CSV",
                          ("series",), ("width", "count"), ("chain.json",)),
     "solve": _Command(_run_solve, "solve the stationary system, extract the policy",
-                      ("chain",), ("props", *_COSTS, "lam_upper", *_SOLVER),
+                      ("chain",), ("props", *_COSTS, "lam_upper", "n", *_SOLVER),
                       ("solve_result.json", "value_field.csv", "free_boundary.csv")),
     "exact": _Command(_run_exact, "closed-form single-regime solution",
                       ("S",), (*_COSTS, "samples"), ("exact.json", "candidate_values.csv")),

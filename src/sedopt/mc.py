@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .analytic import CostSpec, ScalarProblem, evaluate_candidate, solve_smooth_pasting
-from .errors import DomainError, InputError, StructureError
+from .errors import InputError, StructureError
 from .pde import ThresholdPolicy, single_regime_chain
 from .regime import (RegimeChain, RegimePath, check_horizon, check_integer, check_rates,
                      sample_regime_path)
@@ -337,8 +337,6 @@ def _estimates(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float
     """`estimate_cost` of every row of `thresholds`, all from one run of the drivers."""
     if check_integer(n_paths, "path count") < 2:
         raise InputError("need at least 2 paths for a standard error")
-    if costs.delta == 0.0 and not 0.0 < horizon < math.inf:
-        raise DomainError("ergodic cost-rate estimation needs a finite positive horizon")
     costs_per_row, events, replenishments, depleted_time = _simulate(
         chain, rates, thresholds, costs, y0, initial_regime, horizon, n_paths, seed)
     ergodic = costs.delta == 0.0

@@ -137,10 +137,9 @@ class ThresholdPolicy:
 class SolverConfig:
     """Steady-state solver controls: stop once max |residual| <= tol.
 
-    `dt` and `t_end` are accepted for compatibility and ignored.
+    `t_end` is accepted for compatibility and read by nothing.
     """
 
-    dt: float | None = None
     t_end: float = 365.0 / 2.0
     tol: float = 1e-10
 
@@ -426,9 +425,8 @@ def _doubling_levels(gain: NDArray[np.float64]) -> list[tuple[int, NDArray[np.fl
 
 
 def _inverse(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The inverse of a square matrix, or of each in a stack of them;
-    `StructureError` when one is singular, as then the steady-state system
-    has no unique solution."""
+    """The inverse of a square matrix; `StructureError` when it is
+    singular, as then the steady-state system has no unique solution."""
     try:
         return _check_finite(np.linalg.inv(matrix))
     except np.linalg.LinAlgError as exc:
@@ -446,26 +444,18 @@ def _run_inverses(switching, diagonals, out) -> tuple[NDArray[np.float64], NDArr
     """The inverse of diag(d) - switching for each run of equal rows d of
     `diagonals`, written to the head of `out`, and the run of each row.
 
-    A run that differs from the run after it in at most a fifth of the
-    regimes is reached from that run's inverse by one Sherman-Morrison
-    update per differing regime, O(I^2) each; the last run, and any run
-    that differs in more regimes, is inverted directly, in one batched
-    call. At I = 43 an update takes 4.8 us and a batched inverse 42 us a
-    block, so updates pay up to about I / 5 differing regimes (0.15 I to
-    0.21 I for I = 20..150; none pays for I <= 10).
+    The last run is inverted directly. Every other run is reached from the
+    inverse of the run after it by one Sherman-Morrison update per regime
+    in which the two differ, O(I^2) each.
     """
-    count = diagonals.shape[1]
     new_run = np.any(diagonals[1:] != diagonals[:-1], axis=1)
     run_of = np.concatenate([[0], np.cumsum(new_run)])
     firsts = diagonals[np.concatenate([[True], new_run])]
     differs = firsts[:-1] != firsts[1:]
-    fresh = np.append(5 * np.count_nonzero(differs, axis=1) > count, True)
-    blocks = np.repeat(-switching[None], np.count_nonzero(fresh), axis=0)
-    blocks[:, np.arange(count), np.arange(count)] += firsts[fresh]
     inverses = out[:len(firsts)]
-    inverses[fresh] = _inverse(blocks)
+    inverses[-1] = _inverse(np.diag(firsts[-1]) - switching)
     with np.errstate(divide="ignore", invalid="ignore"):  # singular: caught below
-        for run in np.flatnonzero(~fresh)[::-1].tolist():
+        for run in range(len(firsts) - 2, -1, -1):
             inverse = inverses[run]
             inverse[:] = inverses[run + 1]
             for j in np.flatnonzero(differs[run]).tolist():
@@ -506,15 +496,15 @@ def solve_stationary(
     tol, say) ends the solve with `converged = False`.
     """
     config = config or SolverConfig()
-    rates = check_rates(rates, chain.count)
+    fld = ValueField(np.zeros((chain.count, grid.n)), grid, chain, rates, costs)
     ergodic = costs.delta == 0.0
     if ergodic:
         chain.long_run_class()
 
-    kernel = _Residual(chain, rates, costs, grid)
-    sweep = _BlockSweep(chain, rates, costs, grid, ergodic)
+    kernel = _Residual(chain, fld.rates, costs, grid)
+    sweep = _BlockSweep(chain, fld.rates, costs, grid, ergodic)
 
-    v = np.zeros((chain.count, grid.n))
+    v = fld.values  # iterated in place
     # in ergodic mode the pin row's residual is w(0, 1) = 0, kept by every update
     rhs = np.zeros(v.size + ergodic)
     rhs_vertices = rhs[:v.size].reshape(v.shape[::-1])  # storage-major
@@ -545,7 +535,6 @@ def solve_stationary(
         max_seen = max(max_seen, float(v.max()))
     step_change = float(np.max(np.abs(step[:v.size]))) if len(history) > 1 else 0.0
 
-    fld = ValueField(values=v, grid=grid, chain=chain, rates=rates, costs=costs)
     notes: tuple[str, ...] = ()
     # monotonicity in storage is expected but not guaranteed by the scheme;
     # flag violations instead of failing

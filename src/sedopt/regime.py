@@ -231,6 +231,11 @@ class RegimeChain:
         off = nu[~np.eye(q.size, dtype=bool)]
         if off.size and off.min() < 0:
             raise InputError("off-diagonal switching rates must be >= 0")
+        with np.errstate(over="ignore"):  # an overflowing total is what is checked
+            past = np.flatnonzero(~np.isfinite(nu.sum(axis=1)))
+        if past.size:
+            raise InputError(f"switching rates out of regimes {past.tolist()} sum past "
+                             "the double range")
 
     @property
     def count(self) -> int:

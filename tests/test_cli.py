@@ -86,13 +86,13 @@ class TestParsing:
             cli.RunConfig(command="bogus")
 
     def test_flag_sets(self):
-        # each command's flags, in order, as they stood before the command
-        # table built the parser; no flag is added, dropped or renamed
+        # each command's flags, in order; convergence sets its own grids
+        # with --resolutions, so only solve takes --n
         costs = ["--delta", "--c", "--d", "--lambda"]
-        solver = ["--n", "--dt", "--t-end", "--tol"]
+        solver = ["--dt", "--t-end", "--tol"]
         expected = {
             "identify": ["--series", "--width", "--count"],
-            "solve": ["--chain", "--props", *costs, "--lambda-upper", *solver],
+            "solve": ["--chain", "--props", *costs, "--lambda-upper", "--n", *solver],
             "exact": ["--S", *costs, "--samples"],
             "simulate": ["--chain", "--props", "--policy", *costs, "--y0", "--horizon",
                          "--paths", "--seed", "--initial-regime", "--per-path"],
@@ -117,6 +117,23 @@ class TestParsing:
         assert (config.y0, config.per_path, config.seed) == (0.5, True, 3)
         config = cli.resolve_config(["convergence", "--resolutions", "11,21"])
         assert config.resolutions == [11, 21] and config.S is None
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--chain", "CHAIN", "--n", "21"),
+        ("convergence", "--S", "0.05", "--resolutions", "11,21"),
+    ], ids=["solve", "convergence"])
+    def test_dt_and_t_end_change_no_output(self, chain_file, tmp_path, argv):
+        # accepted and echoed, read by nothing else
+        argv = [chain_file if a == "CHAIN" else a for a in argv]
+        plain, knobs = tmp_path / "plain", tmp_path / "knobs"
+        assert run_cli(*argv, "--outdir", plain) == 0
+        assert run_cli(*argv, "--dt", "0.5", "--t-end", "3", "--outdir", knobs) == 0
+        echo = json.loads((knobs / "run_config.json").read_text())
+        assert (echo["dt"], echo["t_end"]) == (0.5, 3.0)
+
+        def outputs(out):
+            return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_config.json"}
+        assert outputs(plain) == outputs(knobs) != {}
 
     def test_parser_is_built_once_and_reused(self, chain_file, tmp_path, capsys):
         # a parse leaves the parser as it was: each run on the one parser,
@@ -624,6 +641,16 @@ class TestJsonFiles:
         for name in ("solve_result.json", "value_field.csv", "free_boundary.csv"):
             assert not (out / name).exists()
 
+    def test_overflowing_switching_total_fails(self, tmp_path, capsys):
+        chain = tmp_path / "chain.json"
+        chain.write_text('{"discharges": [1.0, 2.0, 3.0], '
+                         '"rates": [[0.0, 1e308, 1e308], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]}')
+        out = tmp_path / "solve"
+        assert run_cli("solve", "--chain", chain, "--n", "21", "--outdir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"sedopt: error: {chain}: ") and "regimes [0]" in err
+        assert not (out / "solve_result.json").exists()
+
     def test_props_integer_no_double_holds_fails(self, chain_file, tmp_path, capsys):
         # it used to end in an OverflowError traceback inside shear_stress
         props = tmp_path / "props.json"
@@ -759,14 +786,23 @@ class TestExitCodes:
             cli.main(["solve", "--no-such-flag"])
         assert info.value.code == 2
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--resolutions", "a,b"), ("--tol", "1e-9x"), ("--n", "1.5"),
-    ])
-    def test_bad_flag_value_is_two(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize("command, flag, value", [
+        ("convergence", "--resolutions", "a,b"), ("convergence", "--tol", "1e-9x"),
+        ("solve", "--n", "1.5"),
+    ], ids=["--resolutions-a,b", "--tol-1e-9x", "--n-1.5"])
+    def test_bad_flag_value_is_two(self, tmp_path, capsys, command, flag, value):
         with pytest.raises(SystemExit) as info:
-            cli.main(["convergence", flag, value, "--outdir", str(tmp_path)])
+            cli.main([command, flag, value, "--outdir", str(tmp_path)])
         assert info.value.code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "run_config.json").exists()
+
+    def test_convergence_takes_no_grid_size(self, tmp_path, capsys):
+        # its grids are --resolutions; a --n would be read by nothing
+        with pytest.raises(SystemExit) as info:
+            cli.main(["convergence", "--S", "0.05", "--n", "5", "--outdir", str(tmp_path)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --n 5" in capsys.readouterr().err
         assert not (tmp_path / "run_config.json").exists()
 
 

@@ -13,7 +13,7 @@ from sedopt.analytic import (
     solve_smooth_pasting,
 )
 from sedopt import cli, mc
-from sedopt.errors import DomainError, InputError, StructureError
+from sedopt.errors import InputError, StructureError
 from sedopt.pde import Grid, ValueField, extract_policy, solve_stationary
 from sedopt.mc import (
     estimate_cost,
@@ -496,7 +496,7 @@ class TestEstimateCost:
         with pytest.raises(InputError):
             estimate_cost(CHAIN_1, BENCH_RATES, None, BENCH_COSTS, 1.0, 10.0,
                           n_paths=1, seed=0)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             estimate_cost(CHAIN_1, BENCH_RATES, None,
                           CostSpec(delta=0.0, c=0.2, d=0.3, lam=1.0 / 7.0),
                           1.0, math.inf, n_paths=10, seed=0)

@@ -367,6 +367,27 @@ class TestSolveStationary:
         result = solve_benchmark(101)
         assert np.all(np.diff(result.field.values[0]) <= 1e-8)
 
+    def test_rise_along_storage_is_noted(self):
+        # the scheme does not guarantee monotonicity: here regime 0 never
+        # drains and regime 1 drains into it, and the field rises slightly
+        chain = RegimeChain(discharges=np.array([1.0, 10.0]),
+                            rates=np.array([[0.0, 0.0], [1.0, 0.0]]))
+        costs = CostSpec(delta=0.3, c=0.5, d=0.2, lam=2.0)
+        with pytest.warns(UserWarning, match="field increases along storage"):
+            result = solve_stationary(chain, np.array([0.0, 0.03]), costs, Grid(21))
+        assert result.converged
+        assert result.notes == ("field increases along storage by up to 1.369e-06",)
+
+    @pytest.mark.parametrize("delta", [0.2, 0.0], ids=["discounted", "ergodic"])
+    def test_field_is_the_last_iterate(self, delta):
+        # the returned field is the iterate whose residual ends the history
+        chain, rates = two_regime_setup()
+        costs = CostSpec(delta=delta, c=0.02, d=0.01, lam=1.0 / 7.0)
+        result = solve_stationary(chain, rates, costs, Grid(41), SolverConfig(tol=1e-9))
+        assert result.converged
+        shifted = residual(result.field) + (result.cost_rate or 0.0)
+        assert np.max(np.abs(shifted)) == result.residual_history[-1]
+
     def test_free_replenishment(self):
         # with zero costs the intervention value is the value at full
         # storage, which is also the field minimum
@@ -495,8 +516,8 @@ def structure_cases():
         # the first iterate of every solve: in ergodic mode D_0 is the
         # negated generator, singular, so x_0 must stay in the border
         "dense-empty": (dense, np.array([0.05, 0.2, 0.0, 0.4]), np.zeros((4, n), dtype=bool)),
-        # six regimes: the blocks of runs that differ in one regime are
-        # Sherman-Morrison updates, the pair that differs in two is not
+        # six regimes: every run's block but the last is reached from the
+        # run above it by Sherman-Morrison updates; one pair differs in two
         "ladder-contiguous": (ladder, np.linspace(0.05, 0.3, 6),
                               np.arange(n) < np.array([[2], [3], [3], [5], [6], [7]])),
     }

@@ -76,6 +76,12 @@ class TestRegimeChain:
             with pytest.raises(InputError, match="discharges must be finite"):
                 RegimeChain(discharges=discharges, rates=np.zeros((2, 2)))
 
+    def test_overflowing_row_sum_rejected(self):
+        # each rate is finite, but regime 0's total rate out is not
+        with pytest.raises(InputError, match=r"regimes \[0\] sum past the double range"):
+            RegimeChain(discharges=[1.0, 2.0, 3.0],
+                        rates=[[0.0, 1e308, 1e308], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+
     def test_generator_rows_sum_to_zero(self):
         chain = two_regime_chain()
         q = chain.generator()

@@ -7,11 +7,13 @@ Imports sedopt from `TREE/src` and, in a fresh temporary directory, runs
 discharge series: discounted, ergodic and `--lambda-upper` solves (n = 41,
 21, 21), `simulate` with the discounted policy and `--per-path`, an
 ergodic `simulate`, `exact --samples 33` and an ergodic `exact`,
-`convergence` at 21,41,81 and `identify`. Each run writes into its own
-outdir, named after the run. The JSON maps each `run/file` to its digest
-and each run to its exit status. The temporary path is masked in each
-`run_config.json`, so digests of two checkouts, or of two runs of one,
-compare equal when their outputs are byte-identical.
+`convergence` at 21,41,81 and `identify`. At the paper's size it also
+solves a seeded 43-regime nearest-neighbour chain at n = 301 and simulates
+500 paths of that policy. Each run writes into its own outdir, named after
+the run. The JSON maps each `run/file` to its digest and each run to its
+exit status. The temporary path is masked in each `run_config.json`, so
+digests of two checkouts, or of two runs of one, compare equal when their
+outputs are byte-identical.
 """
 
 import argparse
@@ -25,7 +27,10 @@ import numpy as np
 
 CHAIN = "chain.json"
 SERIES = "series.csv"
+PAPER = "paper_chain.json"
 POLICY = "solve/free_boundary.csv"
+PAPER_POLICY = "solve-paper/free_boundary.csv"
+INPUTS = (CHAIN, SERIES, PAPER, POLICY, PAPER_POLICY)
 
 # run name -> argv; a run's name starts with its command
 RUNS = {
@@ -40,11 +45,14 @@ RUNS = {
     "exact-ergodic": ["exact", "--S", "0.05", "--delta", "0"],
     "convergence": ["convergence", "--S", "0.05", "--resolutions", "21,41,81"],
     "identify": ["identify", "--series", SERIES, "--count", "8"],
+    "solve-paper": ["solve", "--chain", PAPER, "--n", "301"],
+    "simulate-paper": ["simulate", "--chain", PAPER, "--policy", PAPER_POLICY,
+                       "--paths", "500", "--horizon", "50", "--seed", "7"],
 }
 
 
 def write_inputs(root: Path) -> None:
-    """The seeded chain and discharge series, written directly, not through sedopt."""
+    """The seeded chains and discharge series, written directly, not through sedopt."""
     rng = np.random.default_rng(6)
     discharges = 10.0 + 15.0 * np.arange(6) + rng.uniform(0.0, 5.0, 6)
     rates = rng.uniform(0.05, 0.5, (6, 6))
@@ -54,6 +62,13 @@ def write_inputs(root: Path) -> None:
     flows = np.abs(15.0 + np.cumsum(rng.normal(0.0, 1.5, 400)))
     rows = [f"{day},{flow!r}" for day, flow in enumerate(flows.tolist())]
     (root / SERIES).write_text("\n".join(["timestamp,discharge_m3s", *rows]) + "\n")
+    # the paper's shape: 43 regimes on 2.5 m^3/s bins, nearest-neighbour switching
+    low = np.arange(42)
+    rates = np.zeros((43, 43))
+    rates[low, low + 1] = 0.7 * rng.uniform(0.9, 1.1, 42)
+    rates[low + 1, low] = 1.1 * rng.uniform(0.9, 1.1, 42)
+    paper = {"discharges": (1.25 + 2.5 * np.arange(43)).tolist(), "rates": rates.tolist()}
+    (root / PAPER).write_text(json.dumps(paper) + "\n")
 
 
 def digest(tree: Path) -> dict:
@@ -65,7 +80,7 @@ def digest(tree: Path) -> dict:
         root = Path(tmp)
         write_inputs(root)
         for name, argv in RUNS.items():
-            argv = [str(root / a) if a in (CHAIN, SERIES, POLICY) else a for a in argv]
+            argv = [str(root / a) if a in INPUTS else a for a in argv]
             status[name] = cli.main([*argv, "--outdir", str(root / name)])
         for path in sorted(root.glob("*/*")):
             data = path.read_bytes()
