@@ -316,30 +316,32 @@ class _BlockSweep:
     With one regime the adjoint is a cumulative product and the forward
     sweep a doubling scan of about log2(n) vectorised steps. Otherwise the
     forward sweep is one product x_k = [D_k^-1 s | D_k^-1] [x_{k-1}; c_k]
-    per vertex. The work arrays are sized once and every solve shares
-    them, the result too: one factorization at a time, one solve at a
-    time, and a solve's result is overwritten by the next.
+    per vertex. `solve` takes and returns (regime, vertex) arrays. The
+    work arrays are sized once and every solve shares them, the update
+    too: one factorization at a time, one solve at a time, and a solve's
+    update is overwritten by the next.
     """
 
-    def __init__(self, chain: RegimeChain, rates, costs: CostSpec, grid: Grid, ergodic: bool):
+    def __init__(self, chain: RegimeChain, rates, costs: CostSpec, grid: Grid):
         count, inner = rates.size, grid.n - 2
         self.switching = chain.rates
         self.s = rates / grid.h
         self.outflow = costs.delta + chain.out_rates
         self.lam = costs.lam
-        self.ergodic = ergodic
+        self.ergodic = costs.delta == 0.0
         self.adjoint = np.empty((inner, count, count))  # P_k^T
-        self.border, self.z = np.empty(2 * count + ergodic), np.empty(2 * count + ergodic)
-        self.result = np.empty((inner + 2) * count + ergodic)
-        self.head = self.result[:(inner + 1) * count].reshape(inner + 1, count)  # x_0..x_{n-2}
-        if count == 1:  # the scan runs in the result, its products go to `carry`
-            self.x, self.c, self.carry = self.head, np.empty((inner, 1)), np.empty((inner, 1))
+        width = 2 * count + self.ergodic  # the pin row's right-hand side stays 0
+        self.border, self.z = np.zeros(width), np.empty(width)
+        self.b = np.empty((inner + 2, count))  # b_0..b_{n-1}
+        if count == 1:  # the scan runs in x_0..x_{n-2}, its products go to `carry`
+            self.x = np.empty((inner + 2, 1))
+            self.c, self.carry = np.empty((inner, 1)), np.empty((inner, 1))
         else:
             # [D_k^-1 s | D_k^-1], one per run of equal D_k, and the pairs
             # [x_{k-1}; c_k] each product of the forward sweep reads
             self.steps = np.empty((inner, count, 2 * count))
-            pairs = np.empty((inner + 1, 2 * count))
-            self.x, self.c = pairs[:, :count], pairs[:-1, count:]
+            pairs = np.empty((inner + 2, 2 * count))
+            self.x, self.c = pairs[:, :count], pairs[:inner, count:]
             self.links = [(pairs[k], pairs[k + 1, :count]) for k in range(inner)]
 
     def factor(self, replenish: NDArray[np.bool_]) -> _BlockSweep:
@@ -379,32 +381,31 @@ class _BlockSweep:
         self.weights = adjoint.reshape(-1, count)  # b -> s x_{n-2}, given z = 0
         return self
 
-    def solve(self, b: NDArray[np.float64]) -> NDArray[np.float64]:
-        """J^-1 b, both in the storage-major numbering."""
-        count, border, z = self.s.size, self.border, self.z
-        size = (len(self.adjoint) + 2) * count
-        vertex = b[:size].reshape(-1, count)
-        border[:count] = vertex[0]
-        upwind = np.dot(vertex[1:-1].ravel(), self.weights, out=border[count:2 * count])
-        upwind += vertex[-1]
-        border[2 * count:] = b[size:]
+    def solve(self, res: NDArray[np.float64]) -> tuple[NDArray[np.float64], float]:
+        """J^-1 applied to a (regime, vertex) residual, with 0 on the pin
+        row: the (regime, vertex) update and the cost-rate update (0.0 when
+        discounted)."""
+        count, border, z, b = self.s.size, self.border, self.z, self.b
+        b[:] = res.T
+        border[:count] = b[0]
+        upwind = np.dot(b[1:-1].ravel(), self.weights, out=border[count:2 * count])
+        upwind += b[-1]
         np.dot(self.schur_inverse, border, out=z)
         c = np.multiply(self.jump[1:], z[count:2 * count], out=self.c)
-        c += vertex[1:-1]
+        c += b[1:-1]
         if self.ergodic:
             c -= z[-1]
-        x = self.x  # x_0..x_{n-2}
-        x[0] = z[:count]
+        x = self.x  # x_0..x_{n-1}
+        x[0], x[-1] = z[:count], z[count:2 * count]
         if count == 1:
-            np.multiply(c, self.scale, out=x[1:])
+            scan = x[:-1]
+            np.multiply(c, self.scale, out=scan[1:])
             for shift, gain in self.levels:
-                x[shift:] += np.multiply(gain, x[:-shift], out=self.carry[:len(gain)])
+                scan[shift:] += np.multiply(gain, scan[:-shift], out=self.carry[:len(gain)])
         else:
             for step, pair, out in self.sweep:
                 np.dot(step, pair, out=out)
-            self.head[:] = x
-        self.result[size - count:] = z[count:]
-        return self.result
+        return x.T, float(z[-1]) if self.ergodic else 0.0
 
 
 def _doubling_levels(gain: NDArray[np.float64]) -> list[tuple[int, NDArray[np.float64]]]:
@@ -502,12 +503,9 @@ def solve_stationary(
         chain.long_run_class()
 
     kernel = _Residual(chain, fld.rates, costs, grid)
-    sweep = _BlockSweep(chain, fld.rates, costs, grid, ergodic)
+    sweep = _BlockSweep(chain, fld.rates, costs, grid)
 
     v = fld.values  # iterated in place
-    # in ergodic mode the pin row's residual is w(0, 1) = 0, kept by every update
-    rhs = np.zeros(v.size + ergodic)
-    rhs_vertices = rhs[:v.size].reshape(v.shape[::-1])  # storage-major
     magnitude = np.empty(v.shape)
     cost_rate = min_seen = max_seen = 0.0
     replenish, now = np.zeros(v.shape, dtype=bool), np.empty(v.shape, dtype=bool)
@@ -526,14 +524,12 @@ def solve_stationary(
             break
         if len(history) == 1 or changes[-1]:
             sweep.factor(replenish)
-        rhs_vertices[:] = res.T
-        step = sweep.solve(rhs)
-        v -= step[:v.size].reshape(v.shape[::-1]).T
-        if ergodic:
-            cost_rate -= step[-1]
+        step, rate_step = sweep.solve(res)
+        v -= step
+        cost_rate -= rate_step
         min_seen = min(min_seen, float(v.min()))
         max_seen = max(max_seen, float(v.max()))
-    step_change = float(np.max(np.abs(step[:v.size]))) if len(history) > 1 else 0.0
+    step_change = float(np.max(np.abs(step))) if len(history) > 1 else 0.0
 
     notes: tuple[str, ...] = ()
     # monotonicity in storage is expected but not guaranteed by the scheme;

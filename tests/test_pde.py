@@ -530,10 +530,14 @@ class TestHowardFactorization:
         chain, rates, replenish = structure_cases()[case]
         costs = CostSpec(delta=0.0 if ergodic else 0.2, c=0.02, d=0.01, lam=0.5)
         grid = Grid(replenish.shape[1])
-        sweep = _BlockSweep(chain, rates, costs, grid, ergodic).factor(replenish)
+        sweep = _BlockSweep(chain, rates, costs, grid).factor(replenish)
         J = dense_howard_matrix(chain, rates, costs, grid, replenish, ergodic)
-        b = np.random.default_rng(3).normal(size=J.shape[0])
-        x = sweep.solve(b)
+        res = np.random.default_rng(3).normal(size=replenish.shape)
+        update, rate_update = sweep.solve(res)
+        # to J's storage-major numbering; the pin row's right-hand side is 0
+        b = np.append(res.T.ravel(), [0.0] * ergodic)
+        x = np.append(update.T.ravel(), [rate_update] * ergodic)
+        assert ergodic or rate_update == 0.0
         scale = np.linalg.norm(J, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
         assert np.linalg.norm(J @ x - b, np.inf) <= 1e-12 * scale
 
@@ -543,7 +547,7 @@ class TestHowardFactorization:
         chain = RegimeChain(discharges=np.arange(1.0, count + 1.0),
                             rates=np.full((count, count), 0.0))
         costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=0.5)
-        factor = _BlockSweep(chain, np.zeros(count), costs, Grid(7), ergodic=True).factor
+        factor = _BlockSweep(chain, np.zeros(count), costs, Grid(7)).factor
         with pytest.raises(StructureError, match="singular"):
             factor(np.zeros((count, 7), dtype=bool))
 
@@ -557,7 +561,7 @@ class TestHowardFactorization:
         costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=0.5)
         replenish = np.ones((count, 7), dtype=bool)
         replenish[0, 1:3] = False
-        factor = _BlockSweep(chain, np.zeros(count), costs, Grid(7), ergodic=True).factor
+        factor = _BlockSweep(chain, np.zeros(count), costs, Grid(7)).factor
         with pytest.raises(StructureError, match="singular"):
             factor(replenish)
 
