@@ -492,15 +492,19 @@ def solve_stationary(
     Discounted mode (delta > 0) converges once max |residual| <= tol.
     Ergodic mode (delta = 0) solves residual(w) + u = 0 for the cost rate u
     and the relative value w, pinned to 0 at (regime 0, y = 1); it needs a
-    chain with one closed class (`RegimeChain.long_run_class`). A residual
-    that does not halve within `_STALL_WINDOW` iterations (round-off above
-    tol, say) ends the solve with `converged = False`.
+    chain with one closed class (`RegimeChain.long_run_class`) in which
+    some regime drains storage. A residual that does not halve within
+    `_STALL_WINDOW` iterations (round-off above tol, say) ends the solve
+    with `converged = False`.
     """
     config = config or SolverConfig()
     fld = ValueField(np.zeros((chain.count, grid.n)), grid, chain, rates, costs)
     ergodic = costs.delta == 0.0
     if ergodic:
-        chain.long_run_class()
+        closed = chain.long_run_class()
+        if not fld.rates[closed].any():  # then each storage level is a closed class
+            raise StructureError("steady-state system is singular: storage never drains "
+                                 f"in the long-run class of regimes {closed}")
 
     kernel = _Residual(chain, fld.rates, costs, grid)
     sweep = _BlockSweep(chain, fld.rates, costs, grid)

@@ -341,6 +341,17 @@ class TestSolveSimulate:
         assert capsys.readouterr().err == f"sedopt: error: {message}\n"
         assert not (out / "solve_result.json").exists()
 
+    def test_ergodic_solve_without_drain_fails(self, tmp_path, capsys):
+        # a critical Shields number no flow reaches: no regime transports,
+        # so the Howard matrix is singular; this once exited 0 "converged"
+        chain, props, out = tmp_path / "paper.json", tmp_path / "props.json", tmp_path / "solve"
+        realistic_chain(0).to_json(chain)
+        props.write_text('{"theta_c": 100}')
+        assert run_cli("solve", "--chain", chain, "--props", props, "--delta", "0",
+                       "--outdir", out) == 1
+        assert "singular" in capsys.readouterr().err
+        assert not (out / "solve_result.json").exists()
+
     def solve(self, chain_file, out):
         return run_cli(
             "solve", "--chain", chain_file, "--delta", "0.2", "--c", "0.02",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sedopt.analytic import BENCHMARK, evaluate_candidate, solve_smooth_pasting
 from sedopt.errors import ConvergenceError, InputError, StructureError
+from sedopt.mc import estimate_cost
 from sedopt.pde import (
     CostSpec,
     Grid,
@@ -464,6 +465,62 @@ class TestSolveStationary:
         costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=1.0 / 7.0)
         with pytest.raises(StructureError, match="singular"):
             solve_stationary(single_regime_chain(), np.array([0.0]), costs, Grid(21))
+
+    def test_ergodic_without_drain_in_the_long_run_class_is_singular(self):
+        costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=1.0 / 7.0)
+        # the paper chain with no transport once "converged" on an inverse
+        # with entries near 1e16
+        with pytest.raises(StructureError, match=r"singular.*\[0, 1, 2, .*, 42\]"):
+            solve_stationary(realistic_chain(0), np.zeros(43), costs, Grid(31))
+        # regime 0 drains, but only the class {1, 2} runs in the long run
+        transient = RegimeChain(discharges=np.array([1.0, 10.0, 20.0]), rates=np.array(
+            [[0.0, 1.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.8, 0.0]]))
+        with pytest.raises(StructureError, match=r"singular.*\[1, 2\]"):
+            solve_stationary(transient, np.array([0.3, 0.0, 0.0]), costs, Grid(21))
+
+    def test_undrained_long_run_class_always_raises(self):
+        # seeded chains of 2-44 regimes: the last `size` form the one closed
+        # class and never drain; each earlier regime leads to a later one
+        # and may drain. Without the drain rule round-off decided between a
+        # "converged" solve, a StructureError and a stall.
+        rng = np.random.default_rng(22)
+        costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=1.0 / 7.0)
+        for _ in range(120):
+            count = int(rng.integers(2, 45))
+            size = int(rng.integers(1, count + 1))
+            first = count - size
+            rates = rng.uniform(0.1, 1.5, (count, count)) * (rng.uniform(size=(count, count)) < 0.3)
+            rates[first:, :first] = 0.0
+            cycle = np.arange(first, count)
+            rates[cycle, np.roll(cycle, -1)] += rng.uniform(0.1, 1.5, size)
+            rates[np.arange(first), rng.integers(np.arange(first) + 1, count)] += 0.5
+            np.fill_diagonal(rates, 0.0)
+            chain = RegimeChain(discharges=np.arange(1.0, count + 1.0), rates=rates)
+            assert chain.long_run_class() == cycle.tolist()
+            drains = np.where(np.arange(count) < first, rng.uniform(0.0, 0.4, count), 0.0)
+            with pytest.raises(StructureError, match="singular") as caught:
+                solve_stationary(chain, drains, costs, Grid(7))
+            assert str(cycle.tolist()) in str(caught.value)
+
+    def test_discounted_without_transport_at_paper_size(self):
+        # storage never drains, so only empty storage costs: every regime
+        # replenishes it at the first observation, and v(i, 0) solves
+        # delta v + lam (v - c - d) = 1 in each regime alike
+        costs = CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0)
+        chain, grid, drains = realistic_chain(0), Grid(31), np.zeros(43)
+        result = solve(chain, drains, costs, grid)
+        assert result.converged
+        v = result.field.values
+        expected = (1.0 + costs.lam * (costs.c + costs.d)) / (costs.delta + costs.lam)
+        np.testing.assert_allclose(v[:, 0], expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(v[:, 1:], 0.0)
+        policy = extract_policy(result.field)
+        np.testing.assert_array_equal(policy.boundaries, grid.h / 2)
+        full = estimate_cost(chain, drains, policy, costs, 1.0, 100.0, 2000, seed=22)
+        assert full.mean == 0.0 and full.replenishments_per_path == 0.0
+        empty = estimate_cost(chain, drains, policy, costs, 0.0, 100.0, 2000, seed=22)
+        assert abs(empty.mean - v[0, 0]) <= 3.0 * empty.stderr
+        assert empty.replenishments_per_path == 1.0
 
 
 def dense_howard_matrix(chain, rates, costs, grid, replenish, ergodic):

@@ -8,8 +8,8 @@ discharge series: discounted, ergodic and `--lambda-upper` solves (n = 41,
 21, 21), `simulate` with the discounted policy and `--per-path`, an
 ergodic `simulate`, `exact --samples 33` and an ergodic `exact`,
 `convergence` at 21,41,81 and `identify`. At the paper's size it also
-solves a seeded 43-regime nearest-neighbour chain at n = 301 and simulates
-500 paths of that policy. Each run writes into its own outdir, named after
+solves a seeded 43-regime nearest-neighbour chain at n = 301, discounted
+and ergodic, and simulates 500 paths of the discounted policy. Each run writes into its own outdir, named after
 the run. The JSON maps each `run/file` to its digest and each run to its
 exit status. The temporary path is masked in each `run_config.json`, so
 digests of two checkouts, or of two runs of one, compare equal when their
@@ -46,6 +46,7 @@ RUNS = {
     "convergence": ["convergence", "--S", "0.05", "--resolutions", "21,41,81"],
     "identify": ["identify", "--series", SERIES, "--count", "8"],
     "solve-paper": ["solve", "--chain", PAPER, "--n", "301"],
+    "solve-paper-ergodic": ["solve", "--chain", PAPER, "--delta", "0", "--n", "301"],
     "simulate-paper": ["simulate", "--chain", PAPER, "--policy", PAPER_POLICY,
                        "--paths", "500", "--horizon", "50", "--seed", "7"],
 }
