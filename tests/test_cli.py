@@ -343,7 +343,7 @@ class TestSolveSimulate:
 
     def test_ergodic_solve_without_drain_fails(self, tmp_path, capsys):
         # a critical Shields number no flow reaches: no regime transports,
-        # so the Howard matrix is singular; this once exited 0 "converged"
+        # so the Howard matrix is singular and no result may be written
         chain, props, out = tmp_path / "paper.json", tmp_path / "props.json", tmp_path / "solve"
         realistic_chain(0).to_json(chain)
         props.write_text('{"theta_c": 100}')

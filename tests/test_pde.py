@@ -468,8 +468,8 @@ class TestSolveStationary:
 
     def test_ergodic_without_drain_in_the_long_run_class_is_singular(self):
         costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=1.0 / 7.0)
-        # the paper chain with no transport once "converged" on an inverse
-        # with entries near 1e16
+        # the paper chain with no transport: the Howard matrix is singular,
+        # though its inverse can come out finite, with entries near 1e16
         with pytest.raises(StructureError, match=r"singular.*\[0, 1, 2, .*, 42\]"):
             solve_stationary(realistic_chain(0), np.zeros(43), costs, Grid(31))
         # regime 0 drains, but only the class {1, 2} runs in the long run
@@ -481,15 +481,16 @@ class TestSolveStationary:
     def test_undrained_long_run_class_always_raises(self):
         # seeded chains of 2-44 regimes: the last `size` form the one closed
         # class and never drain; each earlier regime leads to a later one
-        # and may drain. Without the drain rule round-off decided between a
-        # "converged" solve, a StructureError and a stall.
+        # and may drain. The error must not hang on round-off, which can let
+        # a singular system "converge" or stall.
         rng = np.random.default_rng(22)
         costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=1.0 / 7.0)
         for _ in range(120):
             count = int(rng.integers(2, 45))
             size = int(rng.integers(1, count + 1))
             first = count - size
-            rates = rng.uniform(0.1, 1.5, (count, count)) * (rng.uniform(size=(count, count)) < 0.3)
+            shape = (count, count)
+            rates = rng.uniform(0.1, 1.5, shape) * (rng.uniform(size=shape) < 0.3)
             rates[first:, :first] = 0.0
             cycle = np.arange(first, count)
             rates[cycle, np.roll(cycle, -1)] += rng.uniform(0.1, 1.5, size)

@@ -9,11 +9,11 @@ discharge series: discounted, ergodic and `--lambda-upper` solves (n = 41,
 ergodic `simulate`, `exact --samples 33` and an ergodic `exact`,
 `convergence` at 21,41,81 and `identify`. At the paper's size it also
 solves a seeded 43-regime nearest-neighbour chain at n = 301, discounted
-and ergodic, and simulates 500 paths of the discounted policy. Each run writes into its own outdir, named after
-the run. The JSON maps each `run/file` to its digest and each run to its
-exit status. The temporary path is masked in each `run_config.json`, so
-digests of two checkouts, or of two runs of one, compare equal when their
-outputs are byte-identical.
+and ergodic, and simulates 500 paths of the discounted policy. Each run
+writes into its own outdir, named after the run. The JSON maps each
+`run/file` to its digest and each run to its exit status. The temporary
+path is masked in each `run_config.json`, so digests of two checkouts, or
+of two runs of one, compare equal when their outputs are byte-identical.
 """
 
 import argparse
