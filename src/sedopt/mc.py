@@ -179,6 +179,25 @@ def _limits(thresholds, count: int) -> NDArray[np.float64]:
     return np.minimum(thresholds, np.nextafter(1.0, 0.0))
 
 
+def _settle(costs: CostSpec, t, y, since, cost, filled, done):
+    """One row's bookkeeping after a step, in place: depletion intervals end at
+    the refills `filled` and the horizon arrivals `done`, and each refill pays
+    its discounted cost and fills the store. Returns the refill count and the
+    path-days of depletion that ended."""
+    closing = np.concatenate([filled, done]) if done.size else filled
+    closing = closing[~np.isnan(since[closing])]
+    depleted = 0.0
+    if closing.size:
+        start, end = since[closing], t[closing]
+        cost[closing] += _discounted_interval(costs.delta, start, end)
+        depleted = float((end - start).sum())
+        since[closing] = np.nan
+    if filled.size:
+        cost[filled] += np.exp(-costs.delta * t[filled]) * costs.intervention_cost(y[filled])
+        y[filled] = 1.0
+    return filled.size, depleted
+
+
 def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
               initial_regime: int, horizon: float, n_paths: int, seed):
     """Advance n_paths paths together, one event per live path per step, under
@@ -199,7 +218,8 @@ def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
     The seed contract is the draw order of a step: the regime stream's
     `random(switching)`, then its `standard_exponential(switching)`, then
     the observation stream's `standard_exponential(observing)`, each in
-    path order. A row of -inf never replenishes (the null control).
+    path order. A start regime with no way out takes `_switch_free`, which
+    gives the same outputs. A row of -inf never replenishes (the null control).
     """
     if not 0.0 <= y0 <= 1.0:
         raise InputError("initial storage must lie in [0, 1]")
@@ -208,7 +228,10 @@ def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
     rates = check_rates(rates, chain.count)
     horizon = check_horizon(horizon)
     rng_regime, rng_obs = _streams(seed)
-    delta, lam, out_rates = costs.delta, costs.lam, chain.out_rates
+    lam, out_rates = costs.lam, chain.out_rates
+    if out_rates[initial_regime] == 0.0:
+        return _switch_free(rates[initial_regime], limits[:, initial_regime], costs, y0,
+                            horizon, n_paths, rng_obs)
     rows = range(thresholds.shape[0])
 
     path = np.arange(n_paths)
@@ -249,21 +272,11 @@ def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
 
             observed = regime[observe]
             for r in rows:  # the rows differ only in which observations replenish
-                y_r, since_r, cost_r = y[r], depleted_since[r], cost[r]
-                filled = observe[y_r[observe] <= limits[r][observed]]
-                # a depletion interval ends at a replenishment or the horizon
-                closing = np.concatenate([filled, done]) if done.size else filled
-                closing = closing[~np.isnan(since_r[closing])]
-                if closing.size:
-                    since, end = since_r[closing], t[closing]
-                    cost_r[closing] += _discounted_interval(delta, since, end)
-                    depleted_time[r] += float((end - since).sum())
-                    since_r[closing] = np.nan
-                if filled.size:
-                    cost_r[filled] += (np.exp(-delta * t[filled])
-                                       * costs.intervention_cost(y_r[filled]))
-                    y_r[filled] = 1.0
-                    replenishments[r] += filled.size
+                filled = observe[y[r][observe] <= limits[r][observed]]
+                count, depleted = _settle(costs, t, y[r], depleted_since[r], cost[r],
+                                          filled, done)
+                replenishments[r] += count
+                depleted_time[r] += depleted
 
             if done.size * 4 >= path.size:  # parked paths leave
                 samples[:, path[done]] = cost[:, done]
@@ -271,6 +284,52 @@ def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
                     a.compress(live, axis=-1)
                     for a in (path, t, regime, t_switch, t_obs, y, depleted_since, cost))
                 done = done[:0]
+    return samples, events, replenishments, depleted_time
+
+
+def _switch_free(rate, limits, costs: CostSpec, y0: float, horizon: float, n_paths: int,
+                 rng_obs):
+    """`_simulate` from a start regime that is never left, bit for bit: storage
+    drains at the one `rate`, and each row fills at its one limit of `limits`.
+    Every live path's next event is its next observation or the horizon, so
+    each step draws the observation stream exactly as `_simulate` does. The
+    regime stream is not drawn: no path switches, so none of its values could
+    reach an output."""
+    lam, rows = costs.lam, range(limits.size)
+    path, t = np.arange(n_paths), np.zeros(n_paths)
+    y = np.full((limits.size, n_paths), float(y0))
+    depleted_since = np.full(y.shape, 0.0 if y0 == 0.0 else np.nan)
+    cost, samples = np.zeros(y.shape), np.empty(y.shape)
+    events, replenishments, depleted_time = 0, [0] * len(rows), [0.0] * len(rows)
+    t_obs = rng_obs.standard_exponential(n_paths) / lam
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero rate never empties
+        while path.size:
+            t_next = np.minimum(t_obs, horizon)
+            live = t_obs < horizon
+            done = (~live).nonzero()[0]
+            y, t_hit, hit = _decay(t, y, rate, t_next)
+            np.putmask(depleted_since, hit, t_hit)
+            t = t_next
+            draws = rng_obs.standard_exponential(path.size - done.size) / lam
+            if done.size:
+                t_obs[live] = t[live] + draws
+            else:
+                t_obs = t + draws
+            events += draws.size
+
+            fill = y <= limits[:, None]
+            if done.size:
+                fill &= live
+            for r in rows:
+                count, depleted = _settle(costs, t, y[r], depleted_since[r], cost[r],
+                                          fill[r].nonzero()[0], done)
+                replenishments[r] += count
+                depleted_time[r] += depleted
+
+            if done.size * 4 >= path.size:  # parked paths leave, as in `_simulate`
+                samples[:, path[done]] = cost[:, done]
+                path, t, t_obs, y, depleted_since, cost = (
+                    a.compress(live, axis=-1) for a in (path, t, t_obs, y, depleted_since, cost))
     return samples, events, replenishments, depleted_time
 
 
@@ -345,8 +404,8 @@ def _estimates(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float
     for samples, filled, depleted in zip(costs_per_row, replenishments, depleted_time):
         if ergodic:
             samples = samples / horizon
-        mean = math.fsum(samples) / n_paths
-        var = math.fsum((samples - mean) ** 2) / (n_paths - 1)
+        mean = math.fsum(samples.tolist()) / n_paths
+        var = math.fsum(((samples - mean) ** 2).tolist()) / (n_paths - 1)
         estimates.append(CostEstimate(
             mean=mean,
             stderr=math.sqrt(var / n_paths),

@@ -180,11 +180,25 @@ def _fits(hint, value) -> bool:
     return isinstance(value, hint)
 
 
+def _json_value(value):
+    """`value` as plain JSON data: arrays and tuples as lists, and a non-finite
+    float as None (null), since RFC 8259 JSON has no NaN or Infinity."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def write_json_fields(path: str | Path, record, drop: tuple[str, ...] = (), **extra) -> None:
     """Write the fields of dataclass `record`, less those named in `drop`,
-    then `extra`, to `path` as indented JSON; arrays are written as lists."""
+    then `extra`, to `path` as indented strict JSON: arrays are written as
+    lists and non-finite floats as null."""
     data = {f.name: getattr(record, f.name) for f in fields(record) if f.name not in drop}
-    text = json.dumps(data | extra, indent=1, default=np.ndarray.tolist)
+    text = json.dumps({k: _json_value(v) for k, v in (data | extra).items()}, indent=1,
+                      allow_nan=False)
     Path(path).write_text(text + "\n")
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sedopt
-from sedopt import cli
+from sedopt import cli, regime
 from sedopt.analytic import ErgodicSolution, SmoothSolution
 from sedopt.errors import InputError
 from sedopt.mc import CostEstimate, estimate_cost
@@ -690,6 +690,28 @@ class TestJsonFiles:
         assert "must be finite and positive" in err
         assert err.startswith(f"sedopt: error: {props}: ")
         assert not (out / "solve_result.json").exists()
+
+    def test_non_finite_floats_are_written_as_null(self, chain_file, tmp_path):
+        # RFC 8259 has no NaN or Infinity token, so strict parsers rejected them
+        def strict(path):
+            def reject(token):
+                raise ValueError(f"{path.name} holds {token}")
+            return json.loads(path.read_text(), parse_constant=reject)
+
+        assert run_cli("simulate", "--chain", chain_file, "--delta", "0", "--paths", "8",
+                       "--horizon", "5", "--outdir", tmp_path) == 0
+        assert strict(tmp_path / "cost_estimate.json")["truncation_bound"] is None
+        assert run_cli("exact", "--S", "0.05", "--delta", "nan", "--outdir", tmp_path) == 1
+        assert strict(tmp_path / "run_config.json")["delta"] is None
+
+        @dataclasses.dataclass
+        class Record:
+            history: tuple
+            field: np.ndarray
+
+        path = tmp_path / "record.json"
+        regime.write_json_fields(path, Record((1.0, np.nan), np.array([[np.inf, 2.0]])))
+        assert strict(path) == {"history": [1.0, None], "field": [[None, 2.0]]}
 
     def test_result_files_hold_their_dataclass_fields(self, chain_file, tmp_path):
         # each record reaches its file whole, less the dropped fields, in field order

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from sedopt.regime import (
     estimate_chain,
     realistic_chain,
     sample_regime_path,
+    spawn_streams,
     stationary_distribution,
 )
 from sedopt.transport import SedimentProperties, rates_for_chain
@@ -602,6 +604,29 @@ class TestUnvisitedRegime:
         assert abs(est.mean - fld.values[3, -1]) <= 3.0 * est.stderr + grid_error
 
 
+SWITCH_FREE_CASES = {  # (chain, drain rates), start regime: no path ever switches
+    "single": ((CHAIN_1, BENCH_RATES), 0),
+    "single, zero transport": ((CHAIN_1, np.array([0.0])), 0),
+    **{f"no switching, start {i}": ((RegimeChain(discharges=np.array([1.0, 5.0, 20.0]),
+                                                 rates=np.zeros((3, 3))),
+                                     np.array([0.05, 0.0, 0.3])), i) for i in range(3)},
+    "absorbing, start 2": (ENGINE_CASES["absorbing"], 2),
+}
+
+
+def assert_rows_equal_separate_runs(chain, rates, stack, initial):
+    """One driver pass for a stack of policies gives each row what a run of
+    that policy alone gives, depleted time included."""
+    costs = CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0)
+    args = (costs, 0.0, initial, 60.0, 300, 17)
+    samples, events, replenishments, depleted_time = mc._simulate(chain, rates, stack, *args)
+    for k, row in enumerate(stack):
+        alone = mc._simulate(chain, rates, row[None, :], *args)
+        np.testing.assert_array_equal(samples[k], alone[0][0])
+        assert (events, replenishments[k], depleted_time[k]) == (
+            alone[1], alone[2][0], alone[3][0])
+
+
 class TestEngineOracle:
     @settings(max_examples=60, deadline=None)
     @given(case=st.sampled_from(sorted(ENGINE_CASES)), y0=st.sampled_from([0.0, 0.4, 1.0]),
@@ -626,21 +651,36 @@ class TestEngineOracle:
         assert (events, replenishments, depleted_time) == (expected[1], [expected[2]],
                                                            [expected[3]])
 
+    @pytest.mark.parametrize("case, initial", SWITCH_FREE_CASES.values(),
+                             ids=SWITCH_FREE_CASES.keys())
+    @pytest.mark.parametrize("threshold", [-np.inf, 0.0, 1.0, 0.37])
+    def test_switch_free_start_is_the_frozen_loop(self, monkeypatch, case, initial, threshold):
+        # a start regime with no way out takes the switch-free branch: the
+        # frozen loop's outputs bit for bit, and no draw of the regime stream
+        chain, rates = case
+        monkeypatch.setattr(mc, "_streams", lambda seed: (None, spawn_streams(seed)[1]))
+        policy = ThresholdPolicy(boundaries=np.full(chain.count, 0.9))
+        policy.boundaries[initial] = threshold  # the other regimes' 0.9 must not act
+        for y0, n_paths, delta in itertools.product([0.0, 0.4, 1.0], [1, 2, 257], [0.0, 0.2]):
+            args = (CostSpec(delta=delta, c=0.3, d=0.05, lam=0.4), y0, initial, 30.0, n_paths,
+                    n_paths + 7)
+            samples, events, replenishments, depleted_time = mc._simulate(
+                chain, rates, policy.boundaries[None, :], *args)
+            expected = reference_simulate(chain, rates, policy, *args)
+            np.testing.assert_array_equal(samples, expected[0][None, :])
+            assert (events, replenishments, depleted_time) == (expected[1], [expected[2]],
+                                                               [expected[3]])
+
     def test_rows_equal_separate_runs(self):
-        # one driver pass for a stack of policies gives each row what a run
-        # of that policy alone gives, depleted time included
         chain, rates = ENGINE_CASES["realistic43"]
         rng = np.random.default_rng(4)
         stack = np.vstack([np.full(chain.count, -np.inf), np.ones(chain.count),
                            rng.uniform(0.0, 1.0, (3, chain.count))])
-        costs = CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0)
-        args = (costs, 0.0, 5, 60.0, 300, 17)
-        samples, events, replenishments, depleted_time = mc._simulate(chain, rates, stack, *args)
-        for k, row in enumerate(stack):
-            alone = mc._simulate(chain, rates, row[None, :], *args)
-            np.testing.assert_array_equal(samples[k], alone[0][0])
-            assert (events, replenishments[k], depleted_time[k]) == (
-                alone[1], alone[2][0], alone[3][0])
+        assert_rows_equal_separate_runs(chain, rates, stack, initial=5)
+
+    def test_switch_free_rows_equal_separate_runs(self):
+        assert_rows_equal_separate_runs(CHAIN_1, BENCH_RATES, np.array([[-np.inf], [0.37], [1.0]]),
+                                        initial=0)
 
     def test_gap_rows_equal_estimate_cost(self):
         perturbations = [-0.3, -0.05, 0.0, 0.2, 1.0]

@@ -9,8 +9,10 @@ discharge series: discounted, ergodic and `--lambda-upper` solves (n = 41,
 ergodic `simulate`, `exact --samples 33` and an ergodic `exact`,
 `convergence` at 21,41,81 and `identify`. At the paper's size it also
 solves a seeded 43-regime nearest-neighbour chain at n = 301, discounted
-and ergodic, and simulates 500 paths of the discounted policy. Each run
-writes into its own outdir, named after the run. The JSON maps each
+and ergodic, and simulates 500 paths of the discounted policy. A seeded
+one-regime chain under a one-threshold policy runs the engine's
+switch-free branch (`simulate-single`). Each run writes into its own
+outdir, named after the run. The JSON maps each
 `run/file` to its digest and each run to its exit status. The temporary
 path is masked in each `run_config.json`, so digests of two checkouts, or
 of two runs of one, compare equal when their outputs are byte-identical.
@@ -30,7 +32,9 @@ SERIES = "series.csv"
 PAPER = "paper_chain.json"
 POLICY = "solve/free_boundary.csv"
 PAPER_POLICY = "solve-paper/free_boundary.csv"
-INPUTS = (CHAIN, SERIES, PAPER, POLICY, PAPER_POLICY)
+SINGLE = "single_chain.json"
+SINGLE_POLICY = "free_boundary.csv"
+INPUTS = (CHAIN, SERIES, PAPER, POLICY, PAPER_POLICY, SINGLE, SINGLE_POLICY)
 
 # run name -> argv; a run's name starts with its command
 RUNS = {
@@ -49,11 +53,14 @@ RUNS = {
     "solve-paper-ergodic": ["solve", "--chain", PAPER, "--delta", "0", "--n", "301"],
     "simulate-paper": ["simulate", "--chain", PAPER, "--policy", PAPER_POLICY,
                        "--paths", "500", "--horizon", "50", "--seed", "7"],
+    "simulate-single": ["simulate", "--chain", SINGLE, "--policy", SINGLE_POLICY,
+                        "--paths", "200", "--horizon", "50", "--seed", "7", "--per-path"],
 }
 
 
 def write_inputs(root: Path) -> None:
-    """The seeded chains and discharge series, written directly, not through sedopt."""
+    """The seeded chains, discharge series and one-regime policy, written
+    directly, not through sedopt."""
     rng = np.random.default_rng(6)
     discharges = 10.0 + 15.0 * np.arange(6) + rng.uniform(0.0, 5.0, 6)
     rates = rng.uniform(0.05, 0.5, (6, 6))
@@ -70,6 +77,10 @@ def write_inputs(root: Path) -> None:
     rates[low + 1, low] = 1.1 * rng.uniform(0.9, 1.1, 42)
     paper = {"discharges": (1.25 + 2.5 * np.arange(43)).tolist(), "rates": rates.tolist()}
     (root / PAPER).write_text(json.dumps(paper) + "\n")
+    # one regime, never left: 5 m^3/s drains about 0.052 a day, near the benchmark's S
+    single = {"discharges": [5.0], "rates": [[0.0]]}
+    (root / SINGLE).write_text(json.dumps(single) + "\n")
+    (root / SINGLE_POLICY).write_text("regime,q,Ybar\n0,5,0.6\n")
 
 
 def digest(tree: Path) -> dict:
