@@ -659,8 +659,9 @@ class TestEngineOracle:
         # frozen loop's outputs bit for bit, and no draw of the regime stream
         chain, rates = case
         monkeypatch.setattr(mc, "_streams", lambda seed: (None, spawn_streams(seed)[1]))
-        policy = ThresholdPolicy(boundaries=np.full(chain.count, 0.9))
-        policy.boundaries[initial] = threshold  # the other regimes' 0.9 must not act
+        boundaries = np.full(chain.count, 0.9)  # the other regimes' 0.9 must not act
+        boundaries[initial] = threshold
+        policy = ThresholdPolicy(boundaries=boundaries)
         for y0, n_paths, delta in itertools.product([0.0, 0.4, 1.0], [1, 2, 257], [0.0, 0.2]):
             args = (CostSpec(delta=delta, c=0.3, d=0.05, lam=0.4), y0, initial, 30.0, n_paths,
                     n_paths + 7)
