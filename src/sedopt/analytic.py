@@ -139,7 +139,7 @@ def candidate_coefficients(problem: ScalarProblem, psi1: float) -> tuple[float, 
 def evaluate_candidate(sol: SmoothSolution, y):
     """Evaluate the candidate value function at y in [0, 1] (scalar or array)."""
     arr = np.asarray(y, dtype=float)
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
         raise InputError("storage must lie in [0, 1]")
     p = sol.problem
     low = sol.f * np.exp(-(p.delta + p.lam) / p.S * arr) + sol.a * arr + sol.b

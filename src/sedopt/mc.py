@@ -447,9 +447,12 @@ def policy_gap_check(
     undercut it beyond noise. Each row equals `estimate_cost` of its
     threshold with the same seed.
     """
+    shifts = [float(shift) for shift in perturbations]
+    for shift in shifts:
+        if not math.isfinite(shift):
+            raise InputError(f"threshold shift must be finite, got {shift}")
     sol = solve_smooth_pasting(problem)
     reference = float(evaluate_candidate(sol, y0))
-    shifts = [float(shift) for shift in perturbations]
     thresholds = [min(1.0, max(0.0, sol.ybar + shift)) for shift in shifts]
     estimates = _estimates(single_regime_chain(), np.array([problem.S]),
                            np.array(thresholds).reshape(-1, 1), problem, y0, horizon, n_paths,

@@ -314,12 +314,15 @@ class _BlockSweep:
     complement raises `StructureError`.
 
     With one regime the adjoint is a cumulative product and the forward
-    sweep a doubling scan of about log2(n) vectorised steps. Otherwise the
-    forward sweep is one product x_k = [D_k^-1 s | D_k^-1] [x_{k-1}; c_k]
-    per vertex. `solve` takes and returns (regime, vertex) arrays. The
-    work arrays are sized once and every solve shares them, the update
-    too: one factorization at a time, one solve at a time, and a solve's
-    update is overwritten by the next.
+    sweep, x_k = e_k + g_k x_{k-1} with g_k = s / D_k <= 1, the prefix sum
+    x_k = G_k (x_0 + sum_{j<=k} e_j / G_j), G_k = g_1..g_k (Graham, Knuth &
+    Patashnik, *Concrete Mathematics*, 2.2). Where G_{n-2} < sqrt(tiny),
+    so 1 / G could overflow, it is a doubling scan of log2(n) steps.
+    With more regimes the forward sweep is one product
+    x_k = [D_k^-1 s | D_k^-1] [x_{k-1}; c_k] per vertex. `solve` takes and
+    returns (regime, vertex) arrays. The work arrays are sized once and
+    every solve shares them, the update too: one factorization at a time,
+    one solve at a time, and a solve's update is overwritten by the next.
     """
 
     def __init__(self, chain: RegimeChain, rates, costs: CostSpec, grid: Grid):
@@ -352,7 +355,12 @@ class _BlockSweep:
             with np.errstate(divide="ignore"):
                 self.scale = _check_finite(1.0 / diagonals)  # D_k^-1
             gain = s * self.scale  # carries x_{k-1} into x_k
-            self.levels = _doubling_levels(gain)
+            self.factors = np.cumprod(np.vstack(([[1.0]], gain)), axis=0)  # G_0..G_{n-2}
+            self.levels = None
+            if self.factors[-1, 0] < math.sqrt(np.finfo(float).tiny):  # 1 / G > 6.7e153
+                self.levels = _doubling_levels(gain)
+            else:
+                self.scale /= self.factors[1:]  # D_k^-1 / G_k
             later = np.append(np.cumprod(gain[:0:-1, 0])[::-1], 1.0)
             adjoint[:, 0, 0] = gain[:, 0] * later
         else:
@@ -400,8 +408,11 @@ class _BlockSweep:
         if count == 1:
             scan = x[:-1]
             np.multiply(c, self.scale, out=scan[1:])
-            for shift, gain in self.levels:
-                scan[shift:] += np.multiply(gain, scan[:-shift], out=self.carry[:len(gain)])
+            if self.levels is None:  # x_k = G_k (x_0 + sum_{j<=k} e_j / G_j)
+                np.multiply(np.cumsum(scan, axis=0, out=scan), self.factors, out=scan)
+            else:
+                for shift, gain in self.levels:
+                    scan[shift:] += np.multiply(gain, scan[:-shift], out=self.carry[:len(gain)])
         else:
             for step, pair, out in self.sweep:
                 np.dot(step, pair, out=out)

@@ -200,6 +200,9 @@ class TestSmoothPasting:
             evaluate_candidate(sol, 1.5)
         with pytest.raises(InputError):
             evaluate_candidate(sol, np.array([0.1, -0.2]))
+        for storage in (math.nan, [0.5, math.nan]):  # NaN fails both bounds
+            with pytest.raises(InputError, match=r"storage must lie in \[0, 1\]"):
+                evaluate_candidate(sol, storage)
 
     def test_no_interior_threshold_for_enormous_costs(self):
         bad = ScalarProblem(S=0.05, delta=0.2, c=50.0, d=50.0, lam=1.0 / 7.0)

@@ -713,3 +713,12 @@ class TestPolicyGapCheck:
                                 n_paths=20000, seed=3)
         assert rows[1].threshold == 1.0
         assert rows[1].gap > 3.0 * rows[1].stderr
+
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+    def test_non_finite_shift_raises_before_drawing(self, shift, monkeypatch):
+        def no_paths(*args, **kwargs):
+            raise AssertionError("paths drawn")
+
+        monkeypatch.setattr(mc, "_estimates", no_paths)
+        with pytest.raises(InputError, match=f"shift must be finite, got {shift}"):
+            policy_gap_check(BENCHMARK, [0.0, shift], n_paths=100, seed=4)

@@ -566,8 +566,14 @@ def structure_cases():
     ladder_rates[low, low + 1] = [0.7, 0.8, 0.6, 0.9, 0.7]
     ladder_rates[low + 1, low] = [1.1, 1.0, 1.2, 0.9, 1.3]
     ladder = RegimeChain(discharges=np.arange(1.0, 7.0), rates=ladder_rates)
+    below_top = np.arange(41)[None, :] < 40  # every vertex but the last replenishes
     return {
         "one-regime": (single_regime_chain(), BENCH_RATES, np.arange(n)[None, :] < 4),
+        # summation factors G_k = (s / D)^k down to about 1e-104 (4e-98
+        # ergodic): the scaled prefix sum at a wide range
+        "one-regime-wide": (single_regime_chain(), np.array([4e-5]), below_top),
+        # no transport, so G_1 = 0: the doubling scan
+        "one-regime-still": (single_regime_chain(), np.array([0.0]), np.arange(n)[None, :] < n - 1),
         "two-regime": (two, two_rates, np.arange(n) < np.array([[2], [6]])),
         "dense-contiguous": (dense, np.array([0.02, 0.0, 0.3, 0.1]), contiguous),
         "dense-scattered": (dense, np.array([0.05, 0.2, 0.0, 0.4]), scattered),
@@ -598,6 +604,14 @@ class TestHowardFactorization:
         assert ergodic or rate_update == 0.0
         scale = np.linalg.norm(J, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
         assert np.linalg.norm(J @ x - b, np.inf) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("case, prefix", [("one-regime", True), ("one-regime-wide", True),
+                                              ("one-regime-still", False)])
+    def test_one_regime_sweep_scans_only_when_factors_underflow(self, case, prefix):
+        chain, rates, replenish = structure_cases()[case]
+        costs = CostSpec(delta=0.2, c=0.02, d=0.01, lam=0.5)
+        sweep = _BlockSweep(chain, rates, costs, Grid(replenish.shape[1])).factor(replenish)
+        assert (sweep.levels is None) == prefix
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_singular_system_raises(self, count):

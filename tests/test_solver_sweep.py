@@ -43,7 +43,8 @@ def test_needed_window_agrees_with_the_stall_rule(history):
 def test_sweep_on_a_few_seeds(capsys):
     assert solver_sweep.main(["--n", "11", "31", "--seeds", "4"]) == 0
     report = json.loads(capsys.readouterr().out)
-    for grid in report["grids"]:
+    assert len(report["grids"]) == len(report["single"]) == 4
+    for grid in report["grids"] + report["single"]:
         assert grid["seeds"] == 4 and grid["unconverged"] == []
         assert grid["median"] <= grid["p99"] <= grid["worst"]
         assert 1 <= grid["needed_window"] <= pde._STALL_WINDOW // 2

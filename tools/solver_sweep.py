@@ -1,4 +1,4 @@
-"""Iteration counts of the steady-state solver over seeded 43-regime chains.
+"""Iteration counts of the steady-state solver over seeded problems.
 
     python3 tools/solver_sweep.py --n 11 31 --seeds 1000 [--first 0] [--tol 1e-9] [--out FILE]
 
@@ -16,6 +16,10 @@ j whose prefix minimum min(r_0..r_j) is still >= 2 r_k (j* = -1 if none).
 `pde._STALL_WINDOW` should be a few times the largest `needed_window`.
 `iterations` lists every converged seed's iteration count, so that two
 checkouts can be compared seed by seed.
+The `single` list does the same for one-regime problems: seed s draws S
+log-uniform on [1e-4, 10] and lambda log-uniform on [1/56, 16], with
+c 0.2 and d 0.3, so that both forward sweeps of the one-regime solver,
+the scaled prefix sum and the doubling scan, run.
 The histories are those of the stall rule in force, which match an
 unlimited window for every solve that converges. sedopt is imported from
 `src/` next to this script; JSON goes to stdout or `--out`.
@@ -32,7 +36,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sedopt.analytic import CostSpec  # noqa: E402
-from sedopt.pde import Grid, SolverConfig, solve_stationary  # noqa: E402
+from sedopt.pde import Grid, SolverConfig, single_regime_chain, solve_stationary  # noqa: E402
 from sedopt.regime import realistic_chain  # noqa: E402
 from sedopt.transport import SedimentProperties, rates_for_chain  # noqa: E402
 
@@ -50,14 +54,26 @@ def needed_window(history) -> int:
     return need
 
 
-def sweep(n: int, seeds, tol: float, delta: float = DELTAS[0]) -> dict:
-    grid, config = Grid(n), SolverConfig(tol=tol)
+def realistic_problem(seed: int, delta: float):
+    """(chain, rates, costs) of seed s: `realistic_chain(s)`."""
+    chain = realistic_chain(seed)
     costs = CostSpec(delta=delta, c=0.02, d=0.01, lam=1.0 / 7.0)
+    return chain, rates_for_chain(chain, SedimentProperties()), costs
+
+
+def single_problem(seed: int, delta: float):
+    """(chain, rates, costs) of seed s: one regime, S and lambda log-uniform."""
+    S, lam = np.exp(np.random.default_rng(seed).uniform(np.log([1e-4, 1.0 / 56.0]),
+                                                        np.log([10.0, 16.0])))
+    return single_regime_chain(), np.array([S]), CostSpec(delta=delta, c=0.2, d=0.3, lam=lam)
+
+
+def sweep(n: int, seeds, tol: float, delta: float = DELTAS[0],
+          problem=realistic_problem) -> dict:
+    grid, config = Grid(n), SolverConfig(tol=tol)
     iterations, unconverged, window, window_seed = {}, [], 0, None
     for seed in seeds:
-        chain = realistic_chain(seed)
-        result = solve_stationary(chain, rates_for_chain(chain, SedimentProperties()),
-                                  costs, grid, config)
+        result = solve_stationary(*problem(seed, delta), grid, config)
         if not result.converged:
             unconverged.append(seed)
             continue
@@ -92,7 +108,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     seeds = range(args.first, args.first + args.seeds)
     report = {"tol": args.tol,
-              "grids": [sweep(n, seeds, args.tol, delta) for delta in DELTAS for n in args.n]}
+              "grids": [sweep(n, seeds, args.tol, delta) for delta in DELTAS for n in args.n],
+              "single": [sweep(n, seeds, args.tol, delta, single_problem)
+                         for delta in DELTAS for n in args.n]}
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
         args.out.write_text(text)
