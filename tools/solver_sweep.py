@@ -16,10 +16,11 @@ j whose prefix minimum min(r_0..r_j) is still >= 2 r_k (j* = -1 if none).
 `pde._STALL_WINDOW` should be a few times the largest `needed_window`.
 `iterations` lists every converged seed's iteration count, so that two
 checkouts can be compared seed by seed.
-The `single` list does the same for one-regime problems: seed s draws S
-log-uniform on [1e-4, 10] and lambda log-uniform on [1/56, 16], with
-c 0.2 and d 0.3, so that both forward sweeps of the one-regime solver,
-the scaled prefix sum and the doubling scan, run.
+Those entries form the `grids` list. The `single` list sweeps one-regime
+problems the same way: seed s draws S log-uniform on [1e-4, 10] and
+lambda log-uniform on [1/56, 16], with c 0.2 and d 0.3, wide enough that
+both one-regime forward sweeps of `pde._BlockSweep`, the scaled prefix
+sum and the doubling scan, run.
 The histories are those of the stall rule in force, which match an
 unlimited window for every solve that converges. sedopt is imported from
 `src/` next to this script; JSON goes to stdout or `--out`.
