@@ -242,7 +242,8 @@ def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
     cost, samples = np.zeros(y.shape), np.empty(y.shape)
     events, replenishments, depleted_time = 0, [0] * len(rows), [0.0] * len(rows)
     done = np.empty(0, dtype=np.intp)  # paths at the horizon, parked or just arrived
-    with np.errstate(divide="ignore", invalid="ignore"):  # x / 0: never empties, never switches
+    # x / 0: never empties, never switches; x / subnormal lam: never observes
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_switch = _next_switch(rng_regime, t, out_rates[regime])
         t_obs = rng_obs.standard_exponential(n_paths) / lam
         while path.size:
@@ -301,8 +302,9 @@ def _switch_free(rate, limits, costs: CostSpec, y0: float, horizon: float, n_pat
     depleted_since = np.full(y.shape, 0.0 if y0 == 0.0 else np.nan)
     cost, samples = np.zeros(y.shape), np.empty(y.shape)
     events, replenishments, depleted_time = 0, [0] * len(rows), [0.0] * len(rows)
-    t_obs = rng_obs.standard_exponential(n_paths) / lam
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero rate never empties
+    # a zero rate never empties; a subnormal lam never observes
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_obs = rng_obs.standard_exponential(n_paths) / lam
         while path.size:
             t_next = np.minimum(t_obs, horizon)
             live = t_obs < horizon

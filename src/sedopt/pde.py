@@ -316,9 +316,10 @@ class _BlockSweep:
     With one regime the adjoint is a cumulative product and the forward
     sweep, x_k = e_k + g_k x_{k-1} with g_k = s / D_k <= 1, the prefix sum
     x_k = G_k (x_0 + sum_{j<=k} e_j / G_j), G_k = g_1..g_k (Graham, Knuth &
-    Patashnik, *Concrete Mathematics*, 2.2). Where G_{n-2} < sqrt(tiny),
-    so 1 / G could overflow, it is a doubling scan of log2(n) steps.
-    With more regimes the forward sweep is one product
+    Patashnik, *Concrete Mathematics*, 2.2), while G_{n-2} >= sqrt(tiny)
+    keeps 1 / G finite. Every other factorization, more regimes or gains
+    whose product underflows (no transport, or a drain far below
+    delta + lam on a fine grid), takes the block forward sweep, one product
     x_k = [D_k^-1 s | D_k^-1] [x_{k-1}; c_k] per vertex. `solve` takes and
     returns (regime, vertex) arrays. The work arrays are sized once and
     every solve shares them, the update too: one factorization at a time,
@@ -336,35 +337,32 @@ class _BlockSweep:
         width = 2 * count + self.ergodic  # the pin row's right-hand side stays 0
         self.border, self.z = np.zeros(width), np.empty(width)
         self.b = np.empty((inner + 2, count))  # b_0..b_{n-1}
-        if count == 1:  # the scan runs in x_0..x_{n-2}, its products go to `carry`
-            self.x = np.empty((inner + 2, 1))
-            self.c, self.carry = np.empty((inner, 1)), np.empty((inner, 1))
-        else:
-            # [D_k^-1 s | D_k^-1], one per run of equal D_k, and the pairs
-            # [x_{k-1}; c_k] each product of the forward sweep reads
-            self.steps = np.empty((inner, count, 2 * count))
-            pairs = np.empty((inner + 2, 2 * count))
-            self.x, self.c = pairs[:, :count], pairs[:inner, count:]
-            self.links = [(pairs[k], pairs[k + 1, :count]) for k in range(inner)]
+        # [D_k^-1 s | D_k^-1], one per run of equal D_k, and the pairs
+        # [x_{k-1}; c_k] each product of the block sweep reads
+        self.steps = np.empty((inner, count, 2 * count))
+        self.pairs = np.empty((inner + 2, 2 * count))
+        self.links = None  # (pair, out) per vertex, at the first block factorization
+        if count == 1:  # x_0..x_{n-1} and c_1..c_{n-2} of the prefix sum
+            self.line = np.empty((inner + 2, 1)), np.empty((inner, 1))
 
     def factor(self, replenish: NDArray[np.bool_]) -> _BlockSweep:
         count, s, adjoint = self.s.size, self.s, self.adjoint
         self.jump = self.lam * replenish[:, :-1].T  # lam R_k, k < n - 1
         diagonals = (self.outflow + s) + self.jump[1:]
+        self.prefix = False
         if count == 1:  # the blocks are their diagonals
             with np.errstate(divide="ignore"):
-                self.scale = _check_finite(1.0 / diagonals)  # D_k^-1
-            gain = s * self.scale  # carries x_{k-1} into x_k
-            self.factors = np.cumprod(np.vstack(([[1.0]], gain)), axis=0)  # G_0..G_{n-2}
-            self.levels = None
-            if self.factors[-1, 0] < math.sqrt(np.finfo(float).tiny):  # 1 / G > 6.7e153
-                self.levels = _doubling_levels(gain)
-            else:
-                self.scale /= self.factors[1:]  # D_k^-1 / G_k
+                scale = _check_finite(1.0 / diagonals)  # D_k^-1
+            gain = s * scale  # carries x_{k-1} into x_k
+            factors = np.cumprod(np.vstack(([[1.0]], gain)), axis=0)  # G_0..G_{n-2}
+            self.prefix = factors[-1, 0] >= math.sqrt(np.finfo(float).tiny)  # 1 / G < 6.7e153
+        if self.prefix:
+            self.factors, self.scale = factors, scale / factors[1:]  # D_k^-1 / G_k
             later = np.append(np.cumprod(gain[:0:-1, 0])[::-1], 1.0)
             adjoint[:, 0, 0] = gain[:, 0] * later
+            self.x, self.c = self.line
         else:
-            steps = self.steps
+            steps, pairs = self.steps, self.pairs
             inverses, run_of = _run_inverses(self.switching, diagonals, steps[:, :, count:])
             runs = run_of.tolist()
             np.multiply(inverses[runs[-1]].T, s, out=adjoint[-1])
@@ -373,7 +371,10 @@ class _BlockSweep:
                 np.multiply(s[:, None], adjoint[k], out=scratch)
                 np.dot(inverses[runs[k - 1]].T, scratch, out=adjoint[k - 1])
             np.multiply(inverses, s, out=steps[:len(inverses), :, :count])
+            if self.links is None:
+                self.links = [(pairs[k], pairs[k + 1, :count]) for k in range(len(runs))]
             self.sweep = [(steps[run], *link) for run, link in zip(runs, self.links)]
+            self.x, self.c = pairs[:, :count], pairs[:-2, count:]
         top = slice(count, 2 * count)
         schur = np.zeros((2 * count + self.ergodic,) * 2)
         schur[:count, :count] = np.diag(self.outflow + self.jump[0]) - self.switching
@@ -393,7 +394,7 @@ class _BlockSweep:
         """J^-1 applied to a (regime, vertex) residual, with 0 on the pin
         row: the (regime, vertex) update and the cost-rate update (0.0 when
         discounted)."""
-        count, border, z, b = self.s.size, self.border, self.z, self.b
+        count, border, z, b, x = self.s.size, self.border, self.z, self.b, self.x
         b[:] = res.T
         border[:count] = b[0]
         upwind = np.dot(b[1:-1].ravel(), self.weights, out=border[count:2 * count])
@@ -403,37 +404,15 @@ class _BlockSweep:
         c += b[1:-1]
         if self.ergodic:
             c -= z[-1]
-        x = self.x  # x_0..x_{n-1}
-        x[0], x[-1] = z[:count], z[count:2 * count]
-        if count == 1:
+        x[0], x[-1] = z[:count], z[count:2 * count]  # x_0..x_{n-1}
+        if self.prefix:  # x_k = G_k (x_0 + sum_{j<=k} e_j / G_j)
             scan = x[:-1]
             np.multiply(c, self.scale, out=scan[1:])
-            if self.levels is None:  # x_k = G_k (x_0 + sum_{j<=k} e_j / G_j)
-                np.multiply(np.cumsum(scan, axis=0, out=scan), self.factors, out=scan)
-            else:
-                for shift, gain in self.levels:
-                    scan[shift:] += np.multiply(gain, scan[:-shift], out=self.carry[:len(gain)])
+            np.multiply(np.cumsum(scan, axis=0, out=scan), self.factors, out=scan)
         else:
             for step, pair, out in self.sweep:
                 np.dot(step, pair, out=out)
         return x.T, float(z[-1]) if self.ergodic else 0.0
-
-
-def _doubling_levels(gain: NDArray[np.float64]) -> list[tuple[int, NDArray[np.float64]]]:
-    """The steps of a doubling scan for x_k = e_k + gain[k - 1] x_{k-1},
-    k = 1..len(gain), along the first axis.
-
-    Step (shift, g) adds g * x[k - shift] to x[k] for every k >= shift at
-    once; g is the product of the gains of x[k - shift + 1] to x[k]. After
-    the step, x[k] holds the recurrence summed over the last 2 * shift
-    vertices (Hillis & Steele 1986).
-    """
-    levels = []
-    shift, size = 1, len(gain) + 1
-    while shift < size:
-        levels.append((shift, gain))
-        gain, shift = gain[shift:] * gain[:-shift], 2 * shift
-    return levels
 
 
 def _inverse(matrix: NDArray[np.float64]) -> NDArray[np.float64]:

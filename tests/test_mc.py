@@ -521,6 +521,24 @@ class TestEstimateCost:
         assert full.replenishments_per_path == full.events_per_path
         assert full.depleted_fraction < null.depleted_fraction
 
+    @pytest.mark.parametrize("chain, rates", [(three_regime_chain(), np.array([0.02, 0.08, 0.5])),
+                                              (CHAIN_1, BENCH_RATES)],
+                             ids=["switching", "single"])
+    def test_subnormal_observation_rate_never_observes(self, chain, rates):
+        # each observation wait overflows to +inf: an observation that never
+        # comes, so every policy costs what the null control does
+        costs = CostSpec(delta=0.2, c=0.2, d=0.3, lam=1e-320)
+        policy = ThresholdPolicy(boundaries=np.ones(chain.count))
+        est = estimate_cost(chain, rates, policy, costs, 0.4, 60.0, 200, seed=11)
+        assert est == estimate_cost(chain, rates, None, costs, 0.4, 60.0, 200, seed=11)
+        assert est.replenishments_per_path == 0.0
+        # every event is a switch: one path's count is that of its regime path
+        _, events, filled, _ = mc._simulate(chain, rates, policy.boundaries[None, :], costs,
+                                            0.4, 0, 60.0, 1, 11)
+        assert filled == [0]
+        assert events == sample_regime_path(chain, 0, 60.0, 11).regimes.size - 1
+        assert (events > 0) == (chain.count > 1)
+
     def test_keep_samples(self):
         est = estimate_cost(CHAIN_1, BENCH_RATES, None, BENCH_COSTS, 1.0, 50.0,
                             n_paths=8, seed=0, keep_samples=True)

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sedopt.analytic import BENCHMARK, evaluate_candidate, solve_smooth_pasting
+from sedopt.analytic import (
+    BENCHMARK,
+    complete_info_threshold,
+    ergodic_threshold,
+    evaluate_candidate,
+    solve_smooth_pasting,
+)
 from sedopt.errors import ConvergenceError, InputError, StructureError
 from sedopt.mc import estimate_cost
 from sedopt.pde import (
@@ -408,20 +414,25 @@ class TestSolveStationary:
         # the faster-draining regime is costlier at depleted storage
         assert phi[1, 0] > phi[0, 0]
 
-    def test_ergodic_mode_cost_rate(self):
-        costs = CostSpec(delta=0.0, c=0.2, d=0.3, lam=1.0 / 7.0)
-        result = solve(single_regime_chain(), BENCH_RATES, costs, Grid(101),
-                       SolverConfig(tol=1e-12))
-        from sedopt.analytic import ergodic_threshold
-
-        u = ergodic_threshold(0.05, 0.2, 0.3, 1.0 / 7.0).u
-        assert result.cost_rate == pytest.approx(u, rel=0.05)
+    @pytest.mark.parametrize("lam", [1e-3, 1.0 / 28.0, 1.0 / 7.0, 1.0, 4.0],
+                             ids=["1e-3", "1/28", "1/7", "1", "4"])
+    def test_ergodic_mode_cost_rate(self, lam):
+        costs, grid = CostSpec(delta=0.0, c=0.2, d=0.3, lam=lam), Grid(801)
+        result = solve(single_regime_chain(), BENCH_RATES, costs, grid, SolverConfig(tol=1e-12))
         assert result.converged
         # the relative value is pinned at full storage and solves the
         # undiscounted system shifted by the cost rate
         assert result.field.values[0, -1] == 0.0
         shifted = residual(result.field) + result.cost_rate
         assert np.max(np.abs(shifted)) <= 1e-12
+        # the paper's closed forms: the vanishing-discount solution at this
+        # lam, and as lam -> 0 the complete-information threshold
+        exact = ergodic_threshold(0.05, 0.2, 0.3, lam)
+        assert abs(result.cost_rate - exact.u) <= 1e-5
+        threshold = extract_policy(result.field).boundaries[0]
+        assert abs(threshold - exact.ybar) <= grid.h
+        if lam == 1e-3:
+            assert abs(threshold - complete_info_threshold(0.05, 0.2, 0.3)) <= grid.h
 
     def test_ergodic_needs_a_single_closed_class(self):
         costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=1.0 / 7.0)
@@ -572,8 +583,11 @@ def structure_cases():
         # summation factors G_k = (s / D)^k down to about 1e-104 (4e-98
         # ergodic): the scaled prefix sum at a wide range
         "one-regime-wide": (single_regime_chain(), np.array([4e-5]), below_top),
-        # no transport, so G_1 = 0: the doubling scan
+        # no transport, so G_1 = 0: the block sweep
         "one-regime-still": (single_regime_chain(), np.array([0.0]), np.arange(n)[None, :] < n - 1),
+        # G_{n-2} about 3e-205 (2e-199 ergodic), below sqrt(tiny) but not 0:
+        # the block sweep at one regime, with coupling
+        "one-regime-faint": (single_regime_chain(), np.array([1e-7]), below_top),
         "two-regime": (two, two_rates, np.arange(n) < np.array([[2], [6]])),
         "dense-contiguous": (dense, np.array([0.02, 0.0, 0.3, 0.1]), contiguous),
         "dense-scattered": (dense, np.array([0.05, 0.2, 0.0, 0.4]), scattered),
@@ -605,13 +619,14 @@ class TestHowardFactorization:
         scale = np.linalg.norm(J, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
         assert np.linalg.norm(J @ x - b, np.inf) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("case, prefix", [("one-regime", True), ("one-regime-wide", True),
-                                              ("one-regime-still", False)])
-    def test_one_regime_sweep_scans_only_when_factors_underflow(self, case, prefix):
+    @pytest.mark.parametrize("case", ["one-regime", "one-regime-wide", "one-regime-still",
+                                      "one-regime-faint"])
+    def test_prefix_sum_unless_factors_underflow(self, case):
         chain, rates, replenish = structure_cases()[case]
-        costs = CostSpec(delta=0.2, c=0.02, d=0.01, lam=0.5)
-        sweep = _BlockSweep(chain, rates, costs, Grid(replenish.shape[1])).factor(replenish)
-        assert (sweep.levels is None) == prefix
+        for delta in (0.2, 0.0):
+            costs = CostSpec(delta=delta, c=0.02, d=0.01, lam=0.5)
+            sweep = _BlockSweep(chain, rates, costs, Grid(replenish.shape[1])).factor(replenish)
+            assert sweep.prefix == (case in ("one-regime", "one-regime-wide"))
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_singular_system_raises(self, count):

@@ -50,6 +50,15 @@ def test_sweep_on_a_few_seeds(capsys):
         assert grid["seeds"] == 4 and grid["unconverged"] == []
         assert grid["median"] <= grid["p99"] <= grid["worst"]
         assert 1 <= grid["needed_window"] <= pde._STALL_WINDOW // 2
+    # 43 regimes never take the one-regime prefix sum, so never its fallback
+    assert all(grid["block_sweep_seeds"] == [] for grid in report["grids"])
+
+
+def test_sweep_lists_the_block_sweep_seeds():
+    # seed 3 drains at S = 2.7e-4 with lam = 0.089: at n = 401 its summation
+    # factors underflow, and those of seeds 0-2 do not
+    grid = solver_sweep.sweep(401, range(4), 1e-9, 0.2, solver_sweep.single_problem)
+    assert grid["block_sweep_seeds"] == [3] and grid["unconverged"] == []
 
 
 def test_report_lists_each_seed(capsys):

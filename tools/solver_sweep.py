@@ -19,8 +19,10 @@ checkouts can be compared seed by seed.
 Those entries form the `grids` list. The `single` list sweeps one-regime
 problems the same way: seed s draws S log-uniform on [1e-4, 10] and
 lambda log-uniform on [1/56, 16], with c 0.2 and d 0.3, wide enough that
-both one-regime forward sweeps of `pde._BlockSweep`, the scaled prefix
-sum and the doubling scan, run.
+one-regime factorizations take both forward sweeps of `pde._BlockSweep`:
+the scaled prefix sum, and the block sweep where the summation factors
+underflow. `block_sweep_seeds` lists the seeds whose solve ran at least
+one one-regime factorization on the block sweep (none in `grids`).
 The histories are those of the stall rule in force, which match an
 unlimited window for every solve that converges. sedopt is imported from
 `src/` next to this script; JSON goes to stdout or `--out`.
@@ -31,11 +33,13 @@ import json
 import statistics
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from sedopt import pde  # noqa: E402
 from sedopt.analytic import CostSpec  # noqa: E402
 from sedopt.pde import Grid, SolverConfig, single_regime_chain, solve_stationary  # noqa: E402
 from sedopt.regime import realistic_chain  # noqa: E402
@@ -69,12 +73,28 @@ def single_problem(seed: int, delta: float):
     return single_regime_chain(), np.array([S]), CostSpec(delta=delta, c=0.2, d=0.3, lam=lam)
 
 
+def solve_watched(chain, rates, costs, grid, config):
+    """`solve_stationary`, and whether a one-regime factorization of the
+    solve took the block sweep instead of the prefix sum."""
+    factor, block = pde._BlockSweep.factor, []
+
+    def watched(sweep, replenish):
+        factor(sweep, replenish)
+        block.append(sweep.s.size == 1 and not sweep.prefix)
+        return sweep
+
+    with mock.patch.object(pde._BlockSweep, "factor", watched):
+        return solve_stationary(chain, rates, costs, grid, config), any(block)
+
+
 def sweep(n: int, seeds, tol: float, delta: float = DELTAS[0],
           problem=realistic_problem) -> dict:
     grid, config = Grid(n), SolverConfig(tol=tol)
-    iterations, unconverged, window, window_seed = {}, [], 0, None
+    iterations, unconverged, window, window_seed, block = {}, [], 0, None, []
     for seed in seeds:
-        result = solve_stationary(*problem(seed, delta), grid, config)
+        result, on_block = solve_watched(*problem(seed, delta), grid, config)
+        if on_block:
+            block.append(seed)
         if not result.converged:
             unconverged.append(seed)
             continue
@@ -96,6 +116,7 @@ def sweep(n: int, seeds, tol: float, delta: float = DELTAS[0],
         "needed_window": window,
         "needed_window_seed": window_seed,
         "iterations": iterations,
+        "block_sweep_seeds": block,
     }
 
 
