@@ -218,8 +218,12 @@ def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
     The seed contract is the draw order of a step: the regime stream's
     `random(switching)`, then its `standard_exponential(switching)`, then
     the observation stream's `standard_exponential(observing)`, each in
-    path order. A start regime with no way out takes `_switch_free`, which
-    gives the same outputs. A row of -inf never replenishes (the null control).
+    path order. A row of -inf never replenishes (the null control).
+
+    A start regime with no way out (`still`, chosen once per run) keeps no
+    regime or switch clock and never draws the regime stream, as none of its
+    values could reach an output: every live path observes next, storage
+    drains at that regime's one rate and each row fills at its one limit.
     """
     if not 0.0 <= y0 <= 1.0:
         raise InputError("initial storage must lie in [0, 1]")
@@ -229,14 +233,11 @@ def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
     horizon = check_horizon(horizon)
     rng_regime, rng_obs = _streams(seed)
     lam, out_rates = costs.lam, chain.out_rates
-    if out_rates[initial_regime] == 0.0:
-        return _switch_free(rates[initial_regime], limits[:, initial_regime], costs, y0,
-                            horizon, n_paths, rng_obs)
+    still = out_rates[initial_regime] == 0.0
     rows = range(thresholds.shape[0])
 
     path = np.arange(n_paths)
     t = np.zeros(n_paths)
-    regime = np.full(n_paths, initial_regime)
     y = np.full((len(rows), n_paths), float(y0))
     depleted_since = np.full(y.shape, 0.0 if y0 == 0.0 else np.nan)
     cost, samples = np.zeros(y.shape), np.empty(y.shape)
@@ -244,36 +245,59 @@ def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
     done = np.empty(0, dtype=np.intp)  # paths at the horizon, parked or just arrived
     # x / 0: never empties, never switches; x / subnormal lam: never observes
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_switch = _next_switch(rng_regime, t, out_rates[regime])
+        if still:
+            drain, limit = rates[initial_regime], limits[:, initial_regime, None]
+        else:
+            regime = np.full(n_paths, initial_regime)
+            t_switch = _next_switch(rng_regime, t, out_rates[regime])
         t_obs = rng_obs.standard_exponential(n_paths) / lam
         while path.size:
-            t_next = np.minimum(t_switch, t_obs)
-            switching, observing = t_switch < t_obs, t_obs < t_switch
-            if t_next.max() >= horizon:
-                live = t_next < horizon
+            if still:
+                t_next = np.minimum(t_obs, horizon)
+                live = t_obs < horizon
                 done = (~live).nonzero()[0]
-                t_next[done] = horizon
-                switching &= live
-                observing &= live
-            y, t_hit, hit = _decay(t, y, rates[regime], t_next)
+            else:
+                t_next = np.minimum(t_switch, t_obs)
+                switching, observing = t_switch < t_obs, t_obs < t_switch
+                if t_next.max() >= horizon:
+                    live = t_next < horizon
+                    done = (~live).nonzero()[0]
+                    t_next[done] = horizon
+                    switching &= live
+                    observing &= live
+                drain = rates[regime]
+            y, t_hit, hit = _decay(t, y, drain, t_next)
             np.putmask(depleted_since, hit, t_hit)
             t = t_next
-            switch, observe = switching.nonzero()[0], observing.nonzero()[0]
-            # switching and observation draws are continuous, so coincidences
-            # are a null event; the event order below relies on it
-            if switch.size + observe.size + done.size != t.size:
-                raise StructureError("an observation coincides with a regime switch")
-            if switch.size:
-                entered = chain.jump(regime[switch], rng_regime.random(switch.size))
-                regime[switch] = entered
-                t_switch[switch] = _next_switch(rng_regime, t[switch], out_rates[entered])
-            if observe.size:
-                t_obs[observe] = t[observe] + rng_obs.standard_exponential(observe.size) / lam
-            events += switch.size + observe.size
 
-            observed = regime[observe]
+            if still:
+                draws = rng_obs.standard_exponential(path.size - done.size) / lam
+                if done.size:
+                    t_obs[live] = t[live] + draws
+                else:
+                    t_obs = t + draws
+                events += draws.size
+                fill = y <= limit
+                if done.size:
+                    fill &= live
+            else:
+                switch, observe = switching.nonzero()[0], observing.nonzero()[0]
+                # switching and observation draws are continuous, so coincidences
+                # are a null event; the event order below relies on it
+                if switch.size + observe.size + done.size != t.size:
+                    raise StructureError("an observation coincides with a regime switch")
+                if switch.size:
+                    entered = chain.jump(regime[switch], rng_regime.random(switch.size))
+                    regime[switch] = entered
+                    t_switch[switch] = _next_switch(rng_regime, t[switch], out_rates[entered])
+                if observe.size:
+                    t_obs[observe] = t[observe] + rng_obs.standard_exponential(observe.size) / lam
+                events += switch.size + observe.size
+                observed = regime[observe]
+
             for r in rows:  # the rows differ only in which observations replenish
-                filled = observe[y[r][observe] <= limits[r][observed]]
+                filled = (fill[r].nonzero()[0] if still
+                          else observe[y[r][observe] <= limits[r][observed]])
                 count, depleted = _settle(costs, t, y[r], depleted_since[r], cost[r],
                                           filled, done)
                 replenishments[r] += count
@@ -281,57 +305,11 @@ def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
 
             if done.size * 4 >= path.size:  # parked paths leave
                 samples[:, path[done]] = cost[:, done]
-                path, t, regime, t_switch, t_obs, y, depleted_since, cost = (
-                    a.compress(live, axis=-1)
-                    for a in (path, t, regime, t_switch, t_obs, y, depleted_since, cost))
-                done = done[:0]
-    return samples, events, replenishments, depleted_time
-
-
-def _switch_free(rate, limits, costs: CostSpec, y0: float, horizon: float, n_paths: int,
-                 rng_obs):
-    """`_simulate` from a start regime that is never left, bit for bit: storage
-    drains at the one `rate`, and each row fills at its one limit of `limits`.
-    Every live path's next event is its next observation or the horizon, so
-    each step draws the observation stream exactly as `_simulate` does. The
-    regime stream is not drawn: no path switches, so none of its values could
-    reach an output."""
-    lam, rows = costs.lam, range(limits.size)
-    path, t = np.arange(n_paths), np.zeros(n_paths)
-    y = np.full((limits.size, n_paths), float(y0))
-    depleted_since = np.full(y.shape, 0.0 if y0 == 0.0 else np.nan)
-    cost, samples = np.zeros(y.shape), np.empty(y.shape)
-    events, replenishments, depleted_time = 0, [0] * len(rows), [0.0] * len(rows)
-    # a zero rate never empties; a subnormal lam never observes
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_obs = rng_obs.standard_exponential(n_paths) / lam
-        while path.size:
-            t_next = np.minimum(t_obs, horizon)
-            live = t_obs < horizon
-            done = (~live).nonzero()[0]
-            y, t_hit, hit = _decay(t, y, rate, t_next)
-            np.putmask(depleted_since, hit, t_hit)
-            t = t_next
-            draws = rng_obs.standard_exponential(path.size - done.size) / lam
-            if done.size:
-                t_obs[live] = t[live] + draws
-            else:
-                t_obs = t + draws
-            events += draws.size
-
-            fill = y <= limits[:, None]
-            if done.size:
-                fill &= live
-            for r in rows:
-                count, depleted = _settle(costs, t, y[r], depleted_since[r], cost[r],
-                                          fill[r].nonzero()[0], done)
-                replenishments[r] += count
-                depleted_time[r] += depleted
-
-            if done.size * 4 >= path.size:  # parked paths leave, as in `_simulate`
-                samples[:, path[done]] = cost[:, done]
+                if not still:
+                    regime, t_switch = regime.compress(live), t_switch.compress(live)
                 path, t, t_obs, y, depleted_since, cost = (
                     a.compress(live, axis=-1) for a in (path, t, t_obs, y, depleted_since, cost))
+                done = done[:0]
     return samples, events, replenishments, depleted_time
 
 

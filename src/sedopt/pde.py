@@ -505,24 +505,27 @@ def solve_stationary(
     replenish, now = np.zeros(v.shape, dtype=bool), np.empty(v.shape, dtype=bool)
     history: list[float] = []
     changes: list[int] = []
-    while True:
-        res, gap = kernel(v)
-        res += cost_rate
-        np.greater(gap, 0.0, out=now)
-        changes.append(int(np.count_nonzero(now != replenish)))
-        replenish, now = now, replenish
-        history.append(float(np.abs(res, out=magnitude).max()))
-        converged = history[-1] <= config.tol
-        earlier_best = min(history[:-_STALL_WINDOW], default=math.inf)
-        if converged or not history[-1] <= 0.5 * earlier_best:  # stalled or not finite
-            break
-        if len(history) == 1 or changes[-1]:
-            sweep.factor(replenish)
-        step, rate_step = sweep.solve(res)
-        v -= step
-        cost_rate -= rate_step
-        min_seen = min(min_seen, float(v.min()))
-        max_seen = max(max_seen, float(v.max()))
+    # a diverging iterate (a drain far below round-off, say) ends on a
+    # non-finite residual, which the stall rule below stops on
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            res, gap = kernel(v)
+            res += cost_rate
+            np.greater(gap, 0.0, out=now)
+            changes.append(int(np.count_nonzero(now != replenish)))
+            replenish, now = now, replenish
+            history.append(float(np.abs(res, out=magnitude).max()))
+            converged = history[-1] <= config.tol
+            earlier_best = min(history[:-_STALL_WINDOW], default=math.inf)
+            if converged or not history[-1] <= 0.5 * earlier_best:  # stalled or not finite
+                break
+            if len(history) == 1 or changes[-1]:
+                sweep.factor(replenish)
+            step, rate_step = sweep.solve(res)
+            v -= step
+            cost_rate -= rate_step
+            min_seen = min(min_seen, float(v.min()))
+            max_seen = max(max_seen, float(v.max()))
     step_change = float(np.max(np.abs(step))) if len(history) > 1 else 0.0
 
     notes: tuple[str, ...] = ()

@@ -81,9 +81,11 @@ def check_horizon(horizon) -> float:
 
 def check_integer(value, what: str, stop: float = math.inf) -> int:
     """A count, or with `stop` a regime index, as an int; :class:`InputError`
-    naming `what` unless `operator.index` takes it (no float, not even 2.0)
-    and 0 <= value < stop."""
+    naming `what` unless `operator.index` takes it (no float, not even 2.0,
+    and no bool, which it reads as 0 or 1) and 0 <= value < stop."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise InputError(f"{what} must be an integer, got {reprlib.repr(value)}") from None

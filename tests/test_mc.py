@@ -187,9 +187,10 @@ def test_bad_horizon_rejected(entry, horizon):
 
 
 @pytest.mark.parametrize("y0, initial",
-                         [(1.5, 0), (math.nan, 0), (1.0, -1), (1.0, 3), (1.0, 0.5)],
+                         [(1.5, 0), (math.nan, 0), (1.0, -1), (1.0, 3), (1.0, 0.5),
+                          (1.0, True)],
                          ids=["y0-above-1", "y0-nan", "regime-negative", "regime-count",
-                              "regime-fraction"])
+                              "regime-fraction", "regime-bool"])
 def test_bad_start_rejected(y0, initial):
     with pytest.raises(InputError):
         estimate_cost(three_regime_chain(), np.zeros(3), None, BENCH_COSTS, y0, 10.0, 8,
@@ -698,8 +699,12 @@ class TestEngineOracle:
         assert_rows_equal_separate_runs(chain, rates, stack, initial=5)
 
     def test_switch_free_rows_equal_separate_runs(self):
-        assert_rows_equal_separate_runs(CHAIN_1, BENCH_RATES, np.array([[-np.inf], [0.37], [1.0]]),
-                                        initial=0)
+        # the rows differ only in the start regime's threshold; 0.9 elsewhere
+        for (chain, rates), initial in [(ENGINE_CASES["single"], 0),
+                                        (ENGINE_CASES["absorbing"], 2)]:
+            stack = np.full((3, chain.count), 0.9)
+            stack[:, initial] = [-np.inf, 0.37, 1.0]
+            assert_rows_equal_separate_runs(chain, rates, stack, initial)
 
     def test_gap_rows_equal_estimate_cost(self):
         perturbations = [-0.3, -0.05, 0.0, 0.2, 1.0]

@@ -1,4 +1,5 @@
 import csv
+import warnings
 from functools import cache
 
 import numpy as np
@@ -359,6 +360,24 @@ class TestSolveStationary:
         assert not result.converged
         assert result.iterations <= 120
         assert result.residual_history[-1] < 1e-12
+
+    @pytest.mark.parametrize("drain", [1e-50, 1e-100, 1e-150, 1e-200, 1e-300])
+    def test_near_zero_drain_fails_without_numpy_warnings(self, drain):
+        # the ergodic iterate blows up: the solve ends unconverged on a
+        # non-finite residual or refuses a singular system, and the overflow
+        # on the way stays inside the solve
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            try:
+                result = solve_stationary(single_regime_chain(), np.array([drain]),
+                                          CostSpec(0.0, 0.02, 0.01, 1.0 / 7.0), Grid(21))
+            except StructureError:
+                pass
+            else:
+                assert result.converged is False
+        # only the solve's own note on a non-monotone field may be raised
+        assert all(w.category is UserWarning and "increases along storage" in str(w.message)
+                   for w in seen), [str(w.message) for w in seen]
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, np.inf, np.nan])
     def test_tolerance_must_be_finite_and_positive(self, tol):

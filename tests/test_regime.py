@@ -189,7 +189,9 @@ class TestBinDischarge:
                                2.5, 3.0),
         lambda: RegimePath(start_times=np.array([0.0, 1.0]), regimes=np.array([0, 1]),
                            horizon=2.0, count=2.5),
-    ], ids=["bin_discharge", "estimate_chain", "RegimePath"])
+        lambda: estimate_chain(DischargeSeries(np.arange(3.0), np.array([1.0, 6.0, 9.0])),
+                               2.5, True),
+    ], ids=["bin_discharge", "estimate_chain", "RegimePath", "estimate_chain-bool"])
     def test_fractional_count_rejected(self, entry):
         # these used to bin with a fractional top, or raise a bare TypeError
         with pytest.raises(InputError, match="regime count must be an integer"):

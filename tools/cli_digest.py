@@ -10,9 +10,9 @@ ergodic `simulate`, `exact --samples 33` and an ergodic `exact`,
 `convergence` at 21,41,81 and `identify`. At the paper's size it also
 solves a seeded 43-regime nearest-neighbour chain at n = 301, discounted
 and ergodic, and simulates 500 paths of the discounted policy. A seeded
-one-regime chain under a one-threshold policy runs the engine's
-switch-free branch (`simulate-single`). Each run writes into its own
-outdir, named after the run. The JSON maps each
+one-regime chain under a one-threshold policy runs the engine's still
+branch, taken by a start regime with no way out (`simulate-single`). Each
+run writes into its own outdir, named after the run. The JSON maps each
 `run/file` to its digest and each run to its exit status. The temporary
 path is masked in each `run_config.json`, so digests of two checkouts, or
 of two runs of one, compare equal when their outputs are byte-identical.
