@@ -180,7 +180,6 @@ def _run_simulate(config: RunConfig):
         chain, rates, policy, config.costs(),
         y0=config.y0, horizon=config.horizon, n_paths=config.paths,
         seed=config.seed, initial_regime=config.initial_regime,
-        keep_samples=config.per_path,
     )
     yield "cost_estimate.json", lambda p: regime.write_json_fields(p, est, drop=("samples",))
     if config.per_path:

@@ -12,7 +12,7 @@ paths of a run advance together in numpy; a recorded path is replayed alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -76,7 +76,7 @@ class CostEstimate:
     events_per_path: float  # regime switches plus observations
     replenishments_per_path: float
     depleted_fraction: float  # share of path time spent at zero storage
-    samples: tuple[float, ...] | None = None  # per-path costs, on request
+    samples: NDArray[np.float64] = field(compare=False, repr=False)  # read-only, per path
 
     def __post_init__(self):
         if self.stderr < 0:
@@ -353,7 +353,6 @@ def estimate_cost(
     n_paths: int,
     seed: int | None = None,
     initial_regime: int = 0,
-    keep_samples: bool = False,
 ) -> CostEstimate:
     """Sample mean / standard error of the performance index over n_paths.
 
@@ -363,16 +362,15 @@ def estimate_cost(
     horizon. Ergodic mode (delta = 0) instead returns the time-averaged
     cost per day over [0, horizon]. Summation is compensated so the result
     does not depend on accumulation order. The estimate also reports what
-    the paths saw: events and replenishments per path and the share of
-    time spent depleted.
+    the paths saw: events and replenishments per path, the share of time
+    spent depleted and, in `samples`, every path's cost.
     """
     return _estimates(chain, rates, _thresholds(policy, chain.count), costs, y0, horizon,
-                      n_paths, seed, initial_regime, keep_samples)[0]
+                      n_paths, seed, initial_regime)[0]
 
 
-def _estimates(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
-               horizon: float, n_paths: int, seed, initial_regime: int = 0,
-               keep_samples: bool = False) -> list[CostEstimate]:
+def _estimates(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float, horizon: float,
+               n_paths: int, seed, initial_regime: int = 0) -> list[CostEstimate]:
     """`estimate_cost` of every row of `thresholds`, all from one run of the drivers."""
     if check_integer(n_paths, "path count") < 2:
         raise InputError("need at least 2 paths for a standard error")
@@ -380,10 +378,10 @@ def _estimates(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float
         chain, rates, thresholds, costs, y0, initial_regime, horizon, n_paths, seed)
     ergodic = costs.delta == 0.0
     truncation = math.exp(-costs.delta * horizon) / costs.delta if not ergodic else math.nan
+    costs_per_row = costs_per_row / horizon if ergodic else costs_per_row  # ergodic: per day
+    costs_per_row.flags.writeable = False  # each estimate's samples are a row of it
     estimates = []
     for samples, filled, depleted in zip(costs_per_row, replenishments, depleted_time):
-        if ergodic:
-            samples = samples / horizon
         mean = math.fsum(samples.tolist()) / n_paths
         var = math.fsum(((samples - mean) ** 2).tolist()) / (n_paths - 1)
         estimates.append(CostEstimate(
@@ -395,7 +393,7 @@ def _estimates(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float
             events_per_path=events / n_paths,
             replenishments_per_path=filled / n_paths,
             depleted_fraction=depleted / (n_paths * horizon),
-            samples=tuple(samples.tolist()) if keep_samples else None,
+            samples=samples,
         ))
     return estimates
 
@@ -428,6 +426,8 @@ def policy_gap_check(
     threshold with the same seed.
     """
     shifts = [float(shift) for shift in perturbations]
+    if not shifts:
+        raise InputError("need at least one threshold shift")
     for shift in shifts:
         if not math.isfinite(shift):
             raise InputError(f"threshold shift must be finite, got {shift}")
@@ -435,8 +435,7 @@ def policy_gap_check(
     reference = float(evaluate_candidate(sol, y0))
     thresholds = [min(1.0, max(0.0, sol.ybar + shift)) for shift in shifts]
     estimates = _estimates(single_regime_chain(), np.array([problem.S]),
-                           np.array(thresholds).reshape(-1, 1), problem, y0, horizon, n_paths,
-                           seed)
+                           np.array(thresholds)[:, None], problem, y0, horizon, n_paths, seed)
     return [GapRow(delta_shift=shift, threshold=threshold, mean=est.mean,
                    stderr=est.stderr, gap=est.mean - reference)
             for shift, threshold, est in zip(shifts, thresholds, estimates)]

@@ -530,9 +530,9 @@ def solve_stationary(
 
     notes: tuple[str, ...] = ()
     # monotonicity in storage is expected but not guaranteed by the scheme;
-    # flag violations instead of failing
+    # flag violations in a converged field, not in a diverged iterate, instead of failing
     worst_rise = float(np.max(np.diff(v, axis=1), initial=0.0))
-    if worst_rise > 1e-8:
+    if converged and worst_rise > 1e-8:
         notes = (f"field increases along storage by up to {worst_rise:.3e}",)
         warnings.warn(notes[0], stacklevel=2)
     return SolveResult(

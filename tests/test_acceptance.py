@@ -304,8 +304,8 @@ def test_paper_size_policy_verified_by_monte_carlo():
 
     def samples(rule, regime, y0, seed):
         est = estimate_cost(chain, rates, rule, costs, y0, 100.0, 20_000, seed=seed,
-                            initial_regime=regime, keep_samples=True)
-        return est, np.array(est.samples)
+                            initial_regime=regime)
+        return est, est.samples
 
     details, ok = [], True
     for k, (regime, y0) in enumerate(((0, 1.0), (20, 0.6), (42, 0.3))):

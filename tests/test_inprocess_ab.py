@@ -14,7 +14,7 @@ def test_a_a_run_reports_every_item():
     run = subprocess.run([sys.executable, SCRIPT, ROOT, ROOT, "--pairs", "2", "--tiny"],
                          capture_output=True, text=True, check=True)
     report = json.loads(run.stdout)
-    assert list(report) == ["mc-scalar", "mc-43", "solve-43"]
+    assert list(report) == ["mc-scalar", "mc-43", "solve-1", "solve-43"]
     for item in report.values():
         assert item["pairs"] == 2 and 0 <= item["wins"] <= 2
         assert item["same_output"] is True

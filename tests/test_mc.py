@@ -540,11 +540,22 @@ class TestEstimateCost:
         assert events == sample_regime_path(chain, 0, 60.0, 11).regimes.size - 1
         assert (events > 0) == (chain.count > 1)
 
-    def test_keep_samples(self):
-        est = estimate_cost(CHAIN_1, BENCH_RATES, None, BENCH_COSTS, 1.0, 50.0,
-                            n_paths=8, seed=0, keep_samples=True)
-        assert len(est.samples) == 8
-        assert math.fsum(est.samples) / 8 == pytest.approx(est.mean, rel=1e-15)
+    def test_every_estimate_carries_its_per_path_costs(self):
+        policy = ThresholdPolicy(boundaries=np.array([0.4]))
+        for delta in (0.2, 0.0):
+            costs = CostSpec(delta=delta, c=0.2, d=0.3, lam=1.0 / 7.0)
+            est = estimate_cost(CHAIN_1, BENCH_RATES, policy, costs, 1.0, 50.0, n_paths=8,
+                                seed=0)
+            assert est.samples.shape == (8,) and est.samples.dtype == np.float64
+            assert not est.samples.flags.writeable
+            with pytest.raises(ValueError):
+                est.samples[0] = 0.0
+            assert math.fsum(est.samples) / 8 == est.mean
+            # the engine's per-path costs; ergodic samples are per day
+            row = mc._simulate(CHAIN_1, BENCH_RATES, policy.boundaries[None, :], costs, 1.0, 0,
+                               50.0, 8, 0)[0][0]
+            np.testing.assert_array_equal(est.samples, row / 50.0 if delta == 0.0 else row)
+            assert "samples" not in repr(est)
 
 
 class TestUnvisitedRegime:
@@ -745,3 +756,12 @@ class TestPolicyGapCheck:
         monkeypatch.setattr(mc, "_estimates", no_paths)
         with pytest.raises(InputError, match=f"shift must be finite, got {shift}"):
             policy_gap_check(BENCHMARK, [0.0, shift], n_paths=100, seed=4)
+
+    def test_no_shift_raises_before_solving(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done")
+
+        monkeypatch.setattr(mc, "solve_smooth_pasting", no_work)
+        monkeypatch.setattr(mc, "_estimates", no_work)
+        with pytest.raises(InputError, match="at least one threshold shift"):
+            policy_gap_check(BENCHMARK, [], n_paths=100, seed=4)

@@ -558,11 +558,13 @@ class TestSparseJump:
 
         def run():
             return estimate_cost(chain, drains, policy, costs, 0.7, 40.0, 500, seed=21,
-                                 initial_regime=3, keep_samples=True)
+                                 initial_regime=3)
 
         sparse = run()
         monkeypatch.setattr(RegimeChain, "jump", dense_jump)
-        assert run() == sparse
+        dense = run()
+        assert dense == sparse
+        np.testing.assert_array_equal(dense.samples, sparse.samples)  # == skips samples
 
 
 class TestRegimePathValidation:

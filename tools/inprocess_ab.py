@@ -13,13 +13,19 @@ state. Work items:
   and `policy_gap_check` with shifts -0.15, 0 and 0.15 (1500 paths);
 - `mc-43`: `estimate_cost` of 2000 paths on `realistic_chain(3)` under its
   n = 31 policy, from (regime 0, y = 1);
+- `solve-1`: `table1`'s one-regime work, the refinement study of the
+  benchmark at n = 51 ... 801 (tol 1e-10), then 5 ergodic solves at
+  n = 401 (criterion 11's costs, tol 1e-12);
 - `solve-43`: the discounted n = 31 solve of that chain.
 
 A pair runs an item once on each side, the side that goes first
 alternating from pair to pair; a side's time in a pair is the best of
-3 calls. The JSON printed gives per item each side's median and
-minimum (seconds) and every pair's times, the change's wins (pairs where
-it is strictly faster) and whether both sides returned the same numbers.
+3 calls. Keep the default 200 pairs for a verdict: at 40, the minima of
+an A/A run drifted by 2-4% on a shared 2-vCPU host. The JSON printed
+gives per item each side's median and minimum (seconds) and every pair's
+times, the change's wins (pairs where it is strictly faster) and whether
+both sides returned the same numbers (for `solve-1`, the study's errors
+and the last ergodic field).
 Pin the process to one CPU, as above, so the two sides share a core.
 `--tiny` shrinks every item (paths, grid) for a smoke run.
 """
@@ -83,6 +89,21 @@ def mc_43(pkg, tiny: bool):
     return work
 
 
+def solve_1(pkg, tiny: bool):
+    """The refinement study of the benchmark, then criterion 11's ergodic solves."""
+    problem = pkg.analytic.BENCHMARK
+    costs = pkg.CostSpec(delta=0.0, c=0.2, d=0.3, lam=1.0 / 7.0)
+    resolutions, n, repeats = ((51, 101), 51, 1) if tiny else ((51, 101, 201, 401, 801), 401, 5)
+
+    def work():
+        rows = pkg.convergence_study(problem, resolutions, pkg.SolverConfig(tol=1e-10))
+        for _ in range(repeats):
+            result = pkg.solve_stationary(pkg.pde.single_regime_chain(), np.array([problem.S]),
+                                          costs, pkg.Grid(n), pkg.SolverConfig(tol=1e-12))
+        return [row.linf_error for row in rows] + result.field.values.ravel().tolist()
+    return work
+
+
 def solve_43(pkg, tiny: bool):
     """The discounted solve of the 43-regime chain."""
     chain, rates, costs, grid = chain_43(pkg, tiny)
@@ -92,7 +113,7 @@ def solve_43(pkg, tiny: bool):
     return work
 
 
-WORK = {"mc-scalar": mc_scalar, "mc-43": mc_43, "solve-43": solve_43}
+WORK = {"mc-scalar": mc_scalar, "mc-43": mc_43, "solve-1": solve_1, "solve-43": solve_43}
 
 
 def best_of_3(work) -> float:
@@ -129,7 +150,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--pairs", type=int, default=40, help="interleaved pairs per item")
+    parser.add_argument("--pairs", type=int, default=200, help="interleaved pairs per item")
     parser.add_argument("--work", nargs="+", choices=WORK, default=list(WORK),
                         help="items to time (default: all)")
     parser.add_argument("--tiny", action="store_true", help="shrink every item")
