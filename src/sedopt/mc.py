@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .analytic import CostSpec, ScalarProblem, evaluate_candidate, solve_smooth_pasting
-from .errors import InputError, StructureError
+from .errors import DomainError, InputError, StructureError
 from .pde import ThresholdPolicy, single_regime_chain
 from .regime import (RegimeChain, RegimePath, check_horizon, check_integer, check_rates,
                      sample_regime_path)
@@ -382,11 +382,16 @@ def _estimates(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float
     costs_per_row.flags.writeable = False  # each estimate's samples are a row of it
     estimates = []
     for samples, filled, depleted in zip(costs_per_row, replenishments, depleted_time):
-        mean = math.fsum(samples.tolist()) / n_paths
-        var = math.fsum(((samples - mean) ** 2).tolist()) / (n_paths - 1)
+        peak = float(samples.max())  # costs are >= 0
+        if not math.isfinite(peak):
+            raise DomainError("a path's cost exceeds the double range")
+        k = max(math.frexp(peak)[1], 0)  # reduced at scale 2^-k, exact, so no square overflows
+        scaled = np.ldexp(samples, -k)
+        mean = math.fsum(scaled.tolist()) / n_paths
+        var = math.fsum(((scaled - mean) ** 2).tolist()) / (n_paths - 1)
         estimates.append(CostEstimate(
-            mean=mean,
-            stderr=math.sqrt(var / n_paths),
+            mean=math.ldexp(mean, k),
+            stderr=math.ldexp(math.sqrt(var / n_paths), k),
             n_paths=n_paths,
             horizon=horizon,
             truncation_bound=truncation,

@@ -110,8 +110,8 @@ class ValueField:
     def replenish(self) -> NDArray[np.bool_]:
         """Where replenishing strictly beats waiting: P_i(1) + c (1-y) + d <
         P_i(y). Ties do nothing (never pay the fixed cost for zero gain)."""
-        refill = self.costs.intervention_cost(self.grid.vertices)
-        with np.errstate(over="ignore"):  # a gap past the double range is still signed right
+        with np.errstate(over="ignore"):  # a refill or gap past the double range is +-inf
+            refill = self.costs.intervention_cost(self.grid.vertices)
             return _intervention_gap(self.values, refill) > 0.0
 
 
@@ -238,60 +238,30 @@ class _Weno3:
         return out
 
 
-class _Residual:
-    """The residual of the stationary system on one chain, rates, costs and
-    grid, with its work arrays sized once:
-
-        (delta + outflow) v + S/h W(v) - nu v + lam max(gap, 0) - 1{y=0},
-
-    where W(v) is `_Weno3` (h times the derivative), switched off at y = 0,
-    and gap is `_intervention_gap`. S/h, delta + outflow and the refill
-    cost c (1 - y) + d are computed once. A call returns the residual and
-    the gap in work arrays that the next call overwrites.
-    """
-
-    def __init__(self, chain: RegimeChain, rates, costs: CostSpec, grid: Grid):
-        shape = (chain.count, grid.n)
-        self.weno = _Weno3(shape, grid.h)
-        self.speed = (rates / grid.h)[:, None]
-        self.decay = (costs.delta + chain.out_rates)[:, None]
-        self.switching = chain.rates if np.any(chain.rates) else None
-        self.refill = costs.intervention_cost(grid.vertices)
-        self.lam = costs.lam
-        self.res, self.gap, self.work = np.empty(shape), np.empty(shape), np.empty(shape)
-
-    def __call__(self, v: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        res, gap, work = self.res, self.gap, self.work
-        np.multiply(self.speed, self.weno(v), out=work)
-        work[:, 0] = 0.0  # advection switched off at y = 0
-        np.multiply(self.decay, v, out=res)
-        res += work
-        if self.switching is not None:
-            res -= np.dot(self.switching, v, out=work)
-        _intervention_gap(v, self.refill, out=gap)
-        np.maximum(gap, 0.0, out=work)
-        work *= self.lam
-        res += work
-        res[:, 0] -= 1.0  # depletion penalty source lives on the y = 0 vertex
-        return res, gap
-
-
 def residual(fld: ValueField) -> NDArray[np.float64]:
     """Pointwise residual of the stationary optimality system (same shape)."""
-    return _Residual(fld.chain, fld.rates, fld.costs, fld.grid)(fld.values)[0]
+    return _Howard(fld.chain, fld.rates, fld.costs, fld.grid).residual(fld.values)[0]
 
 
-class _BlockSweep:
-    """An exact solver for the first-order upwind Jacobian J of the
-    residual under a replenish set, refactored in place by `factor`.
+class _Howard:
+    """The stationary system on one chain, rates, costs and grid, with its
+    coefficients formed once: s = S/h, delta + outflow, the switching
+    matrix nu, lam and the refill cost c (1 - y) + d.
 
-    J has delta + outflow on the diagonal, +-S_i / h upwind advection for
-    k >= 1, -nu_ij regime switching and lam (row k - column of the last
-    vertex) on the replenish set; the last two cancel at the last vertex.
+    `residual(v)` returns the residual (delta + outflow) v + s W(v) - nu v
+    + lam max(gap, 0) - 1{y=0}, where W(v) is `_Weno3` (h times the
+    derivative) switched off at y = 0, and the gap `_intervention_gap`, in
+    work arrays that the next call overwrites.
+
+    `factor(replenish)` refactors in place an exact solver for J, the
+    first-order upwind Jacobian of the residual under a replenish set. J
+    has delta + outflow on the diagonal, +-s upwind advection for k >= 1,
+    -nu_ij regime switching and lam (row k - column of the last vertex) on
+    the replenish set; the last two cancel at the last vertex.
     With the unknowns numbered storage-major, (i, k) at row k * I + i, the
     rows of vertex k read
 
-        D_k x_k - s x_{k-1} - lam R_k x_{n-1} = b_k,    s = S / h,
+        D_k x_k - s x_{k-1} - lam R_k x_{n-1} = b_k,
 
     where the I x I block D_k = diag(delta + outflow + s 1{k>0} + lam R_k)
     - nu changes with k only on its diagonal. Ergodic mode adds the cost
@@ -321,32 +291,55 @@ class _BlockSweep:
     whose product underflows (no transport, or a drain far below
     delta + lam on a fine grid), takes the block forward sweep, one product
     x_k = [D_k^-1 s | D_k^-1] [x_{k-1}; c_k] per vertex. `solve` takes and
-    returns (regime, vertex) arrays. The work arrays are sized once and
-    every solve shares them, the update too: one factorization at a time,
-    one solve at a time, and a solve's update is overwritten by the next.
+    returns (regime, vertex) arrays. The work arrays are sized once, the
+    sweep's at the first `factor`, and every solve shares them, the update
+    too: one factorization at a time, one solve at a time, and a solve's
+    update is overwritten by the next.
     """
 
     def __init__(self, chain: RegimeChain, rates, costs: CostSpec, grid: Grid):
-        count, inner = rates.size, grid.n - 2
-        self.switching = chain.rates
+        shape = (chain.count, grid.n)
+        self.weno = _Weno3(shape, grid.h)
         self.s = rates / grid.h
         self.outflow = costs.delta + chain.out_rates
-        self.lam = costs.lam
-        self.ergodic = costs.delta == 0.0
-        self.adjoint = np.empty((inner, count, count))  # P_k^T
-        width = 2 * count + self.ergodic  # the pin row's right-hand side stays 0
-        self.border, self.z = np.zeros(width), np.empty(width)
-        self.b = np.empty((inner + 2, count))  # b_0..b_{n-1}
-        # [D_k^-1 s | D_k^-1], one per run of equal D_k, and the pairs
-        # [x_{k-1}; c_k] each product of the block sweep reads
-        self.steps = np.empty((inner, count, 2 * count))
-        self.pairs = np.empty((inner + 2, 2 * count))
-        self.links = None  # (pair, out) per vertex, at the first block factorization
-        if count == 1:  # x_0..x_{n-1} and c_1..c_{n-2} of the prefix sum
-            self.line = np.empty((inner + 2, 1)), np.empty((inner, 1))
+        self.speed, self.decay = self.s[:, None], self.outflow[:, None]  # the residual's columns
+        self.switching, self.coupled = chain.rates, bool(chain.out_rates.any())  # rates >= 0
+        self.lam, self.ergodic = costs.lam, costs.delta == 0.0
+        with np.errstate(over="ignore"):  # +inf past the double range: never worth making
+            self.refill = costs.intervention_cost(grid.vertices)
+        self.res, self.gap, self.work = np.empty(shape), np.empty(shape), np.empty(shape)
+        self.adjoint = None  # the sweep's work arrays, at the first factorization
 
-    def factor(self, replenish: NDArray[np.bool_]) -> _BlockSweep:
-        count, s, adjoint = self.s.size, self.s, self.adjoint
+    def residual(self, v: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        res, gap, work = self.res, self.gap, self.work
+        np.multiply(self.speed, self.weno(v), out=work)
+        work[:, 0] = 0.0  # advection switched off at y = 0
+        np.multiply(self.decay, v, out=res)
+        res += work
+        if self.coupled:
+            res -= np.dot(self.switching, v, out=work)
+        _intervention_gap(v, self.refill, out=gap)
+        np.maximum(gap, 0.0, out=work)
+        work *= self.lam
+        res += work
+        res[:, 0] -= 1.0  # depletion penalty source lives on the y = 0 vertex
+        return res, gap
+
+    def factor(self, replenish: NDArray[np.bool_]) -> _Howard:
+        count, s, inner = self.s.size, self.s, replenish.shape[1] - 2
+        if self.adjoint is None:
+            self.adjoint = np.empty((inner, count, count))  # P_k^T
+            width = 2 * count + self.ergodic  # the pin row's right-hand side stays 0
+            self.border, self.z = np.zeros(width), np.empty(width)
+            self.b = np.empty((inner + 2, count))  # b_0..b_{n-1}
+            # [D_k^-1 s | D_k^-1], one per run of equal D_k, and the pairs
+            # [x_{k-1}; c_k] each product of the block sweep reads
+            self.steps = np.empty((inner, count, 2 * count))
+            self.pairs = np.empty((inner + 2, 2 * count))
+            self.links = None  # (pair, out) per vertex, at the first block factorization
+            if count == 1:  # x_0..x_{n-1} and c_1..c_{n-2} of the prefix sum
+                self.line = np.empty((inner + 2, 1)), np.empty((inner, 1))
+        adjoint = self.adjoint
         self.jump = self.lam * replenish[:, :-1].T  # lam R_k, k < n - 1
         diagonals = (self.outflow + s) + self.jump[1:]
         self.prefix = False
@@ -496,8 +489,7 @@ def solve_stationary(
             raise StructureError("steady-state system is singular: storage never drains "
                                  f"in the long-run class of regimes {closed}")
 
-    kernel = _Residual(chain, fld.rates, costs, grid)
-    sweep = _BlockSweep(chain, fld.rates, costs, grid)
+    howard = _Howard(chain, fld.rates, costs, grid)
 
     v = fld.values  # iterated in place
     magnitude = np.empty(v.shape)
@@ -509,7 +501,7 @@ def solve_stationary(
     # non-finite residual, which the stall rule below stops on
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            res, gap = kernel(v)
+            res, gap = howard.residual(v)
             res += cost_rate
             np.greater(gap, 0.0, out=now)
             changes.append(int(np.count_nonzero(now != replenish)))
@@ -520,8 +512,8 @@ def solve_stationary(
             if converged or not history[-1] <= 0.5 * earlier_best:  # stalled or not finite
                 break
             if len(history) == 1 or changes[-1]:
-                sweep.factor(replenish)
-            step, rate_step = sweep.solve(res)
+                howard.factor(replenish)
+            step, rate_step = howard.solve(res)
             v -= step
             cost_rate -= rate_step
             min_seen = min(min_seen, float(v.min()))

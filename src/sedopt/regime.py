@@ -534,9 +534,11 @@ def realistic_chain(seed: int) -> RegimeChain:
 
 def spawn_streams(seed: int | None) -> list[np.random.Generator]:
     """Independent regime and observation generators from one seed, in
-    that order; :class:`InputError` for a seed that `SeedSequence` rejects,
-    a negative one for instance."""
+    that order; :class:`InputError` for a bool or a seed that `SeedSequence`
+    rejects, a negative one for instance."""
     try:
+        if isinstance(seed, bool):  # SeedSequence takes True as 1; it rejects np.True_
+            raise TypeError("a bool is not a seed")
         sequence = np.random.SeedSequence(seed)
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad seed {reprlib.repr(seed)}: {exc}") from None

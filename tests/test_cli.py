@@ -531,6 +531,20 @@ class TestSolveSimulate:
         assert "finite" in capsys.readouterr().err
         assert not (out / "cost_estimate.json").exists()
 
+    def test_simulate_cost_past_the_double_range_fails(self, chain_file, tmp_path, capsys):
+        # a refill from empty storage costs c + d = +inf: a named error, not
+        # an OverflowError traceback or a null standard error
+        policy = tmp_path / "free_boundary.csv"
+        policy.write_text("regime,q,Ybar\n0,1,0.9\n1,10,0.9\n")
+        out = tmp_path / "sim"
+        status = run_cli("simulate", "--chain", chain_file, "--policy", policy, "--c", "1e308",
+                         "--d", "1e308", "--y0", "0", "--paths", "8", "--outdir", out)
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sedopt: error: ") and "double range" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (out / "cost_estimate.json").exists()
+
     def test_simulate_nan_threshold_fails(self, chain_file, tmp_path, capsys):
         for threshold in ("nan", "1.5"):
             policy = tmp_path / "free_boundary.csv"

@@ -22,3 +22,4 @@ def test_a_a_run_reports_every_item():
             times = item[side]["times_s"]
             assert len(times) == 2 and all(t > 0.0 for t in times)
             assert item[side]["min_s"] == min(times) <= item[side]["median_s"] <= max(times)
+            assert item[side]["min_s"] <= item[side]["p10_s"] <= item[side]["median_s"]

@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import cache
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from sedopt.analytic import (
     solve_smooth_pasting,
 )
 from sedopt import cli, mc
-from sedopt.errors import InputError, StructureError
+from sedopt.errors import DomainError, InputError, StructureError
 from sedopt.pde import Grid, ValueField, extract_policy, solve_stationary
 from sedopt.mc import (
     estimate_cost,
@@ -209,9 +210,9 @@ def test_bad_path_count_rejected(n_paths):
     lambda seed: simulate_controlled(CHAIN_1, BENCH_RATES, None, BENCH_COSTS, 1.0, 10.0, seed),
     lambda seed: sample_regime_path(three_regime_chain(), 0, 10.0, seed),
 ], ids=["estimate_cost", "simulate_controlled", "sample_regime_path"])
-@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.True_])
 def test_bad_seed_rejected(entry, seed):
-    # numpy's SeedSequence raises a bare ValueError or TypeError
+    # numpy's SeedSequence raises a bare ValueError or TypeError, and takes True as 1
     with pytest.raises(InputError, match="bad seed"):
         entry(seed)
 
@@ -556,6 +557,32 @@ class TestEstimateCost:
                                50.0, 8, 0)[0][0]
             np.testing.assert_array_equal(est.samples, row / 50.0 if delta == 0.0 else row)
             assert "samples" not in repr(est)
+
+
+@cache
+def paper_policy_11():
+    chain, rates = ENGINE_CASES["realistic43"]
+    costs = CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0)
+    return extract_policy(solve_stationary(chain, rates, costs, Grid(11)).field)
+
+
+@pytest.mark.parametrize("c", [1e306, 1e307, 3e307])
+def test_estimate_whose_sums_pass_the_double_range(c):
+    # the costs' sum and squares overflow: the reduction runs at a power-of-two
+    # scale, with no RuntimeWarning (an error here), and agrees with one at 1e-300
+    chain, rates = ENGINE_CASES["realistic43"]
+    est = estimate_cost(chain, rates, paper_policy_11(), CostSpec(0.2, c, c, 1.0 / 7.0), 1.0,
+                        200.0, 200, seed=1)
+    scaled = est.samples * 1e-300
+    assert est.mean == pytest.approx(1e300 * scaled.mean(), rel=1e-12)
+    assert est.stderr == pytest.approx(1e300 * scaled.std(ddof=1) / math.sqrt(200), rel=1e-12)
+
+
+def test_path_cost_past_the_double_range_raises():
+    chain, rates = ENGINE_CASES["realistic43"]
+    with pytest.raises(DomainError, match="double range"):
+        estimate_cost(chain, rates, paper_policy_11(), CostSpec(0.2, 1e308, 1e308, 1.0 / 7.0),
+                      1.0, 200.0, 200, seed=1)
 
 
 class TestUnvisitedRegime:

@@ -22,8 +22,7 @@ from sedopt.pde import (
     SolverConfig,
     ThresholdPolicy,
     ValueField,
-    _BlockSweep,
-    _Residual,
+    _Howard,
     convergence_study,
     extract_policy,
     read_free_boundary_csv,
@@ -74,9 +73,9 @@ def explicit_march(chain, rates, costs, grid, tol):
     outflow = chain.rates.sum(axis=1)
     dt = 0.4 * grid.h / (rates.max() + grid.h * (costs.delta + costs.lam + outflow.max()))
     v = np.zeros((chain.count, grid.n))
-    kernel = _Residual(chain, rates, costs, grid)
+    howard = _Howard(chain, rates, costs, grid)
     for _ in range(10**6):
-        step = dt * kernel(v)[0]
+        step = dt * howard.residual(v)[0]
         v = v - step
         if np.max(np.abs(step)) < tol:
             return v, dt
@@ -166,8 +165,8 @@ def reference_weno3(values, h):
 
 
 def reference_residual_arrays(v, chain, rates, costs, grid):
-    """The residual and intervention gap as computed before `_Residual`,
-    frozen with it."""
+    """The residual and intervention gap as computed before the residual
+    kernel, frozen with it."""
     adv = rates[:, None] * reference_weno3(v, grid.h)
     adv[:, 0] = 0.0
     coupling = chain.out_rates[:, None] * v - chain.rates @ v
@@ -203,14 +202,14 @@ def kernel_cases():
 
 
 class TestResidualKernel:
-    """`_Residual` and `_Weno3` against the frozen alpha-weight form."""
+    """`_Howard.residual` and `_Weno3` against the frozen alpha-weight form."""
 
     @pytest.mark.parametrize("delta", [0.2, 0.0], ids=["discounted", "ergodic"])
     @pytest.mark.parametrize("case", sorted(kernel_cases()))
     def test_matches_the_frozen_residual(self, case, delta):
         chain, rates, v = kernel_cases()[case]
         costs, grid = CostSpec(delta=delta, c=0.02, d=0.01, lam=1.0 / 7.0), Grid(v.shape[1])
-        res, gap = _Residual(chain, rates, costs, grid)(v)
+        res, gap = _Howard(chain, rates, costs, grid).residual(v)
         ref_res, ref_gap = reference_residual_arrays(v, chain, rates, costs, grid)
         assert_close_to_reference(res, ref_res)
         np.testing.assert_array_equal(gap, ref_gap)
@@ -222,10 +221,10 @@ class TestResidualKernel:
         chain, rates, solved = kernel_cases()["43-regime solved"]
         _, _, wavy = kernel_cases()["43-regime perturbed"]
         costs, grid = CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0), Grid(31)
-        kernel = _Residual(chain, rates, costs, grid)
+        howard = _Howard(chain, rates, costs, grid)
         for first, second in ((solved, wavy), (wavy, solved), (np.full_like(solved, 1e6), solved)):
-            kernel(first)
-            res, gap = kernel(second)
+            howard.residual(first)
+            res, gap = howard.residual(second)
             ref_res, ref_gap = reference_residual_arrays(second, chain, rates, costs, grid)
             assert_close_to_reference(res, ref_res)
             np.testing.assert_array_equal(gap, ref_gap)
@@ -554,7 +553,7 @@ class TestSolveStationary:
 
 
 def dense_howard_matrix(chain, rates, costs, grid, replenish, ergodic):
-    """The upwind Jacobian J as `_BlockSweep` defines it, built entry
+    """The upwind Jacobian J as `_Howard` defines it, built entry
     by entry, with (regime i, vertex k) at row k * count + i."""
     count, n = chain.count, grid.n
     size = count * n
@@ -626,7 +625,7 @@ class TestHowardFactorization:
         chain, rates, replenish = structure_cases()[case]
         costs = CostSpec(delta=0.0 if ergodic else 0.2, c=0.02, d=0.01, lam=0.5)
         grid = Grid(replenish.shape[1])
-        sweep = _BlockSweep(chain, rates, costs, grid).factor(replenish)
+        sweep = _Howard(chain, rates, costs, grid).factor(replenish)
         J = dense_howard_matrix(chain, rates, costs, grid, replenish, ergodic)
         res = np.random.default_rng(3).normal(size=replenish.shape)
         update, rate_update = sweep.solve(res)
@@ -643,7 +642,7 @@ class TestHowardFactorization:
         chain, rates, replenish = structure_cases()[case]
         for delta in (0.2, 0.0):
             costs = CostSpec(delta=delta, c=0.02, d=0.01, lam=0.5)
-            sweep = _BlockSweep(chain, rates, costs, Grid(replenish.shape[1])).factor(replenish)
+            sweep = _Howard(chain, rates, costs, Grid(replenish.shape[1])).factor(replenish)
             assert sweep.prefix == (case in ("one-regime", "one-regime-wide"))
 
     @pytest.mark.parametrize("count", [1, 2])
@@ -652,7 +651,7 @@ class TestHowardFactorization:
         chain = RegimeChain(discharges=np.arange(1.0, count + 1.0),
                             rates=np.full((count, count), 0.0))
         costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=0.5)
-        factor = _BlockSweep(chain, np.zeros(count), costs, Grid(7)).factor
+        factor = _Howard(chain, np.zeros(count), costs, Grid(7)).factor
         with pytest.raises(StructureError, match="singular"):
             factor(np.zeros((count, 7), dtype=bool))
 
@@ -666,7 +665,7 @@ class TestHowardFactorization:
         costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=0.5)
         replenish = np.ones((count, 7), dtype=bool)
         replenish[0, 1:3] = False
-        factor = _BlockSweep(chain, np.zeros(count), costs, Grid(7)).factor
+        factor = _Howard(chain, np.zeros(count), costs, Grid(7)).factor
         with pytest.raises(StructureError, match="singular"):
             factor(replenish)
 
@@ -684,6 +683,14 @@ class TestExtractPolicy:
         costs = CostSpec(delta=0.2, c=25.0, d=25.0, lam=1.0 / 7.0)  # (c+d)S > 1
         result = solve(single_regime_chain(), BENCH_RATES, costs, Grid(51))
         # -inf, not 0: a boundary of 0 still replenishes empty storage
+        np.testing.assert_array_equal(extract_policy(result.field).boundaries, [-np.inf])
+
+    def test_refill_past_the_double_range_never_replenishes(self):
+        # c (1 - y) + d overflows to +inf, which is right: that refill is never
+        # worth making; the overflow raised a RuntimeWarning, an error here
+        costs = CostSpec(delta=0.1, c=1e308, d=1e308, lam=1.0 / 7.0)
+        result = solve(single_regime_chain(), np.array([0.05]), costs, Grid(11))
+        assert result.converged
         np.testing.assert_array_equal(extract_policy(result.field).boundaries, [-np.inf])
 
     def test_non_contiguous_replenish_set_rejected(self):

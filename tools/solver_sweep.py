@@ -19,7 +19,7 @@ checkouts can be compared seed by seed.
 Those entries form the `grids` list. The `single` list sweeps one-regime
 problems the same way: seed s draws S log-uniform on [1e-4, 10] and
 lambda log-uniform on [1/56, 16], with c 0.2 and d 0.3, wide enough that
-one-regime factorizations take both forward sweeps of `pde._BlockSweep`:
+one-regime factorizations take both forward sweeps of `pde._Howard`:
 the scaled prefix sum, and the block sweep where the summation factors
 underflow. `block_sweep_seeds` lists the seeds whose solve ran at least
 one one-regime factorization on the block sweep (none in `grids`).
@@ -76,14 +76,14 @@ def single_problem(seed: int, delta: float):
 def solve_watched(chain, rates, costs, grid, config):
     """`solve_stationary`, and whether a one-regime factorization of the
     solve took the block sweep instead of the prefix sum."""
-    factor, block = pde._BlockSweep.factor, []
+    factor, block = pde._Howard.factor, []
 
     def watched(sweep, replenish):
         factor(sweep, replenish)
         block.append(sweep.s.size == 1 and not sweep.prefix)
         return sweep
 
-    with mock.patch.object(pde._BlockSweep, "factor", watched):
+    with mock.patch.object(pde._Howard, "factor", watched):
         return solve_stationary(chain, rates, costs, grid, config), any(block)
 
 
