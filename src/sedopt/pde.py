@@ -156,19 +156,23 @@ class SolveResult:
     step_change: float  # sup norm of the last update
     iterations: int  # updates made
     converged: bool
-    min_seen: float  # bounds over every iterate
+    min_seen: float  # bounds on v over every iterate
     max_seen: float
-    residual_history: tuple[float, ...]  # max |residual| of each iterate
+    residual_history: tuple[float, ...]  # max |residual| of each iterate (of z, when discounted)
     policy_changes: tuple[int, ...]  # replenish decisions flipped since the last iterate
     cost_rate: float | None = None  # ergodic mode: long-run cost per day
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     def check_converged(self) -> None:
-        """Raise :class:`ConvergenceError` unless the solve converged."""
+        """Raise :class:`ConvergenceError` unless the solve converged, naming
+        the residual's round-off floor, about eps max|v - v(0, 1)| max(S) / h."""
         if not self.converged:
+            with np.errstate(over="ignore", invalid="ignore"):  # a diverged field: inf or nan
+                v, s = self.field.values, self.field.rates / self.field.grid.h
+                floor = np.finfo(float).eps * np.max(np.abs(v - v[0, -1])) * np.max(s)
             raise ConvergenceError(
                 f"max |residual| {self.residual_history[-1]:.3e} stalled above tol "
-                f"after {self.iterations} iterations"
+                f"after {self.iterations} iterations; round-off floor about {floor:.3e}"
             )
 
 
@@ -264,8 +268,8 @@ class _Howard:
         D_k x_k - s x_{k-1} - lam R_k x_{n-1} = b_k,
 
     where the I x I block D_k = diag(delta + outflow + s 1{k>0} + lam R_k)
-    - nu changes with k only on its diagonal. Ergodic mode adds the cost
-    rate u to every row and a row that pins (regime 0, y = 1), both last.
+    - nu changes with k only on its diagonal. Every row also carries a rate
+    u, and a last row pins (regime 0, y = 1), as `solve_stationary` needs.
 
     J^-1 is block forward substitution along storage (block LU; Golub &
     Van Loan, *Matrix Computations*). Vertex k couples only to k - 1, to
@@ -277,10 +281,10 @@ class _Howard:
     for k = 1..n-2, so s x_{n-2} = sum_k P_k c_k + P_1 s x_0, where the
     adjoint sweep P_{n-2} = s D_{n-2}^-1, P_{k-1} = P_k s D_{k-1}^-1 runs
     once per factorization. With that, the rows of vertices 0 and n - 1
-    and the pin close a dense system in z of size 2I (2I + 1 in ergodic
-    mode), the Schur complement of the interior, which is inverted. x_0 is
-    part of the border because the ergodic D_0 is the negated generator,
-    singular, until empty storage replenishes. A singular block or Schur
+    and the pin close a dense system in z of size 2I + 1, the Schur
+    complement of the interior, which is inverted. x_0 is part of the
+    border because at delta = 0 D_0 is the negated generator, singular,
+    until empty storage replenishes. A singular block or Schur
     complement raises `StructureError`.
 
     With one regime the adjoint is a cumulative product and the forward
@@ -304,7 +308,7 @@ class _Howard:
         self.outflow = costs.delta + chain.out_rates
         self.speed, self.decay = self.s[:, None], self.outflow[:, None]  # the residual's columns
         self.switching, self.coupled = chain.rates, bool(chain.out_rates.any())  # rates >= 0
-        self.lam, self.ergodic = costs.lam, costs.delta == 0.0
+        self.lam = costs.lam
         with np.errstate(over="ignore"):  # +inf past the double range: never worth making
             self.refill = costs.intervention_cost(grid.vertices)
         self.res, self.gap, self.work = np.empty(shape), np.empty(shape), np.empty(shape)
@@ -329,8 +333,7 @@ class _Howard:
         count, s, inner = self.s.size, self.s, replenish.shape[1] - 2
         if self.adjoint is None:
             self.adjoint = np.empty((inner, count, count))  # P_k^T
-            width = 2 * count + self.ergodic  # the pin row's right-hand side stays 0
-            self.border, self.z = np.zeros(width), np.empty(width)
+            self.border, self.z = np.zeros(2 * count + 1), np.empty(2 * count + 1)  # pin: b = 0
             self.b = np.empty((inner + 2, count))  # b_0..b_{n-1}
             # [D_k^-1 s | D_k^-1], one per run of equal D_k, and the pairs
             # [x_{k-1}; c_k] each product of the block sweep reads
@@ -369,24 +372,23 @@ class _Howard:
             self.sweep = [(steps[run], *link) for run, link in zip(runs, self.links)]
             self.x, self.c = pairs[:, :count], pairs[:-2, count:]
         top = slice(count, 2 * count)
-        schur = np.zeros((2 * count + self.ergodic,) * 2)
+        schur = np.zeros((2 * count + 1,) * 2)
         schur[:count, :count] = np.diag(self.outflow + self.jump[0]) - self.switching
         schur[range(count), range(count, 2 * count)] = -self.jump[0]
         schur[top, :count] = -adjoint[0].T * s
         schur[top, top] = np.diag(self.outflow + s) - self.switching \
             - np.einsum("ki,kij->ji", self.jump[1:], adjoint)
-        if self.ergodic:
-            schur[:2 * count, -1] = 1.0
-            schur[top, -1] += adjoint.sum(axis=(0, 1))
-            schur[-1, count] = 1.0
+        schur[:2 * count, -1] = 1.0
+        schur[top, -1] += adjoint.sum(axis=(0, 1))
+        schur[-1, count] = 1.0
         self.schur_inverse = _inverse(schur)
         self.weights = adjoint.reshape(-1, count)  # b -> s x_{n-2}, given z = 0
         return self
 
     def solve(self, res: NDArray[np.float64]) -> tuple[NDArray[np.float64], float]:
-        """J^-1 applied to a (regime, vertex) residual, with 0 on the pin
-        row: the (regime, vertex) update and the cost-rate update (0.0 when
-        discounted)."""
+        """The bordered system's inverse applied to a (regime, vertex)
+        residual, with 0 on the pin row: the (regime, vertex) update and the
+        rate update."""
         count, border, z, b, x = self.s.size, self.border, self.z, self.b, self.x
         b[:] = res.T
         border[:count] = b[0]
@@ -395,8 +397,7 @@ class _Howard:
         np.dot(self.schur_inverse, border, out=z)
         c = np.multiply(self.jump[1:], z[count:2 * count], out=self.c)
         c += b[1:-1]
-        if self.ergodic:
-            c -= z[-1]
+        c -= z[-1]
         x[0], x[-1] = z[:count], z[count:2 * count]  # x_0..x_{n-1}
         if self.prefix:  # x_k = G_k (x_0 + sum_{j<=k} e_j / G_j)
             scan = x[:-1]
@@ -405,7 +406,7 @@ class _Howard:
         else:
             for step, pair, out in self.sweep:
                 np.dot(step, pair, out=out)
-        return x.T, float(z[-1]) if self.ergodic else 0.0
+        return x.T, float(z[-1])
 
 
 def _inverse(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -472,13 +473,14 @@ def solve_stationary(
     of the third-order scheme. J is refactored only when the replenish set
     changes.
 
-    Discounted mode (delta > 0) converges once max |residual| <= tol.
-    Ergodic mode (delta = 0) solves residual(w) + u = 0 for the cost rate u
-    and the relative value w, pinned to 0 at (regime 0, y = 1); it needs a
-    chain with one closed class (`RegimeChain.long_run_class`) in which
-    some regime drains storage. A residual that does not halve within
-    `_STALL_WINDOW` iterations (round-off above tol, say) ends the solve
-    with `converged = False`.
+    Both modes solve residual(z) + r = 0 for a rate r and a field z pinned
+    to 0 at (regime 0, y = 1). With delta = 0, r is the cost rate u and z
+    the relative value w, which needs one closed class of regimes
+    (`RegimeChain.long_run_class`) in which some regime drains storage.
+    With delta > 0, v = z + r / delta, as residual(z + k) = residual(z) +
+    delta k: z, not v ~ r / delta, is iterated, so round-off stays small.
+    A residual that does not halve within `_STALL_WINDOW` iterations
+    (round-off above tol, say) ends the solve with `converged = False`.
     """
     config = config or SolverConfig()
     fld = ValueField(np.zeros((chain.count, grid.n)), grid, chain, rates, costs)
@@ -491,9 +493,9 @@ def solve_stationary(
 
     howard = _Howard(chain, fld.rates, costs, grid)
 
-    v = fld.values  # iterated in place
+    v = fld.values  # z, iterated in place; v = z + cost_rate / delta when discounted
     magnitude = np.empty(v.shape)
-    cost_rate = min_seen = max_seen = 0.0
+    cost_rate = level = min_seen = max_seen = 0.0
     replenish, now = np.zeros(v.shape, dtype=bool), np.empty(v.shape, dtype=bool)
     history: list[float] = []
     changes: list[int] = []
@@ -516,8 +518,10 @@ def solve_stationary(
             step, rate_step = howard.solve(res)
             v -= step
             cost_rate -= rate_step
-            min_seen = min(min_seen, float(v.min()))
-            max_seen = max(max_seen, float(v.max()))
+            level = 0.0 if ergodic else cost_rate / costs.delta
+            min_seen = min(min_seen, float(v.min()) + level)
+            max_seen = max(max_seen, float(v.max()) + level)
+    v += level  # z -> v; adding 0.0 leaves the ergodic w bit for bit
     step_change = float(np.max(np.abs(step))) if len(history) > 1 else 0.0
 
     notes: tuple[str, ...] = ()

@@ -434,6 +434,16 @@ class TestSolveSimulate:
         assert np.max(np.abs(residual(fld))) <= 1e-9
         assert extract_policy(fld).boundaries.size == count
 
+    @pytest.mark.parametrize("delta", ["1e-4", "1e-6"])
+    def test_small_discount_at_paper_size(self, tmp_path, delta):
+        # v grows like u / delta, but the solve iterates on v - r / delta,
+        # of the relative value's size, so round-off stays below tol
+        realistic_chain(0).to_json(tmp_path / "paper.json")
+        out = tmp_path / "solve"
+        assert run_cli("solve", "--chain", tmp_path / "paper.json", "--delta", delta,
+                       "--n", "301", "--tol", "1e-9", "--outdir", out) == 0
+        assert json.loads((out / "solve_result.json").read_text())["converged"] is True
+
     def test_absorbing_last_regime(self, tmp_path):
         # the paper chain with its top regime made absorbing: the discounted
         # solve still has one fixed point, and a path started in that regime

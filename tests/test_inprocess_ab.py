@@ -18,6 +18,7 @@ def test_a_a_run_reports_every_item():
     for item in report.values():
         assert item["pairs"] == 2 and 0 <= item["wins"] <= 2
         assert item["same_output"] is True
+        assert 0.5 < item["median_ratio"] < 2.0
         for side in ("parent", "change"):
             times = item[side]["times_s"]
             assert len(times) == 2 and all(t > 0.0 for t in times)

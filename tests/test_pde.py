@@ -1,5 +1,6 @@
 import csv
 import warnings
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -404,13 +405,73 @@ class TestSolveStationary:
 
     @pytest.mark.parametrize("delta", [0.2, 0.0], ids=["discounted", "ergodic"])
     def test_field_is_the_last_iterate(self, delta):
-        # the returned field is the iterate whose residual ends the history
+        # the returned field is the iterate whose residual ends the history:
+        # w itself in ergodic mode, z = v - r / delta, pinned to 0 at
+        # (regime 0, y = 1), when discounted
         chain, rates = two_regime_setup()
         costs = CostSpec(delta=delta, c=0.02, d=0.01, lam=1.0 / 7.0)
-        result = solve_stationary(chain, rates, costs, Grid(41), SolverConfig(tol=1e-9))
+        grid = Grid(41)
+        result = solve_stationary(chain, rates, costs, grid, SolverConfig(tol=1e-9))
         assert result.converged
-        shifted = residual(result.field) + (result.cost_rate or 0.0)
-        assert np.max(np.abs(shifted)) == result.residual_history[-1]
+        if delta == 0.0:
+            shifted = residual(result.field) + result.cost_rate
+            assert np.max(np.abs(shifted)) == result.residual_history[-1]
+            return
+        v = result.field.values
+        level = v[0, -1]
+        pinned = replace(result.field, values=v - level)
+        shifted = np.max(np.abs(residual(pinned) + delta * level))
+        # v = fl(z + r / delta) and v - v(0, 1) each round once, so the
+        # pinned field is z to within eps max|v| a vertex. WENO3 weighs that
+        # by at most 4 S / h (a difference plus half a jump of differences),
+        # 48 here; the decay, switching and lam terms add under 3 more
+        eps = np.finfo(float).eps
+        bound = 8.0 * eps * np.max(np.abs(v)) * np.max(rates) / grid.h
+        assert abs(shifted - result.residual_history[-1]) <= bound
+
+    def test_vanishing_discount_at_paper_size(self):
+        # the ergodic solve is the discounted one's limit (Arapostathis et
+        # al., SIAM J. Control Optim. 31, 1993): delta v_delta(0, 1) -> u and
+        # v_delta - v_delta(0, 1) -> w, both at first order in delta
+        chain = realistic_chain(0)
+        drains = rates_for_chain(chain, SedimentProperties())
+        grid, config = Grid(301), SolverConfig(tol=1e-9)
+
+        def run(delta):
+            costs = CostSpec(delta=delta, c=0.02, d=0.01, lam=1.0 / 7.0)
+            result = solve_stationary(chain, drains, costs, grid, config)
+            assert result.converged
+            return result
+
+        ergodic = run(0.0)
+        w = ergodic.field.values
+        rate_gaps, field_gaps = [], []
+        for delta in (1e-3, 1e-4, 1e-5):
+            discounted = run(delta)
+            v = discounted.field.values
+            rate_gaps.append(delta * v[0, -1] - ergodic.cost_rate)
+            field_gaps.append(np.max(np.abs(v - v[0, -1] - w)))
+            if delta == 1e-3:
+                np.testing.assert_array_equal(extract_policy(discounted.field).boundaries,
+                                              extract_policy(ergodic.field).boundaries)
+        for gaps in (rate_gaps, field_gaps):
+            per_decade = np.divide(gaps[:-1], gaps[1:])
+            assert np.all((9.0 <= per_decade) & (per_decade <= 11.0)), gaps
+
+    @pytest.mark.parametrize("delta, n, tol", [(0.0, 601, 1e-10), (0.2, 301, 1e-12)],
+                             ids=["ergodic", "discounted"])
+    def test_stall_names_its_round_off_floor(self, delta, n, tol):
+        # tol below eps max|v - v(0, 1)| max(S) / h: the residual stalls near
+        # that floor, and the error says so
+        chain = realistic_chain(0)
+        drains = rates_for_chain(chain, SedimentProperties())
+        costs = CostSpec(delta=delta, c=0.02, d=0.01, lam=1.0 / 7.0)
+        result = solve_stationary(chain, drains, costs, Grid(n), SolverConfig(tol=tol))
+        assert not result.converged
+        with pytest.raises(ConvergenceError, match="round-off floor about") as caught:
+            result.check_converged()
+        floor = float(str(caught.value).rpartition(" ")[2])
+        assert floor / 3.0 <= result.residual_history[-1] <= 3.0 * floor
 
     def test_free_replenishment(self):
         # with zero costs the intervention value is the value at full
@@ -552,12 +613,13 @@ class TestSolveStationary:
         assert empty.replenishments_per_path == 1.0
 
 
-def dense_howard_matrix(chain, rates, costs, grid, replenish, ergodic):
-    """The upwind Jacobian J as `_Howard` defines it, built entry
-    by entry, with (regime i, vertex k) at row k * count + i."""
+def dense_howard_matrix(chain, rates, costs, grid, replenish):
+    """The bordered upwind Jacobian as `_Howard` defines it, built entry
+    by entry, with (regime i, vertex k) at row k * count + i: J, the rate
+    in the last column and the row that pins (regime 0, y = 1) last."""
     count, n = chain.count, grid.n
     size = count * n
-    J = np.zeros((size + ergodic, size + ergodic))
+    J = np.zeros((size + 1, size + 1))
     for i in range(count):
         for k in range(n):
             row = k * count + i
@@ -571,10 +633,8 @@ def dense_howard_matrix(chain, rates, costs, grid, replenish, ergodic):
             if replenish[i, k]:
                 J[row, row] += costs.lam
                 J[row, (n - 1) * count + i] -= costs.lam
-            if ergodic:
-                J[row, size] = 1.0  # the cost rate
-    if ergodic:
-        J[size, (n - 1) * count] = 1.0  # pins (regime 0, y = 1)
+            J[row, size] = 1.0  # the rate
+    J[size, (n - 1) * count] = 1.0  # pins (regime 0, y = 1)
     return J
 
 
@@ -626,15 +686,20 @@ class TestHowardFactorization:
         costs = CostSpec(delta=0.0 if ergodic else 0.2, c=0.02, d=0.01, lam=0.5)
         grid = Grid(replenish.shape[1])
         sweep = _Howard(chain, rates, costs, grid).factor(replenish)
-        J = dense_howard_matrix(chain, rates, costs, grid, replenish, ergodic)
+        J = dense_howard_matrix(chain, rates, costs, grid, replenish)
         res = np.random.default_rng(3).normal(size=replenish.shape)
         update, rate_update = sweep.solve(res)
         # to J's storage-major numbering; the pin row's right-hand side is 0
-        b = np.append(res.T.ravel(), [0.0] * ergodic)
-        x = np.append(update.T.ravel(), [rate_update] * ergodic)
-        assert ergodic or rate_update == 0.0
+        b = np.append(res.T.ravel(), 0.0)
+        x = np.append(update.T.ravel(), rate_update)
         scale = np.linalg.norm(J, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
         assert np.linalg.norm(J @ x - b, np.inf) <= 1e-12 * scale
+        if not ergodic:
+            # J 1 = delta 1, so x + r / delta solves the unbordered system
+            plain, lifted = J[:-1, :-1], x[:-1] + rate_update / costs.delta
+            scale = (np.linalg.norm(plain, np.inf) * np.linalg.norm(lifted, np.inf)
+                     + np.linalg.norm(b, np.inf))
+            assert np.linalg.norm(plain @ lifted - b[:-1], np.inf) <= 1e-12 * scale
 
     @pytest.mark.parametrize("case", ["one-regime", "one-regime-wide", "one-regime-still",
                                       "one-regime-faint"])

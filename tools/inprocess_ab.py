@@ -24,11 +24,14 @@ alternating from pair to pair; a side's time in a pair is the best of
 an A/A run drifted by 2-4% on a shared 2-vCPU host. The JSON printed
 gives per item each side's median, 10th percentile and minimum (seconds)
 and every pair's times, the change's wins (pairs where it is strictly
-faster) and whether both sides returned the same numbers (for `solve-1`,
-the study's errors and the last ergodic field). Read neutrality on the
-10th percentiles: at 200 pairs the minima of two A/A runs read +6.1% and
--1.2% on `mc-43`, while each run's 10th percentiles agreed within about 1%
-(in a busy hour, within 2.3%).
+faster), `median_ratio`, the median over pairs of change / parent, and
+whether both sides returned the same numbers (for `solve-1`, the study's
+errors and the last ergodic field). Read neutrality on `median_ratio`
+and the 10th percentiles: at 200 pairs the minima of two A/A runs read
++6.1% and -1.2% on `mc-43`, and each run's 10th percentiles agreed
+within about 1% (in a busy hour, within 2.3%), while over five A/A runs
+the median ratio stayed within 0.9961-1.0044, as a pair's two sides
+share the host's load of the moment.
 Pin the process to one CPU, as above, so the two sides share a core.
 `--tiny` shrinks every item (paths, grid) for a smoke run.
 """
@@ -144,6 +147,8 @@ def compare(trees: dict[str, Path], items: list[str], pairs: int, tiny: bool) ->
                       "p10_s": float(np.percentile(times[side], 10)),
                       "min_s": min(times[side]), "times_s": times[side]} for side in SIDES},
             "wins": sum(c < p for p, c in zip(times["parent"], times["change"])),
+            "median_ratio": statistics.median(
+                c / p for p, c in zip(times["parent"], times["change"])),
             "pairs": pairs,
             "same_output": same,
         }
