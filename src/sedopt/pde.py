@@ -160,20 +160,28 @@ class SolveResult:
     max_seen: float
     residual_history: tuple[float, ...]  # max |residual| of each iterate (of z, when discounted)
     policy_changes: tuple[int, ...]  # replenish decisions flipped since the last iterate
-    cost_rate: float | None = None  # ergodic mode: long-run cost per day
+    cost_rate: float  # r of residual(z) + r = 0: u when ergodic, delta v(0, 1) when discounted
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     def check_converged(self) -> None:
-        """Raise :class:`ConvergenceError` unless the solve converged, naming
-        the residual's round-off floor, about eps max|v - v(0, 1)| max(S) / h."""
-        if not self.converged:
-            with np.errstate(over="ignore", invalid="ignore"):  # a diverged field: inf or nan
-                v, s = self.field.values, self.field.rates / self.field.grid.h
-                floor = np.finfo(float).eps * np.max(np.abs(v - v[0, -1])) * np.max(s)
+        """Raise :class:`ConvergenceError` unless the solve converged: that
+        the iteration diverged, when the last residual is not finite or
+        exceeds the first, or else that it stalled, naming the residual's
+        round-off floor, about eps max|v - v(0, 1)| max(S) / h."""
+        if self.converged:
+            return
+        first, last = self.residual_history[0], self.residual_history[-1]
+        if not last <= first:  # nan fails too
             raise ConvergenceError(
-                f"max |residual| {self.residual_history[-1]:.3e} stalled above tol "
-                f"after {self.iterations} iterations; round-off floor about {floor:.3e}"
+                f"iteration diverged: max |residual| went from {first:.3e} to {last:.3e} "
+                f"in {self.iterations} iterations"
             )
+        v, s = self.field.values, self.field.rates / self.field.grid.h
+        floor = np.finfo(float).eps * np.max(np.abs(v - v[0, -1])) * np.max(s)
+        raise ConvergenceError(
+            f"max |residual| {last:.3e} stalled above tol "
+            f"after {self.iterations} iterations; round-off floor about {floor:.3e}"
+        )
 
 
 def weno3_left_derivative(values, h: float):
@@ -269,20 +277,20 @@ class _Howard:
 
     where the I x I block D_k = diag(delta + outflow + s 1{k>0} + lam R_k)
     - nu changes with k only on its diagonal. Every row also carries a rate
-    u, and a last row pins (regime 0, y = 1), as `solve_stationary` needs.
+    u, the unknown in place of x(0, 1) = 0 (regime 0, y = 1).
 
     J^-1 is block forward substitution along storage (block LU; Golub &
     Van Loan, *Matrix Computations*). Vertex k couples only to k - 1, to
-    the other regimes at k and to the border z = (x_0, x_{n-1}, u). Given
-    z, the interior follows in one forward sweep,
+    the other regimes at k and to the border z = (x_0, x_{n-1}), u in the
+    slot of x(0, 1). Given z, the interior follows in one forward sweep,
 
         x_k = D_k^-1 (c_k + s x_{k-1}),  c_k = b_k + lam R_k x_{n-1} - u,
 
     for k = 1..n-2, so s x_{n-2} = sum_k P_k c_k + P_1 s x_0, where the
     adjoint sweep P_{n-2} = s D_{n-2}^-1, P_{k-1} = P_k s D_{k-1}^-1 runs
     once per factorization. With that, the rows of vertices 0 and n - 1
-    and the pin close a dense system in z of size 2I + 1, the Schur
-    complement of the interior, which is inverted. x_0 is part of the
+    close a dense 2I x 2I system in z, the Schur complement of the
+    interior, which is inverted; u's slot is then set to 0.0. x_0 is in the
     border because at delta = 0 D_0 is the negated generator, singular,
     until empty storage replenishes. A singular block or Schur
     complement raises `StructureError`.
@@ -333,7 +341,7 @@ class _Howard:
         count, s, inner = self.s.size, self.s, replenish.shape[1] - 2
         if self.adjoint is None:
             self.adjoint = np.empty((inner, count, count))  # P_k^T
-            self.border, self.z = np.zeros(2 * count + 1), np.empty(2 * count + 1)  # pin: b = 0
+            self.border, self.z = np.empty(2 * count), np.empty(2 * count)
             self.b = np.empty((inner + 2, count))  # b_0..b_{n-1}
             # [D_k^-1 s | D_k^-1], one per run of equal D_k, and the pairs
             # [x_{k-1}; c_k] each product of the block sweep reads
@@ -372,33 +380,33 @@ class _Howard:
             self.sweep = [(steps[run], *link) for run, link in zip(runs, self.links)]
             self.x, self.c = pairs[:, :count], pairs[:-2, count:]
         top = slice(count, 2 * count)
-        schur = np.zeros((2 * count + 1,) * 2)
+        schur = np.zeros((2 * count,) * 2)
         schur[:count, :count] = np.diag(self.outflow + self.jump[0]) - self.switching
         schur[range(count), range(count, 2 * count)] = -self.jump[0]
         schur[top, :count] = -adjoint[0].T * s
         schur[top, top] = np.diag(self.outflow + s) - self.switching \
             - np.einsum("ki,kij->ji", self.jump[1:], adjoint)
-        schur[:2 * count, -1] = 1.0
-        schur[top, -1] += adjoint.sum(axis=(0, 1))
-        schur[-1, count] = 1.0
+        schur[:, count] = 1.0  # the rate's column, in place of x(0, 1) = 0
+        schur[top, count] += adjoint.sum(axis=(0, 1))
         self.schur_inverse = _inverse(schur)
         self.weights = adjoint.reshape(-1, count)  # b -> s x_{n-2}, given z = 0
         return self
 
     def solve(self, res: NDArray[np.float64]) -> tuple[NDArray[np.float64], float]:
         """The bordered system's inverse applied to a (regime, vertex)
-        residual, with 0 on the pin row: the (regime, vertex) update and the
-        rate update."""
+        residual: the (regime, vertex) update, exactly 0.0 at (regime 0,
+        y = 1), and the rate update."""
         count, border, z, b, x = self.s.size, self.border, self.z, self.b, self.x
         b[:] = res.T
         border[:count] = b[0]
-        upwind = np.dot(b[1:-1].ravel(), self.weights, out=border[count:2 * count])
+        upwind = np.dot(b[1:-1].ravel(), self.weights, out=border[count:])
         upwind += b[-1]
         np.dot(self.schur_inverse, border, out=z)
-        c = np.multiply(self.jump[1:], z[count:2 * count], out=self.c)
+        rate, z[count] = float(z[count]), 0.0  # the rate's slot holds x(0, 1) = 0
+        b[1:-1] -= rate
+        c = np.multiply(self.jump[1:], z[count:], out=self.c)
         c += b[1:-1]
-        c -= z[-1]
-        x[0], x[-1] = z[:count], z[count:2 * count]  # x_0..x_{n-1}
+        x[0], x[-1] = z[:count], z[count:]  # x_0..x_{n-1}
         if self.prefix:  # x_k = G_k (x_0 + sum_{j<=k} e_j / G_j)
             scan = x[:-1]
             np.multiply(c, self.scale, out=scan[1:])
@@ -406,7 +414,7 @@ class _Howard:
         else:
             for step, pair, out in self.sweep:
                 np.dot(step, pair, out=out)
-        return x.T, float(z[-1])
+        return x.T, rate
 
 
 def _inverse(matrix: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -473,12 +481,14 @@ def solve_stationary(
     of the third-order scheme. J is refactored only when the replenish set
     changes.
 
-    Both modes solve residual(z) + r = 0 for a rate r and a field z pinned
-    to 0 at (regime 0, y = 1). With delta = 0, r is the cost rate u and z
-    the relative value w, which needs one closed class of regimes
-    (`RegimeChain.long_run_class`) in which some regime drains storage.
-    With delta > 0, v = z + r / delta, as residual(z + k) = residual(z) +
-    delta k: z, not v ~ r / delta, is iterated, so round-off stays small.
+    Both modes solve residual(z) + r = 0 for a rate r and a field z that
+    is exactly 0 at (regime 0, y = 1): every update is 0.0 there, and r
+    takes that unknown's place. `cost_rate` reports r. With delta = 0, r
+    is the cost rate u and z the relative value w, which needs one closed
+    class of regimes (`RegimeChain.long_run_class`) in which some regime
+    drains storage. With delta > 0, v = z + r / delta, as residual(z + k)
+    = residual(z) + delta k, so v(0, 1) == r / delta and r -> u as
+    delta -> 0: z, not v ~ r / delta, is iterated, so round-off stays small.
     A residual that does not halve within `_STALL_WINDOW` iterations
     (round-off above tol, say) ends the solve with `converged = False`.
     """
@@ -540,7 +550,7 @@ def solve_stationary(
         max_seen=max_seen,
         residual_history=tuple(history),
         policy_changes=tuple(changes),
-        cost_rate=float(cost_rate) if ergodic else None,
+        cost_rate=float(cost_rate),
         notes=notes,
     )
 

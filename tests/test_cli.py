@@ -386,6 +386,20 @@ class TestSolveSimulate:
         assert summary["converged"] is False
         assert not (out / "free_boundary.csv").exists()
 
+    def test_diverged_solve_fails(self, tmp_path, capsys):
+        # an observation intensity of 1e300 blows the residual up from 1 to
+        # past 1e297: the error names a divergence, not a stall
+        chain, out = tmp_path / "chain.json", tmp_path / "solve"
+        RegimeChain(discharges=np.array([10.0, 40.0, 80.0]), rates=np.array(
+            [[0.0, 0.5, 0.0], [0.3, 0.0, 0.4], [0.0, 0.6, 0.0]])).to_json(chain)
+        assert run_cli("solve", "--chain", chain, "--n", "7", "--lambda", "1e300",
+                       "--outdir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sedopt: error: iteration diverged: max |residual| went from "
+                              "1.000e+00 to ")
+        assert "stalled" not in err
+        assert not (out / "free_boundary.csv").exists()
+
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tolerance_fails(self, chain_file, tmp_path, capsys, tol):
         out = tmp_path / "solve"

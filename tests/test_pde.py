@@ -378,6 +378,18 @@ class TestSolveStationary:
                 assert result.notes == ()
         assert not seen, [str(w.message) for w in seen]
 
+    def test_diverged_solve_says_so(self):
+        # the residual goes from 1 to nan in one update: a divergence, not
+        # a stall at some round-off floor
+        result = solve_stationary(single_regime_chain(), np.array([1e-150]),
+                                  CostSpec(0.0, 0.02, 0.01, 1.0 / 7.0), Grid(21))
+        assert not result.converged
+        with pytest.raises(ConvergenceError) as caught:
+            result.check_converged()
+        message = str(caught.value)
+        assert message.startswith("iteration diverged: max |residual| went from 1.000e+00 to nan")
+        assert "stalled" not in message
+
     @pytest.mark.parametrize("tol", [0.0, -1e-9, np.inf, np.nan])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         with pytest.raises(InputError):
@@ -406,8 +418,8 @@ class TestSolveStationary:
     @pytest.mark.parametrize("delta", [0.2, 0.0], ids=["discounted", "ergodic"])
     def test_field_is_the_last_iterate(self, delta):
         # the returned field is the iterate whose residual ends the history:
-        # w itself in ergodic mode, z = v - r / delta, pinned to 0 at
-        # (regime 0, y = 1), when discounted
+        # w itself in ergodic mode, z = v - r / delta when discounted; z is
+        # exactly 0 at (regime 0, y = 1), so v there is r / delta bit for bit
         chain, rates = two_regime_setup()
         costs = CostSpec(delta=delta, c=0.02, d=0.01, lam=1.0 / 7.0)
         grid = Grid(41)
@@ -417,12 +429,12 @@ class TestSolveStationary:
             shifted = residual(result.field) + result.cost_rate
             assert np.max(np.abs(shifted)) == result.residual_history[-1]
             return
-        v = result.field.values
-        level = v[0, -1]
-        pinned = replace(result.field, values=v - level)
-        shifted = np.max(np.abs(residual(pinned) + delta * level))
-        # v = fl(z + r / delta) and v - v(0, 1) each round once, so the
-        # pinned field is z to within eps max|v| a vertex. WENO3 weighs that
+        v, level = result.field.values, result.cost_rate / delta
+        assert v[0, -1] == level
+        z = replace(result.field, values=v - level)
+        shifted = np.max(np.abs(residual(z) + result.cost_rate))
+        # v = fl(z + r / delta) and v - r / delta each round once, so the
+        # shifted field is z to within eps max|v| a vertex. WENO3 weighs that
         # by at most 4 S / h (a difference plus half a jump of differences),
         # 48 here; the decay, switching and lam terms add under 3 more
         eps = np.finfo(float).eps
@@ -449,7 +461,7 @@ class TestSolveStationary:
         for delta in (1e-3, 1e-4, 1e-5):
             discounted = run(delta)
             v = discounted.field.values
-            rate_gaps.append(delta * v[0, -1] - ergodic.cost_rate)
+            rate_gaps.append(discounted.cost_rate - ergodic.cost_rate)
             field_gaps.append(np.max(np.abs(v - v[0, -1] - w)))
             if delta == 1e-3:
                 np.testing.assert_array_equal(extract_policy(discounted.field).boundaries,
@@ -457,6 +469,20 @@ class TestSolveStationary:
         for gaps in (rate_gaps, field_gaps):
             per_decade = np.divide(gaps[:-1], gaps[1:])
             assert np.all((9.0 <= per_decade) & (per_decade <= 11.0)), gaps
+
+    @pytest.mark.parametrize("delta, tol", [(0.0, 1e-10), (0.2, 1e-9), (1e-6, 1e-9)],
+                             ids=["ergodic", "0.2", "1e-6"])
+    def test_exact_border_at_paper_size(self, delta, tol):
+        # z is exactly 0 at (regime 0, y = 1) in every iterate, so the
+        # ergodic w is 0 there and a discounted v is the solved rate / delta
+        chain = realistic_chain(0)
+        drains = rates_for_chain(chain, SedimentProperties())
+        costs = CostSpec(delta=delta, c=0.02, d=0.01, lam=1.0 / 7.0)
+        result = solve_stationary(chain, drains, costs, Grid(301), SolverConfig(tol=tol))
+        assert result.converged
+        assert type(result.cost_rate) is float
+        corner = result.field.values[0, -1]
+        assert corner == (0.0 if delta == 0.0 else result.cost_rate / delta)
 
     @pytest.mark.parametrize("delta, n, tol", [(0.0, 601, 1e-10), (0.2, 301, 1e-12)],
                              ids=["ergodic", "discounted"])
@@ -616,7 +642,10 @@ class TestSolveStationary:
 def dense_howard_matrix(chain, rates, costs, grid, replenish):
     """The bordered upwind Jacobian as `_Howard` defines it, built entry
     by entry, with (regime i, vertex k) at row k * count + i: J, the rate
-    in the last column and the row that pins (regime 0, y = 1) last."""
+    in the last column and the row that pins (regime 0, y = 1) last.
+
+    `_Howard` eliminates the pin row instead, solving for the rate in
+    place of the pinned unknown; that system has the same solution."""
     count, n = chain.count, grid.n
     size = count * n
     J = np.zeros((size + 1, size + 1))
@@ -689,7 +718,9 @@ class TestHowardFactorization:
         J = dense_howard_matrix(chain, rates, costs, grid, replenish)
         res = np.random.default_rng(3).normal(size=replenish.shape)
         update, rate_update = sweep.solve(res)
-        # to J's storage-major numbering; the pin row's right-hand side is 0
+        # the solve fixes the pinned unknown at exactly 0 and solves the
+        # rest; in J's storage-major numbering the pin row reads x = 0
+        assert update[0, -1] == 0.0
         b = np.append(res.T.ravel(), 0.0)
         x = np.append(update.T.ravel(), rate_update)
         scale = np.linalg.norm(J, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
