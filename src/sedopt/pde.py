@@ -295,8 +295,14 @@ class _Howard:
     until empty storage replenishes. A singular block or Schur
     complement raises `StructureError`.
 
-    With one regime the adjoint is a cumulative product and the forward
-    sweep, x_k = e_k + g_k x_{k-1} with g_k = s / D_k <= 1, the prefix sum
+    With one regime x_{n-1} is x(0, 1) itself, so the border is (x_0, u)
+    and the Schur complement the 2 x 2 [[delta + lam R_0, 1], [-s P_1,
+    1 + sum_k P_k]], applied to (b_0, sum_k P_k b_k + b_{n-1}). Its
+    determinant, a sum of terms >= 0, is 0 only when it is singular; the
+    inverse is formed from scalars, and with x_{n-1} = 0 the refill
+    coupling drops out of c_k = b_k - u. The adjoint is a cumulative
+    product, P_k = g_{n-2}..g_k, and the forward sweep, x_k = e_k +
+    g_k x_{k-1} with g_k = s / D_k <= 1, the prefix sum
     x_k = G_k (x_0 + sum_{j<=k} e_j / G_j), G_k = g_1..g_k (Graham, Knuth &
     Patashnik, *Concrete Mathematics*, 2.2), while G_{n-2} >= sqrt(tiny)
     keeps 1 / G finite. Every other factorization, more regimes or gains
@@ -348,22 +354,25 @@ class _Howard:
             self.steps = np.empty((inner, count, 2 * count))
             self.pairs = np.empty((inner + 2, 2 * count))
             self.links = None  # (pair, out) per vertex, at the first block factorization
-            if count == 1:  # x_0..x_{n-1} and c_1..c_{n-2} of the prefix sum
+            self.weights = self.adjoint.reshape(-1, count)  # b -> s x_{n-2}, given z = 0
+            if count == 1:  # x_0..x_{n-1} and c_1..c_{n-2} of the prefix sum, g_0..g_{n-2}
                 self.line = np.empty((inner + 2, 1)), np.empty((inner, 1))
+                self.gains, self.factors = np.ones((inner + 1, 1)), np.empty((inner + 1, 1))
+                self.scale = np.empty((inner, 1))
         adjoint = self.adjoint
         self.jump = self.lam * replenish[:, :-1].T  # lam R_k, k < n - 1
         diagonals = (self.outflow + s) + self.jump[1:]
         self.prefix = False
         if count == 1:  # the blocks are their diagonals
+            gains, factors, scale = self.gains, self.factors, self.scale
             with np.errstate(divide="ignore"):
-                scale = _check_finite(1.0 / diagonals)  # D_k^-1
-            gain = s * scale  # carries x_{k-1} into x_k
-            factors = np.cumprod(np.vstack(([[1.0]], gain)), axis=0)  # G_0..G_{n-2}
+                _check_finite(np.divide(1.0, diagonals, out=scale))  # D_k^-1
+            np.multiply(s, scale, out=gains[1:])  # g_k = s / D_k carries x_{k-1} into x_k
+            np.cumprod(gains, axis=0, out=factors)  # G_0..G_{n-2}
             self.prefix = factors[-1, 0] >= math.sqrt(np.finfo(float).tiny)  # 1 / G < 6.7e153
         if self.prefix:
-            self.factors, self.scale = factors, scale / factors[1:]  # D_k^-1 / G_k
-            later = np.append(np.cumprod(gain[:0:-1, 0])[::-1], 1.0)
-            adjoint[:, 0, 0] = gain[:, 0] * later
+            scale /= factors[1:]  # D_k^-1 / G_k
+            np.cumprod(gains[:0:-1], axis=0, out=adjoint[::-1, 0])  # P_k = g_{n-2}..g_k
             self.x, self.c = self.line
         else:
             steps, pairs = self.steps, self.pairs
@@ -379,6 +388,14 @@ class _Howard:
                 self.links = [(pairs[k], pairs[k + 1, :count]) for k in range(len(runs))]
             self.sweep = [(steps[run], *link) for run, link in zip(runs, self.links)]
             self.x, self.c = pairs[:, :count], pairs[:-2, count:]
+        if count == 1:  # [[delta + lam R_0, 1], [-s P_1, 1 + sum_k P_k]] in (x_0, u)
+            corner = float(self.outflow[0] + self.jump[0, 0])
+            coupling, weight = float(s[0] * adjoint[0, 0, 0]), 1.0 + float(adjoint.sum())
+            det = corner * weight + coupling  # a sum of terms >= 0: 0 only when singular
+            reciprocal = 1.0 / det if det else math.inf
+            self.schur_inverse = _check_finite(
+                [weight * reciprocal, -reciprocal, coupling * reciprocal, corner * reciprocal])
+            return self
         top = slice(count, 2 * count)
         schur = np.zeros((2 * count,) * 2)
         schur[:count, :count] = np.diag(self.outflow + self.jump[0]) - self.switching
@@ -389,27 +406,35 @@ class _Howard:
         schur[:, count] = 1.0  # the rate's column, in place of x(0, 1) = 0
         schur[top, count] += adjoint.sum(axis=(0, 1))
         self.schur_inverse = _inverse(schur)
-        self.weights = adjoint.reshape(-1, count)  # b -> s x_{n-2}, given z = 0
         return self
 
     def solve(self, res: NDArray[np.float64]) -> tuple[NDArray[np.float64], float]:
         """The bordered system's inverse applied to a (regime, vertex)
         residual: the (regime, vertex) update, exactly 0.0 at (regime 0,
         y = 1), and the rate update."""
-        count, border, z, b, x = self.s.size, self.border, self.z, self.b, self.x
-        b[:] = res.T
-        border[:count] = b[0]
-        upwind = np.dot(b[1:-1].ravel(), self.weights, out=border[count:])
-        upwind += b[-1]
-        np.dot(self.schur_inverse, border, out=z)
-        rate, z[count] = float(z[count]), 0.0  # the rate's slot holds x(0, 1) = 0
-        b[1:-1] -= rate
-        c = np.multiply(self.jump[1:], z[count:], out=self.c)
-        c += b[1:-1]
-        x[0], x[-1] = z[:count], z[count:]  # x_0..x_{n-1}
+        count, x = self.s.size, self.x
+        if count == 1:  # the 2 x 2 border in closed form; no refill coupling, as x_{n-1} = 0
+            row = res[0]
+            head, tail = float(row[0]), float(np.dot(row[1:-1], self.weights)[0] + row[-1])
+            x_head, x_tail, rate_head, rate_tail = self.schur_inverse
+            rate = rate_head * head + rate_tail * tail
+            x[0], x[-1] = x_head * head + x_tail * tail, 0.0
+            np.subtract(row[1:-1, None], rate, out=self.c)  # c_k = b_k - u
+        else:
+            border, z, b = self.border, self.z, self.b
+            b[:] = res.T
+            border[:count] = b[0]
+            upwind = np.dot(b[1:-1].ravel(), self.weights, out=border[count:])
+            upwind += b[-1]
+            np.dot(self.schur_inverse, border, out=z)
+            rate, z[count] = float(z[count]), 0.0  # the rate's slot holds x(0, 1) = 0
+            b[1:-1] -= rate
+            c = np.multiply(self.jump[1:], z[count:], out=self.c)
+            c += b[1:-1]
+            x[0], x[-1] = z[:count], z[count:]  # x_0..x_{n-1}
         if self.prefix:  # x_k = G_k (x_0 + sum_{j<=k} e_j / G_j)
             scan = x[:-1]
-            np.multiply(c, self.scale, out=scan[1:])
+            np.multiply(self.c, self.scale, out=scan[1:])
             np.multiply(np.cumsum(scan, axis=0, out=scan), self.factors, out=scan)
         else:
             for step, pair, out in self.sweep:

@@ -686,6 +686,9 @@ def structure_cases():
     below_top = np.arange(41)[None, :] < 40  # every vertex but the last replenishes
     return {
         "one-regime": (single_regime_chain(), BENCH_RATES, np.arange(n)[None, :] < 4),
+        # the first iterate of every one-regime solve: in ergodic mode D_0 = 0,
+        # so only the rate's column keeps the 2 x 2 border nonsingular
+        "one-regime-empty": (single_regime_chain(), BENCH_RATES, np.zeros((1, n), dtype=bool)),
         # summation factors G_k = (s / D)^k down to about 1e-104 (4e-98
         # ergodic): the scaled prefix sum at a wide range
         "one-regime-wide": (single_regime_chain(), np.array([4e-5]), below_top),
@@ -732,14 +735,14 @@ class TestHowardFactorization:
                      + np.linalg.norm(b, np.inf))
             assert np.linalg.norm(plain @ lifted - b[:-1], np.inf) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("case", ["one-regime", "one-regime-wide", "one-regime-still",
-                                      "one-regime-faint"])
+    @pytest.mark.parametrize("case", ["one-regime", "one-regime-empty", "one-regime-wide",
+                                      "one-regime-still", "one-regime-faint"])
     def test_prefix_sum_unless_factors_underflow(self, case):
         chain, rates, replenish = structure_cases()[case]
         for delta in (0.2, 0.0):
             costs = CostSpec(delta=delta, c=0.02, d=0.01, lam=0.5)
             sweep = _Howard(chain, rates, costs, Grid(replenish.shape[1])).factor(replenish)
-            assert sweep.prefix == (case in ("one-regime", "one-regime-wide"))
+            assert sweep.prefix == (case in ("one-regime", "one-regime-empty", "one-regime-wide"))
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_singular_system_raises(self, count):
@@ -750,6 +753,16 @@ class TestHowardFactorization:
         factor = _Howard(chain, np.zeros(count), costs, Grid(7)).factor
         with pytest.raises(StructureError, match="singular"):
             factor(np.zeros((count, 7), dtype=bool))
+
+    def test_singular_one_regime_border_raises(self):
+        # ergodic, no transport: the interior replenishes, so every D_k = lam,
+        # but empty storage does not, so x_0 is free and the border's
+        # determinant is exactly 0; the suite turns a numpy warning into an error
+        costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=0.5)
+        replenish = np.isin(np.arange(7), range(1, 6))[None, :]
+        factor = _Howard(single_regime_chain(), np.zeros(1), costs, Grid(7)).factor
+        with pytest.raises(StructureError, match="singular"):
+            factor(replenish)
 
     def test_singular_block_reached_by_update_raises(self):
         # uncoupled regimes, no transport, no discount: D_k = lam R_k. The
