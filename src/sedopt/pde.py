@@ -347,18 +347,19 @@ class _Howard:
         count, s, inner = self.s.size, self.s, replenish.shape[1] - 2
         if self.adjoint is None:
             self.adjoint = np.empty((inner, count, count))  # P_k^T
-            self.border, self.z = np.empty(2 * count), np.empty(2 * count)
-            self.b = np.empty((inner + 2, count))  # b_0..b_{n-1}
+            self.weights = self.adjoint.reshape(-1, count)  # b -> s x_{n-2}, given z = 0
             # [D_k^-1 s | D_k^-1], one per run of equal D_k, and the pairs
             # [x_{k-1}; c_k] each product of the block sweep reads
             self.steps = np.empty((inner, count, 2 * count))
             self.pairs = np.empty((inner + 2, 2 * count))
             self.links = None  # (pair, out) per vertex, at the first block factorization
-            self.weights = self.adjoint.reshape(-1, count)  # b -> s x_{n-2}, given z = 0
             if count == 1:  # x_0..x_{n-1} and c_1..c_{n-2} of the prefix sum, g_0..g_{n-2}
                 self.line = np.empty((inner + 2, 1)), np.empty((inner, 1))
                 self.gains, self.factors = np.ones((inner + 1, 1)), np.empty((inner + 1, 1))
                 self.scale = np.empty((inner, 1))
+            else:  # the Schur system's right-hand side and solution, and b_0..b_{n-1}
+                self.border, self.z = np.empty(2 * count), np.empty(2 * count)
+                self.b = np.empty((inner + 2, count))
         adjoint = self.adjoint
         self.jump = self.lam * replenish[:, :-1].T  # lam R_k, k < n - 1
         diagonals = (self.outflow + s) + self.jump[1:]

@@ -759,7 +759,8 @@ class TestHowardFactorization:
         # but empty storage does not, so x_0 is free and the border's
         # determinant is exactly 0; the suite turns a numpy warning into an error
         costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=0.5)
-        replenish = np.isin(np.arange(7), range(1, 6))[None, :]
+        replenish = np.ones((1, 7), dtype=bool)
+        replenish[0, [0, -1]] = False
         factor = _Howard(single_regime_chain(), np.zeros(1), costs, Grid(7)).factor
         with pytest.raises(StructureError, match="singular"):
             factor(replenish)
