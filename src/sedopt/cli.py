@@ -51,7 +51,7 @@ class RunConfig:
     n: int = 301
     dt: float | None = None  # dt and t_end are accepted and read by nothing
     t_end: float = 90.0
-    tol: float = 1e-9
+    tol: float = pde.SolverConfig.tol
     resolutions: list[int] = field(default_factory=lambda: [51, 101, 201, 401, 801])
     samples: int = 0
     # simulation

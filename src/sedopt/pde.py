@@ -135,13 +135,12 @@ class ThresholdPolicy:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Steady-state solver controls: stop once max |residual| <= tol.
-
-    `t_end` is accepted for compatibility and read by nothing.
-    """
+    """Steady-state solver controls: stop once max |residual| <= tol. The
+    one default tol, also the CLI's, holds on the paper chain in both modes
+    at n = 301-2401. `t_end` is accepted and read by nothing."""
 
     t_end: float = 365.0 / 2.0
-    tol: float = 1e-10
+    tol: float = 1e-9
 
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf:
@@ -485,9 +484,10 @@ def _run_inverses(switching, diagonals, out) -> tuple[NDArray[np.float64], NDArr
 
 
 # A solve whose residual has not halved within this many iterations has
-# stalled: over twice the largest window a converging solve needed (10
-# discounted, 13 ergodic) over 1000 seeded 43-regime chains each at
-# n = 11, 21, 31 and 61 (tools/solver_sweep.py).
+# stalled. Seeded 43-regime chains at tol 1e-9 (tools/solver_sweep.py)
+# needed at most 13 at n = 11-61 and 5 at 301 (1000 chains each), 30 at 751
+# and 20 at 901 (200). A few ergodic solves need 32-120 at n = 351, 451
+# (300), 601 (1000), 1201 and 2401 (200); other sizes are not measured.
 _STALL_WINDOW = 30
 
 

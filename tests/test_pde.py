@@ -390,6 +390,31 @@ class TestSolveStationary:
         assert message.startswith("iteration diverged: max |residual| went from 1.000e+00 to nan")
         assert "stalled" not in message
 
+    @pytest.mark.parametrize("S, lam, delta, worst", [
+        (0.00010736936381694206, 10.768915685152527, 0.0, 1.0e5),
+        (0.004313813676800634, 14.67429702082305, 0.2, 66.0),
+    ], ids=["ergodic", "discounted"])
+    def test_residual_above_the_first_can_still_converge(self, S, lam, delta, worst):
+        # the first residual is always 1.0, the unit penalty at y = 0 when
+        # v = 0, and these (tools/solver_sweep.py single_problem(126, 0.0)
+        # and (8, 0.2)) jump far above it after one update: a stop rule that
+        # called that divergence would end two converging solves
+        costs = CostSpec(delta=delta, c=0.2, d=0.3, lam=lam)
+        result = solve(single_regime_chain(), np.array([S]), costs, Grid(51))
+        assert result.converged
+        assert result.residual_history[0] == 1.0
+        assert max(result.residual_history) == pytest.approx(worst, rel=0.01)
+
+    @pytest.mark.parametrize("n", [601, 1201])
+    def test_default_tolerance_holds_at_paper_size(self, n):
+        # at tol 1e-10 the paper chain's ergodic solve stalls here, at
+        # 1.5e-10 and 3.4e-10, near its round-off floor: the default must
+        # sit above that floor
+        chain = realistic_chain(0)
+        drains = rates_for_chain(chain, SedimentProperties())
+        costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=1.0 / 7.0)
+        assert solve_stationary(chain, drains, costs, Grid(n), SolverConfig()).converged
+
     @pytest.mark.parametrize("tol", [0.0, -1e-9, np.inf, np.nan])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         with pytest.raises(InputError):
@@ -887,10 +912,11 @@ class TestConvergenceStudy:
 
 class TestAmbiguity:
     def test_degenerate_interval_is_plain_solve(self):
-        plain = solve_benchmark(41)
+        config = SolverConfig()
+        plain = solve(single_regime_chain(), BENCH_RATES, BENCH_COSTS, Grid(41), config)
         amb = solve_with_ambiguity(
             single_regime_chain(), BENCH_RATES, BENCH_COSTS,
-            (BENCH_COSTS.lam, BENCH_COSTS.lam), Grid(41), SolverConfig()
+            (BENCH_COSTS.lam, BENCH_COSTS.lam), Grid(41), config
         )
         np.testing.assert_array_equal(plain.field.values, amb.field.values)
 

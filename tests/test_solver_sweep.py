@@ -3,10 +3,12 @@
 import importlib.util
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from sedopt import pde
+from sedopt.pde import Grid, SolverConfig, solve_stationary
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "solver_sweep.py"
 spec = importlib.util.spec_from_file_location("solver_sweep", SCRIPT)
@@ -47,7 +49,7 @@ def test_sweep_on_a_few_seeds(capsys):
     report = json.loads(capsys.readouterr().out)
     assert len(report["grids"]) == len(report["single"]) == 4
     for grid in report["grids"] + report["single"]:
-        assert grid["seeds"] == 4 and grid["unconverged"] == []
+        assert grid["seeds"] == 4 and grid["unconverged"] == [] and grid["stopped_early"] == {}
         assert grid["median"] <= grid["p99"] <= grid["worst"]
         assert 1 <= grid["needed_window"] <= pde._STALL_WINDOW // 2
     # 43 regimes never take the one-regime prefix sum, so never its fallback
@@ -74,3 +76,18 @@ def test_slowest_coarse_seed_converges_quickly():
     grid = solver_sweep.sweep(11, [728], 1e-9)
     assert grid["unconverged"] == []
     assert grid["worst"] <= 150
+
+
+def test_stopped_early_lists_what_the_stall_rule_stops():
+    # under a stall window of 3 the rule in force stops some converging
+    # coarse solves; the sweep runs each under the wide window instead, so
+    # it lists those seeds with the window they need, and counts them
+    with mock.patch.object(pde, "_STALL_WINDOW", 3):
+        grid = solver_sweep.sweep(11, range(6), 1e-9, 0.0)
+        stopped = {seed for seed in range(6)
+                   if not solve_stationary(*solver_sweep.realistic_problem(seed, 0.0),
+                                           Grid(11), SolverConfig(tol=1e-9)).converged}
+    assert grid["unconverged"] == [] and sorted(grid["iterations"]) == list(range(6))
+    assert stopped and sorted(grid["stopped_early"]) == sorted(stopped)
+    assert all(need > 3 for need in grid["stopped_early"].values())
+    assert max(grid["stopped_early"].values()) == grid["needed_window"]

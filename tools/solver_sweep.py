@@ -1,6 +1,6 @@
 """Iteration counts of the steady-state solver over seeded problems.
 
-    python3 tools/solver_sweep.py --n 11 31 --seeds 1000 [--first 0] [--tol 1e-9] [--out FILE]
+    python3 tools/solver_sweep.py --n 11 31 --seeds 1000 [--first 0] [--tol TOL] [--out FILE]
 
 Seed s draws the chain `sedopt.regime.realistic_chain(s)`: 43 regimes on
 2.5 m^3/s bins, nearest-neighbour switching with seeded jitter,
@@ -23,9 +23,16 @@ one-regime factorizations take both forward sweeps of `pde._Howard`:
 the scaled prefix sum, and the block sweep where the summation factors
 underflow. `block_sweep_seeds` lists the seeds whose solve ran at least
 one one-regime factorization on the block sweep (none in `grids`).
-The histories are those of the stall rule in force, which match an
-unlimited window for every solve that converges. sedopt is imported from
-`src/` next to this script; JSON goes to stdout or `--out`.
+Every solve runs under a stall window of `WIDE_WINDOW` instead of
+`pde._STALL_WINDOW`; the window only decides when to stop, so a solve
+that converges under both has the same history under both. A seed that
+converges only under the wide window, needing more than
+`pde._STALL_WINDOW`, is one that the stall rule in force stops as
+stalled: `stopped_early` maps each such seed to its needed window.
+`unconverged` lists the seeds that do not converge even under the wide
+window. Counts and `needed_window` cover every seed that converges under
+it. sedopt is imported from `src/` next to this script; JSON goes to
+stdout or `--out`.
 """
 
 import argparse
@@ -46,6 +53,7 @@ from sedopt.regime import realistic_chain  # noqa: E402
 from sedopt.transport import SedimentProperties, rates_for_chain  # noqa: E402
 
 DELTAS = (0.2, 0.0)  # discounted, then ergodic
+WIDE_WINDOW = 300  # over twice the widest window (120) a converging solve has been seen to need
 
 
 def needed_window(history) -> int:
@@ -74,8 +82,9 @@ def single_problem(seed: int, delta: float):
 
 
 def solve_watched(chain, rates, costs, grid, config):
-    """`solve_stationary`, and whether a one-regime factorization of the
-    solve took the block sweep instead of the prefix sum."""
+    """`solve_stationary` under the stall window `WIDE_WINDOW`, and whether
+    a one-regime factorization of the solve took the block sweep instead
+    of the prefix sum."""
     factor, block = pde._Howard.factor, []
 
     def watched(sweep, replenish):
@@ -83,14 +92,15 @@ def solve_watched(chain, rates, costs, grid, config):
         block.append(sweep.s.size == 1 and not sweep.prefix)
         return sweep
 
-    with mock.patch.object(pde._Howard, "factor", watched):
+    with mock.patch.object(pde._Howard, "factor", watched), \
+            mock.patch.object(pde, "_STALL_WINDOW", WIDE_WINDOW):
         return solve_stationary(chain, rates, costs, grid, config), any(block)
 
 
 def sweep(n: int, seeds, tol: float, delta: float = DELTAS[0],
           problem=realistic_problem) -> dict:
     grid, config = Grid(n), SolverConfig(tol=tol)
-    iterations, unconverged, window, window_seed, block = {}, [], 0, None, []
+    iterations, unconverged, stopped, window, window_seed, block = {}, [], {}, 0, None, []
     for seed in seeds:
         result, on_block = solve_watched(*problem(seed, delta), grid, config)
         if on_block:
@@ -100,6 +110,8 @@ def sweep(n: int, seeds, tol: float, delta: float = DELTAS[0],
             continue
         iterations[seed] = result.iterations
         need = needed_window(result.residual_history)
+        if need > pde._STALL_WINDOW:
+            stopped[seed] = need
         if need > window:
             window, window_seed = need, seed
     counts = sorted(iterations.values())
@@ -113,6 +125,7 @@ def sweep(n: int, seeds, tol: float, delta: float = DELTAS[0],
         "worst": iterations.get(worst_seed),
         "worst_seed": worst_seed,
         "unconverged": unconverged,
+        "stopped_early": stopped,
         "needed_window": window,
         "needed_window_seed": window_seed,
         "iterations": iterations,
@@ -125,7 +138,8 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, nargs="+", default=[11, 31], help="grid sizes")
     parser.add_argument("--seeds", type=int, default=1000, help="seeds per grid size")
     parser.add_argument("--first", type=int, default=0, help="first seed")
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--tol", type=float, default=SolverConfig.tol,
+                        help="bound on max |residual| (default %(default)g)")
     parser.add_argument("--out", type=Path, help="write the JSON here instead of stdout")
     args = parser.parse_args(argv)
     seeds = range(args.first, args.first + args.seeds)
