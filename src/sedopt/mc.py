@@ -90,18 +90,15 @@ def _discounted_interval(delta: float, t0, t1):
     return (np.exp(-delta * t0) - np.exp(-delta * t1)) / delta
 
 
-def _decay(t, y, rate, target):
-    """Closed-form linear decay from storage y at time t to time `target`
-    at a constant rate, stuck at 0.
-
-    Returns the storage at `target`, the time t + y / rate it hits 0, and
-    whether that hit falls by `target` from positive storage. The caller
-    silences y / 0 (a zero rate never empties).
+def _decay(t, y, rate, end):
+    """Linear decay from storage y at time t to time `end` at a constant
+    rate, stuck at 0. One rule decides emptiness: the storage at `end` is
+    max(y - rate (end - t), 0), and the step empties the store exactly when
+    y > 0 and that storage is 0; the hit time is min(t + y / rate, end).
+    Returns all three. The caller silences y / 0 (a zero rate never empties).
     """
-    t_hit = t + y / rate
-    empty = t_hit <= target
-    y_end = np.where(empty, 0.0, np.maximum(y - rate * (target - t), 0.0))
-    return y_end, t_hit, empty & (y > 0.0)
+    y_end = np.maximum(y - rate * (end - t), 0.0)
+    return y_end, np.minimum(t + y / rate, end), (y_end == 0.0) & (y > 0.0)
 
 
 def _replay(regime_path: RegimePath, rates, y0: float, observations=(), limits=None,

@@ -306,6 +306,83 @@ class TestSimulateStorage:
             simulate_storage(path, np.array([0.1]), y0=1.5)
 
 
+# A one-switch path whose first step ends at zero storage although
+# t + y0 / S lies one ulp past the switch: the two emptiness tests of a
+# decay that judged the hit by that time and the storage by its clamp disagree
+ONE_SWITCH_AT = 0.11277678848227612
+ONE_SWITCH = dict(
+    regime_path=RegimePath(start_times=np.array([0.0, ONE_SWITCH_AT]), regimes=np.array([0, 1]),
+                           horizon=ONE_SWITCH_AT + 5.0),
+    rates=np.array([4.75479529681338, 0.3]), y0=0.5362305434652439, observations=(),
+    limits=np.full(2, -np.inf), costs=CostSpec(delta=0.2, c=0.1, d=0.05, lam=0.5))
+
+
+def replayed_record(regime_path, rates, y0, observations, limits, costs):
+    return mc.PathRecord(regime_path, np.asarray(observations, dtype=float),
+                         *mc._replay(regime_path, rates, y0, observations, limits, costs))
+
+
+def seeded_record(case, thresholds, y0, seed):
+    chain, rates = ENGINE_CASES[case]
+    policy = ThresholdPolicy(boundaries=np.array(thresholds[:chain.count]))
+    costs = CostSpec(delta=0.2, c=0.3, d=0.05, lam=0.4)
+    return simulate_controlled(chain, rates, policy, costs, y0, 60.0, seed, seed % chain.count)
+
+
+def at_or_near_emptying(t, y, rate, ulps):
+    """The step end t + y / rate moved by `ulps` units in the last place,
+    or t + `ulps` when the rate never empties."""
+    if rate == 0.0 or not math.isfinite(y / rate):
+        return t + abs(ulps)
+    end = t + y / rate
+    for _ in range(abs(ulps)):
+        end = math.nextafter(end, math.copysign(math.inf, ulps))
+    return max(end, t)
+
+
+class TestDecay:
+    def test_one_switch_path_charges_its_depletion(self):
+        s, case = ONE_SWITCH_AT, ONE_SWITCH
+        assert mc._decay(0.0, case["y0"], case["rates"][0], s) == (0.0, s, True)
+        fills, storage, depletion, cost = mc._replay(*case.values())
+        assert fills.size == 0 and np.all(storage.at(np.linspace(s, s + 5.0, 9)) == 0.0)
+        assert depletion == [(s, s + 5.0)]
+        assert cost == (math.exp(-0.2 * s) - math.exp(-0.2 * (s + 5.0))) / 0.2
+        assert cost == 3.090112226020334
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.one_of(st.just(0.0), st.floats(0.0, 1000.0)),
+           y=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+           rate=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+           end=st.one_of(st.floats(0.0, 1000.0).map(lambda d: ("after", d)),
+                         st.integers(-4, 4).map(lambda k: ("ulps", k))))
+    @example(t=0.0, y=ONE_SWITCH["y0"], rate=ONE_SWITCH["rates"][0],
+             end=("after", ONE_SWITCH_AT))
+    def test_one_rule_decides_emptiness(self, t, y, rate, end):
+        kind, value = end
+        end = t + value if kind == "after" else at_or_near_emptying(t, y, rate, value)
+        with np.errstate(all="ignore"):  # the caller's: a zero rate never empties
+            y_end, t_hit, hit = mc._decay(t, y, np.float64(rate), end)  # a rate is numpy's
+        assert y_end == max(y - rate * (end - t), 0.0)
+        assert hit == (y > 0.0 and y_end == 0.0)
+        if hit:
+            assert t <= t_hit <= end
+
+    @settings(max_examples=40, deadline=None)
+    @given(record=st.builds(seeded_record, case=st.sampled_from(sorted(ENGINE_CASES)),
+                            thresholds=st.lists(THRESHOLDS, min_size=43, max_size=43),
+                            y0=st.sampled_from([0.0, 0.4, 1.0]),
+                            seed=st.integers(0, 2**32 - 1)))
+    @example(record=replayed_record(**ONE_SWITCH))
+    def test_depletion_is_the_time_at_zero_storage(self, record):
+        # every stretch where the storage curve sits at 0 is charged, and
+        # nothing else: a refill is a jump at one time, so it adds no length
+        times, values = record.storage.times, record.storage.values
+        at_zero = (values[:-1] == 0.0) & (values[1:] == 0.0)
+        assert math.fsum(np.diff(times)[at_zero]) == pytest.approx(
+            math.fsum(end - start for start, end in record.depletion), rel=0, abs=1e-12)
+
+
 class TestSimulateControlled:
     def test_zero_threshold_acts_only_at_depletion(self):
         policy = ThresholdPolicy(boundaries=np.array([0.0]))
