@@ -317,11 +317,6 @@ ONE_SWITCH = dict(
     limits=np.full(2, -np.inf), costs=CostSpec(delta=0.2, c=0.1, d=0.05, lam=0.5))
 
 
-def replayed_record(regime_path, rates, y0, observations, limits, costs):
-    return mc.PathRecord(regime_path, np.asarray(observations, dtype=float),
-                         *mc._replay(regime_path, rates, y0, observations, limits, costs))
-
-
 def seeded_record(case, thresholds, y0, seed):
     chain, rates = ENGINE_CASES[case]
     policy = ThresholdPolicy(boundaries=np.array(thresholds[:chain.count]))
@@ -344,7 +339,7 @@ class TestDecay:
     def test_one_switch_path_charges_its_depletion(self):
         s, case = ONE_SWITCH_AT, ONE_SWITCH
         assert mc._decay(0.0, case["y0"], case["rates"][0], s) == (0.0, s, True)
-        fills, storage, depletion, cost = mc._replay(*case.values())
+        fills, storage, depletion, cost = mc._replay(**case)
         assert fills.size == 0 and np.all(storage.at(np.linspace(s, s + 5.0, 9)) == 0.0)
         assert depletion == [(s, s + 5.0)]
         assert cost == (math.exp(-0.2 * s) - math.exp(-0.2 * (s + 5.0))) / 0.2
@@ -373,7 +368,8 @@ class TestDecay:
                             thresholds=st.lists(THRESHOLDS, min_size=43, max_size=43),
                             y0=st.sampled_from([0.0, 0.4, 1.0]),
                             seed=st.integers(0, 2**32 - 1)))
-    @example(record=replayed_record(**ONE_SWITCH))
+    @example(record=mc.PathRecord(ONE_SWITCH["regime_path"], np.empty(0),
+                                  *mc._replay(**ONE_SWITCH)))
     def test_depletion_is_the_time_at_zero_storage(self, record):
         # every stretch where the storage curve sits at 0 is charged, and
         # nothing else: a refill is a jump at one time, so it adds no length
