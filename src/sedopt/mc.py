@@ -92,13 +92,22 @@ def _discounted_interval(delta: float, t0, t1):
 
 def _decay(t, y, rate, end):
     """Linear decay from storage y at time t to time `end` at a constant
-    rate, stuck at 0. One rule decides emptiness: the storage at `end` is
-    max(y - rate (end - t), 0), and the step empties the store exactly when
-    y > 0 and that storage is 0; the hit time is min(t + y / rate, end).
-    Returns all three. The caller silences y / 0 (a zero rate never empties).
+    rate, stuck at 0. The store is empty at `end` when the hit time
+    t + y / rate falls by `end` or the clamp max(y - rate (end - t), 0) is 0:
+    the two can disagree by an ulp, and either alone would leave a stretch
+    the other calls empty uncharged. The storage at `end` is 0 when empty
+    and the clamp otherwise; the step empties the store exactly when y > 0
+    and that storage is 0, at min(t + y / rate, end). Returns all three.
+    The caller silences y / 0 (a zero rate never empties).
     """
-    y_end = np.maximum(y - rate * (end - t), 0.0)
-    return y_end, np.minimum(t + y / rate, end), (y_end == 0.0) & (y > 0.0)
+    t_hit = np.asarray(y / rate)  # a replay's is 0-d; the arrays are updated in place
+    t_hit += t
+    y_end = np.asarray(y - rate * (end - t))
+    np.maximum(y_end, 0.0, out=y_end)
+    y_end *= t_hit > end  # branch-free: a mask of random paths defeats np.where
+    hit = y_end == 0.0
+    hit &= y > 0.0
+    return y_end, np.minimum(t_hit, end, out=t_hit), hit
 
 
 def _replay(regime_path: RegimePath, rates, y0: float, observations=(), limits=None,

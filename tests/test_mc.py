@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -306,15 +307,28 @@ class TestSimulateStorage:
             simulate_storage(path, np.array([0.1]), y0=1.5)
 
 
-# A one-switch path whose first step ends at zero storage although
-# t + y0 / S lies one ulp past the switch: the two emptiness tests of a
-# decay that judged the hit by that time and the storage by its clamp disagree
+# Two one-switch paths on which the emptiness tests of the decay disagree by
+# an ulp. The first step of ONE_SWITCH ends at zero storage by the clamp
+# y - S dt although the hit time t + y0 / S lies one ulp past the switch; the
+# first step of MIRROR_SWITCH has its hit time at the switch (49 * (1 / 49)
+# rounds below 1) although the clamp leaves 1.1e-16, and its zero-rate
+# regime would hold that residue to the horizon. Each must charge its
+# depletion from the switch on.
 ONE_SWITCH_AT = 0.11277678848227612
 ONE_SWITCH = dict(
     regime_path=RegimePath(start_times=np.array([0.0, ONE_SWITCH_AT]), regimes=np.array([0, 1]),
                            horizon=ONE_SWITCH_AT + 5.0),
     rates=np.array([4.75479529681338, 0.3]), y0=0.5362305434652439, observations=(),
     limits=np.full(2, -np.inf), costs=CostSpec(delta=0.2, c=0.1, d=0.05, lam=0.5))
+MIRROR_SWITCH_AT = 1.0 / 49.0
+MIRROR_SWITCH = dict(
+    ONE_SWITCH, regime_path=RegimePath(start_times=np.array([0.0, MIRROR_SWITCH_AT]),
+                                       regimes=np.array([0, 1]), horizon=MIRROR_SWITCH_AT + 5.0),
+    rates=np.array([49.0, 0.0]), y0=1.0)
+
+
+def replayed_record(case):
+    return mc.PathRecord(case["regime_path"], np.empty(0), *mc._replay(**case))
 
 
 def seeded_record(case, thresholds, y0, seed):
@@ -336,40 +350,56 @@ def at_or_near_emptying(t, y, rate, ulps):
 
 
 class TestDecay:
-    def test_one_switch_path_charges_its_depletion(self):
-        s, case = ONE_SWITCH_AT, ONE_SWITCH
-        assert mc._decay(0.0, case["y0"], case["rates"][0], s) == (0.0, s, True)
-        fills, storage, depletion, cost = mc._replay(**case)
+    @pytest.mark.parametrize("case, s, cost", [
+        (ONE_SWITCH, ONE_SWITCH_AT, 3.090112226020334),
+        (MIRROR_SWITCH, MIRROR_SWITCH_AT, 3.1477286661786783),
+    ], ids=["clamp at zero", "hit time at the switch"])
+    def test_one_switch_path_charges_its_depletion(self, case, s, cost):
+        with np.errstate(divide="ignore", invalid="ignore"):  # the caller's
+            assert mc._decay(0.0, case["y0"], case["rates"][0], s) == (0.0, s, True)
+            fills, storage, depletion, charged = mc._replay(**case)
         assert fills.size == 0 and np.all(storage.at(np.linspace(s, s + 5.0, 9)) == 0.0)
         assert depletion == [(s, s + 5.0)]
-        assert cost == (math.exp(-0.2 * s) - math.exp(-0.2 * (s + 5.0))) / 0.2
-        assert cost == 3.090112226020334
+        assert charged == (math.exp(-0.2 * s) - math.exp(-0.2 * (s + 5.0))) / 0.2 == cost
 
     @settings(max_examples=300, deadline=None)
     @given(t=st.one_of(st.just(0.0), st.floats(0.0, 1000.0)),
-           y=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+           y=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
            rate=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
            end=st.one_of(st.floats(0.0, 1000.0).map(lambda d: ("after", d)),
                          st.integers(-4, 4).map(lambda k: ("ulps", k))))
     @example(t=0.0, y=ONE_SWITCH["y0"], rate=ONE_SWITCH["rates"][0],
              end=("after", ONE_SWITCH_AT))
-    def test_one_rule_decides_emptiness(self, t, y, rate, end):
+    @example(t=0.0, y=1.0, rate=49.0, end=("after", MIRROR_SWITCH_AT))
+    def test_a_step_that_either_test_calls_empty_empties(self, t, y, rate, end):
         kind, value = end
         end = t + value if kind == "after" else at_or_near_emptying(t, y, rate, value)
         with np.errstate(all="ignore"):  # the caller's: a zero rate never empties
             y_end, t_hit, hit = mc._decay(t, y, np.float64(rate), end)  # a rate is numpy's
-        assert y_end == max(y - rate * (end - t), 0.0)
-        assert hit == (y > 0.0 and y_end == 0.0)
+        # the two rounded tests of emptiness: the hit time and the clamp
+        clamp = max(y - rate * (end - t), 0.0)
+        empties = y > 0.0 and (clamp == 0.0 or rate > 0.0 and t + y / rate <= end)
+        assert hit == empties
         if hit:
-            assert t <= t_hit <= end
+            assert y_end == 0.0 and t <= t_hit <= end
+        else:
+            assert y_end == clamp
+        # and the exact storage y - rate (end - t) of the rounded inputs, away
+        # from the band that rounding the step's few operations can cross
+        exact = Fraction(y) - Fraction(rate) * (Fraction(end) - Fraction(t))
+        band = 16 * (rate * math.ulp(max(end, 1.0)) + math.ulp(1.0))
+        if y > 0.0 and exact < -band:
+            assert hit
+        if exact > band:
+            assert not hit and y_end > 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(record=st.builds(seeded_record, case=st.sampled_from(sorted(ENGINE_CASES)),
                             thresholds=st.lists(THRESHOLDS, min_size=43, max_size=43),
                             y0=st.sampled_from([0.0, 0.4, 1.0]),
                             seed=st.integers(0, 2**32 - 1)))
-    @example(record=mc.PathRecord(ONE_SWITCH["regime_path"], np.empty(0),
-                                  *mc._replay(**ONE_SWITCH)))
+    @example(record=replayed_record(ONE_SWITCH))
+    @example(record=replayed_record(MIRROR_SWITCH))
     def test_depletion_is_the_time_at_zero_storage(self, record):
         # every stretch where the storage curve sits at 0 is charged, and
         # nothing else: a refill is a jump at one time, so it adds no length
@@ -377,6 +407,9 @@ class TestDecay:
         at_zero = (values[:-1] == 0.0) & (values[1:] == 0.0)
         assert math.fsum(np.diff(times)[at_zero]) == pytest.approx(
             math.fsum(end - start for start, end in record.depletion), rel=0, abs=1e-12)
+        # and no stretch is held at a rounding residue above 0 instead
+        held = (values[:-1] == values[1:]) & (np.diff(times) > 0.0)
+        assert not np.any(held & (values[:-1] > 0.0) & (values[:-1] <= 4 * np.finfo(float).eps))
 
 
 class TestSimulateControlled:
