@@ -271,8 +271,9 @@ def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
                     t_next[done] = horizon
                     switching &= live
                     observing &= live
-                drain = rates[regime]
-            y, t_hit, hit = _decay(t, y, drain, t_next)
+                drain = rates[regime[None]]
+            # per-path arrays enter as one row, so a one-row y meets them unbroadcast
+            y, t_hit, hit = _decay(t[None], y, drain, t_next[None])
             np.putmask(depleted_since, hit, t_hit)
             t = t_next
 
