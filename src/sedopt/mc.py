@@ -91,23 +91,17 @@ def _discounted_interval(delta: float, t0, t1):
 
 
 def _decay(t, y, rate, end):
-    """Linear decay from storage y at time t to time `end` at a constant
-    rate, stuck at 0. The store is empty at `end` when the hit time
-    t + y / rate falls by `end` or the clamp max(y - rate (end - t), 0) is 0:
-    the two can disagree by an ulp, and either alone would leave a stretch
-    the other calls empty uncharged. The storage at `end` is 0 when empty
-    and the clamp otherwise; the step empties the store exactly when y > 0
-    and that storage is 0, at min(t + y / rate, end). Returns all three.
-    The caller silences y / 0 (a zero rate never empties).
-    """
-    t_hit = np.asarray(y / rate)  # a replay's is 0-d; the arrays are updated in place
+    """Linear decay from storage y at time t to `end` at a constant rate,
+    stuck at 0. A step from y > 0 empties the store when t + y / rate <= end
+    or max(y - rate (end - t), 0) == 0 (rounded, the two can disagree by an
+    ulp): it ends at 0, hit at min(t + y / rate, end), and otherwise at that
+    clamp. Returns the end storage, hit time and hit; the caller silences y / 0."""
+    t_hit = np.asarray(y / rate)  # 0-d in a replay; both are updated in place
     t_hit += t
     y_end = np.asarray(y - rate * (end - t))
     np.maximum(y_end, 0.0, out=y_end)
-    y_end *= t_hit > end  # branch-free: a mask of random paths defeats np.where
-    hit = y_end == 0.0
-    hit &= y > 0.0
-    return y_end, np.minimum(t_hit, end, out=t_hit), hit
+    y_end *= t_hit > end  # a multiply: np.where on a mask of random paths is branch-bound
+    return y_end, np.minimum(t_hit, end, out=t_hit), (y_end == 0.0) & (y > 0.0)
 
 
 def _replay(regime_path: RegimePath, rates, y0: float, observations=(), limits=None,
@@ -272,8 +266,7 @@ def _simulate(chain: RegimeChain, rates, thresholds, costs: CostSpec, y0: float,
                     switching &= live
                     observing &= live
                 drain = rates[regime[None]]
-            # per-path arrays enter as one row, so a one-row y meets them unbroadcast
-            y, t_hit, hit = _decay(t[None], y, drain, t_next[None])
+            y, t_hit, hit = _decay(t[None], y, drain, t_next[None])  # rows like y's: no broadcast
             np.putmask(depleted_since, hit, t_hit)
             t = t_next
 
