@@ -483,11 +483,9 @@ def _run_inverses(switching, diagonals, out) -> tuple[NDArray[np.float64], NDArr
     return _check_finite(inverses), run_of
 
 
-# A solve whose residual has not halved within this many iterations has
-# stalled. Seeded 43-regime chains at tol 1e-9 (tools/solver_sweep.py)
-# needed at most 13 at n = 11-61 and 5 at 301 (1000 chains each), 30 at 751
-# and 20 at 901 (200). A few ergodic solves need 32-120 at n = 351, 451
-# (300), 601 (1000), 1201 and 2401 (200); other sizes are not measured.
+# A solve whose max |residual| has set no new minimum in this many
+# iterations has stalled. The rule assumes no contraction rate, so it needs
+# no window measured grid by grid: a slow solve runs on while it improves.
 _STALL_WINDOW = 30
 
 
@@ -515,8 +513,9 @@ def solve_stationary(
     drains storage. With delta > 0, v = z + r / delta, as residual(z + k)
     = residual(z) + delta k, so v(0, 1) == r / delta and r -> u as
     delta -> 0: z, not v ~ r / delta, is iterated, so round-off stays small.
-    A residual that does not halve within `_STALL_WINDOW` iterations
-    (round-off above tol, say) ends the solve with `converged = False`.
+    A residual that sets no new minimum in `_STALL_WINDOW` iterations
+    (round-off above tol, say) or is NaN ends the solve with
+    `converged = False`.
     """
     config = config or SolverConfig()
     fld = ValueField(np.zeros((chain.count, grid.n)), grid, chain, rates, costs)
@@ -532,11 +531,12 @@ def solve_stationary(
     v = fld.values  # z, iterated in place; v = z + cost_rate / delta when discounted
     magnitude = np.empty(v.shape)
     cost_rate = level = min_seen = max_seen = 0.0
+    best, best_at = math.inf, 0  # the lowest residual and its iterate
     replenish, now = np.zeros(v.shape, dtype=bool), np.empty(v.shape, dtype=bool)
     history: list[float] = []
     changes: list[int] = []
     # a diverging iterate (a drain far below round-off, say) ends on a
-    # non-finite residual, which the stall rule below stops on
+    # NaN residual, or on an infinite one, which sets no new minimum
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             res, gap = howard.residual(v)
@@ -545,9 +545,10 @@ def solve_stationary(
             changes.append(int(np.count_nonzero(now != replenish)))
             replenish, now = now, replenish
             history.append(float(np.abs(res, out=magnitude).max()))
+            if history[-1] < best:
+                best, best_at = history[-1], len(history)
             converged = history[-1] <= config.tol
-            earlier_best = min(history[:-_STALL_WINDOW], default=math.inf)
-            if converged or not history[-1] <= 0.5 * earlier_best:  # stalled or not finite
+            if converged or len(history) - best_at >= _STALL_WINDOW or math.isnan(history[-1]):
                 break
             if len(history) == 1 or changes[-1]:
                 howard.factor(replenish)

@@ -8,12 +8,11 @@ Meyer-Peter-Mueller rates and c 0.02, d 0.01, lambda 1/7. Each grid size
 is swept in both modes, discounted (delta 0.2) and ergodic (delta 0), and
 every discounted entry comes first. Per grid size and mode the report
 gives the median, p99 and worst iteration counts, the worst seed, the
-unconverged seeds and `needed_window`: the smallest stall window that
-stops none of the converged solves early. A solve stops as
-stalled at iterate k when max |residual| r_k is not at most half of every
-r_j with j <= k - W, so iterate k needs W >= k - j*, where j* is the last
-j whose prefix minimum min(r_0..r_j) is still >= 2 r_k (j* = -1 if none).
-`pde._STALL_WINDOW` should be a few times the largest `needed_window`.
+unconverged seeds, `worst_seconds`, the longest time a solve took, and
+`needed_window`: the smallest stall window that stops none of the
+converged solves early. A solve stops as stalled when max |residual| has
+set no new minimum in the last W iterations, so it needs W one more than
+its longest run of iterates that set none.
 `iterations` lists every converged seed's iteration count, so that two
 checkouts can be compared seed by seed.
 Those entries form the `grids` list. The `single` list sweeps one-regime
@@ -37,8 +36,10 @@ stdout or `--out`.
 
 import argparse
 import json
+import math
 import statistics
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -53,17 +54,17 @@ from sedopt.regime import realistic_chain  # noqa: E402
 from sedopt.transport import SedimentProperties, rates_for_chain  # noqa: E402
 
 DELTAS = (0.2, 0.0)  # discounted, then ergodic
-WIDE_WINDOW = 300  # over twice the widest window (120) a converging solve has been seen to need
+WIDE_WINDOW = 300  # seven times the widest window (42) a converging solve is seen to need
 
 
 def needed_window(history) -> int:
-    """Smallest stall window under which no iterate before the last stops."""
-    prefix_min = np.minimum.accumulate(np.asarray(history, dtype=float))
-    need = 1
-    for k, r in enumerate(history[:-1]):
-        # prefix_min is nonincreasing: the j with prefix_min[j] >= 2 r form a head
-        last = int(np.searchsorted(-prefix_min[:k + 1], -2.0 * r, side="right")) - 1
-        need = max(need, k - last)
+    """Smallest stall window under which no iterate before the last stops:
+    one more than the longest run of iterates that set no new minimum."""
+    need, best, best_at = 1, math.inf, 0
+    for k, r in enumerate(history):
+        if r < best:
+            best, best_at = r, k
+        need = max(need, k - best_at + 1)
     return need
 
 
@@ -101,8 +102,11 @@ def sweep(n: int, seeds, tol: float, delta: float = DELTAS[0],
           problem=realistic_problem) -> dict:
     grid, config = Grid(n), SolverConfig(tol=tol)
     iterations, unconverged, stopped, window, window_seed, block = {}, [], {}, 0, None, []
+    seconds = 0.0
     for seed in seeds:
+        start = time.perf_counter()
         result, on_block = solve_watched(*problem(seed, delta), grid, config)
+        seconds = max(seconds, time.perf_counter() - start)
         if on_block:
             block.append(seed)
         if not result.converged:
@@ -124,6 +128,7 @@ def sweep(n: int, seeds, tol: float, delta: float = DELTAS[0],
         "p99": float(np.percentile(counts, 99)) if counts else None,
         "worst": iterations.get(worst_seed),
         "worst_seed": worst_seed,
+        "worst_seconds": seconds,
         "unconverged": unconverged,
         "stopped_early": stopped,
         "needed_window": window,
