@@ -125,7 +125,7 @@ def _replay(regime_path: RegimePath, rates, y0: float, observations=(), limits=N
     delta = 0.0 if costs is None else costs.delta
     points, fills, depletion = [(0.0, float(y0))], [], []
     t, y, cost, since = 0.0, float(y0), 0.0, 0.0 if y0 == 0.0 else None
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero rate never empties
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # tiny rates never empty
         for now, i, observed in zip(at[order].tolist(), held[order].tolist(),
                                     (order >= regimes.size).tolist()):
             y_end, t_hit, hit = _decay(t, y, rates[i], now)

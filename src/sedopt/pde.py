@@ -513,9 +513,8 @@ def solve_stationary(
     drains storage. With delta > 0, v = z + r / delta, as residual(z + k)
     = residual(z) + delta k, so v(0, 1) == r / delta and r -> u as
     delta -> 0: z, not v ~ r / delta, is iterated, so round-off stays small.
-    A residual that sets no new minimum in `_STALL_WINDOW` iterations
-    (round-off above tol, say) or is NaN ends the solve with
-    `converged = False`.
+    A residual that is NaN or sets no new minimum in `_STALL_WINDOW`
+    iterations (round-off above tol, say) ends it with `converged = False`.
     """
     config = config or SolverConfig()
     fld = ValueField(np.zeros((chain.count, grid.n)), grid, chain, rates, costs)
@@ -535,8 +534,7 @@ def solve_stationary(
     replenish, now = np.zeros(v.shape, dtype=bool), np.empty(v.shape, dtype=bool)
     history: list[float] = []
     changes: list[int] = []
-    # a diverging iterate (a drain far below round-off, say) ends on a
-    # NaN residual, or on an infinite one, which sets no new minimum
+    # a diverging iterate ends on a NaN residual, or an infinite one that is no new minimum
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             res, gap = howard.residual(v)

@@ -51,19 +51,26 @@ def three_regime_chain():
     return RegimeChain(discharges=np.array([1.0, 5.0, 20.0]), rates=rates)
 
 
+def reference_decay(t, y, rate, target):
+    """The oracle's decay from y at t to `target`: empty when either rounded
+    test says so, the hit time t + y / rate <= target or the clamp
+    max(y - rate (target - t), 0) == 0, and then hit at min(t + y / rate,
+    target). Returns the end storage and the hit time (NaN for no hit)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_hit = t + y / rate
+    clamp = np.maximum(y - rate * (target - t), 0.0)
+    empty = (t_hit <= target) | (clamp == 0.0)
+    return np.where(empty, 0.0, clamp), np.where(empty & (y > 0.0),
+                                                 np.minimum(t_hit, target), np.nan)
+
+
 def reference_simulate(chain, rates, policy, costs, y0, initial_regime, horizon, n_paths,
                        seed):
     """The event loop as it stood before the fused step, frozen as the
     bit-for-bit reference of `mc._simulate`, with the dense jump rule: a
     separate decay, horizon check and event decision per step, and paths
-    leaving the arrays at the horizon."""
-    def decay(t, y, rate, target):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_hit = t + y / rate
-        empty = t_hit <= target
-        y_end = np.where(empty, 0.0, np.maximum(y - rate * (target - t), 0.0))
-        return y_end, np.where(empty & (y > 0.0), t_hit, np.nan)
-
+    leaving the arrays at the horizon. Its `reference_decay` follows the
+    engine's emptiness rule, not the hit time alone."""
     def next_switch(rng, t, out):
         hold = rng.exponential(size=t.size)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -96,7 +103,7 @@ def reference_simulate(chain, rates, policy, costs, y0, initial_regime, horizon,
     depleted_time = 0.0
     while path.size:
         t_next = np.minimum(np.minimum(t_switch, t_obs), horizon)
-        y, t_hit = decay(t, y, rates[regime], t_next)
+        y, t_hit = reference_decay(t, y, rates[regime], t_next)
         depleted_since = np.where(np.isnan(t_hit), depleted_since, t_hit)
         t = t_next
         live = t < horizon
@@ -305,6 +312,17 @@ class TestSimulateStorage:
                           horizon=1.0)
         with pytest.raises(InputError):
             simulate_storage(path, np.array([0.1]), y0=1.5)
+
+    def test_drain_too_small_to_empty_raises_no_warning(self):
+        # y / rate overflows at a drain of 1e-310, inside the replay: the
+        # store never empties, and no RuntimeWarning (an error here) escapes
+        path = RegimePath(np.array([0.0]), np.array([0]), 10.0)
+        assert np.all(simulate_storage(path, np.array([1e-310]), 1.0).values == 1.0)
+        policy = ThresholdPolicy(boundaries=np.array([0.5]))
+        record = simulate_controlled(CHAIN_1, np.array([1e-310]), policy, BENCH_COSTS,
+                                     y0=1.0, horizon=100.0, seed=1)
+        assert record.depletion == [] and record.cost == 0.0
+        assert record.observations.size and not record.actions.any()
 
 
 # Two one-switch paths on which the emptiness tests of the decay disagree by
@@ -834,6 +852,17 @@ class TestEngineOracle:
             np.testing.assert_array_equal(samples, expected[0][None, :])
             assert (events, replenishments, depleted_time) == (expected[1], [expected[2]],
                                                                [expected[3]])
+
+    @pytest.mark.parametrize("case, s", [(ONE_SWITCH, ONE_SWITCH_AT),
+                                         (MIRROR_SWITCH, MIRROR_SWITCH_AT)],
+                             ids=["clamp at zero", "hit time at the switch"])
+    def test_oracle_decay_is_the_engines(self, case, s):
+        # on the first steps, where the two rounded tests of emptiness
+        # disagree, the oracle empties as the engine does, hit at the switch
+        y, rate = case["y0"], case["rates"][0]
+        with np.errstate(divide="ignore", invalid="ignore"):  # the engine's caller's
+            assert mc._decay(0.0, y, rate, s) == (0.0, s, True)
+        assert reference_decay(0.0, y, rate, s) == (0.0, s)
 
     def test_rows_equal_separate_runs(self):
         chain, rates = ENGINE_CASES["realistic43"]

@@ -23,6 +23,7 @@ from sedopt.pde import (
     SolverConfig,
     ThresholdPolicy,
     ValueField,
+    _STALL_WINDOW,
     _Howard,
     convergence_study,
     extract_policy,
@@ -360,6 +361,32 @@ class TestSolveStationary:
         assert not result.converged
         assert result.iterations <= 120
         assert result.residual_history[-1] < 1e-12
+
+    def test_stall_is_a_window_without_a_new_minimum(self):
+        # the solve stops the stall window after its lowest residual
+        history = solve_benchmark(51, tol=1e-300).residual_history
+        assert len(history) - 1 - int(np.argmin(history)) == _STALL_WINDOW
+
+    def test_slow_solve_that_never_halves_in_a_window_converges(self):
+        # ergodic seed 75 at n = 451 sets new minima slowly, but sets them:
+        # a rule that asked the residual to halve within 30 iterations
+        # stopped it at 4.1e-6 after 41
+        chain = realistic_chain(75)
+        costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=1.0 / 7.0)
+        result = solve_stationary(chain, rates_for_chain(chain, SedimentProperties()), costs,
+                                  Grid(451))
+        assert result.converged
+
+    def test_wong_parker_rates_converge(self):
+        # Wong & Parker's bedload law, q* = 3.97 (theta - 0.0495)^1.5, on the
+        # paper chain: the residual contracts by about 0.98 an iteration,
+        # and a halving rule stalled at 7.1e-5
+        chain = realistic_chain(0)
+        drains = rates_for_chain(chain, SedimentProperties(theta_c=0.0495)) * 3.97 / 8
+        costs = CostSpec(delta=0.2, c=0.02, d=0.01, lam=1.0 / 7.0)
+        result = solve(chain, drains, costs, Grid(301))
+        assert result.converged
+        assert result.field.values[0, -1] == pytest.approx(0.2732044, abs=1e-7)
 
     @pytest.mark.parametrize("drain", [1e-50, 1e-100, 1e-150, 1e-200, 1e-300])
     def test_near_zero_drain_fails_without_numpy_warnings(self, drain):
