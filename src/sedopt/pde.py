@@ -530,7 +530,7 @@ def solve_stationary(
     v = fld.values  # z, iterated in place; v = z + cost_rate / delta when discounted
     magnitude = np.empty(v.shape)
     cost_rate = level = min_seen = max_seen = 0.0
-    best, best_at = math.inf, 0  # the lowest residual and its iterate
+    best, best_at = math.inf, 0  # the lowest residual and the history's length at it
     replenish, now = np.zeros(v.shape, dtype=bool), np.empty(v.shape, dtype=bool)
     history: list[float] = []
     changes: list[int] = []

@@ -367,7 +367,7 @@ class TestSolveStationary:
         history = solve_benchmark(51, tol=1e-300).residual_history
         assert len(history) - 1 - int(np.argmin(history)) == _STALL_WINDOW
 
-    def test_slow_solve_that_never_halves_in_a_window_converges(self):
+    def test_slowly_improving_solve_converges(self):
         # ergodic seed 75 at n = 451 sets new minima slowly, but sets them:
         # a rule that asked the residual to halve within 30 iterations
         # stopped it at 4.1e-6 after 41

@@ -54,7 +54,7 @@ from sedopt.regime import realistic_chain  # noqa: E402
 from sedopt.transport import SedimentProperties, rates_for_chain  # noqa: E402
 
 DELTAS = (0.2, 0.0)  # discounted, then ergodic
-WIDE_WINDOW = 300  # seven times the widest window (42) a converging solve is seen to need
+WIDE_WINDOW = 300  # over five times the widest window (54) a converging solve is seen to need
 
 
 def needed_window(history) -> int:
