@@ -432,6 +432,21 @@ class TestSolveStationary:
         assert result.residual_history[0] == 1.0
         assert max(result.residual_history) == pytest.approx(worst, rel=0.01)
 
+    def test_rise_above_the_first_comes_before_the_last_flip(self):
+        # single_problem(126, 0.0) at n = 51: the residual rises 1.0e5-fold
+        # at iterate 1, while the replenish set still moves, and from its
+        # last flip (iterate 4) on every residual is below the first. A stop
+        # on a residual above K times the first must wait for the set to
+        # settle, or it ends this converging solve
+        costs = CostSpec(delta=0.0, c=0.2, d=0.3, lam=10.768915685152527)
+        result = solve(single_regime_chain(), np.array([0.00010736936381694206]), costs, Grid(51))
+        history, flips = result.residual_history, result.policy_changes
+        assert result.converged and result.iterations == 9
+        assert history[1] / history[0] == pytest.approx(1.0e5, rel=0.01)
+        settled = max(k for k, flipped in enumerate(flips) if flipped)
+        assert settled == 4
+        assert max(history[settled:]) < history[0]
+
     @pytest.mark.parametrize("n", [601, 1201])
     def test_default_tolerance_holds_at_paper_size(self, n):
         # at tol 1e-10 the paper chain's ergodic solve stalls here, at
@@ -737,6 +752,8 @@ def structure_cases():
     ladder = RegimeChain(discharges=np.arange(1.0, 7.0), rates=ladder_rates)
     below_top = np.arange(41)[None, :] < 40  # every vertex but the last replenishes
     return {
+        # "one-regime" to "one-regime-wide" take the prefix solve and its
+        # closed-form 2 x 2 border
         "one-regime": (single_regime_chain(), BENCH_RATES, np.arange(n)[None, :] < 4),
         # the first iterate of every one-regime solve: in ergodic mode D_0 = 0,
         # so only the rate's column keeps the 2 x 2 border nonsingular
@@ -744,10 +761,10 @@ def structure_cases():
         # summation factors G_k = (s / D)^k down to about 1e-104 (4e-98
         # ergodic): the scaled prefix sum at a wide range
         "one-regime-wide": (single_regime_chain(), np.array([4e-5]), below_top),
-        # no transport, so G_1 = 0: the block sweep
+        # no transport, so G_1 = 0: the block solve, general Schur border and all
         "one-regime-still": (single_regime_chain(), np.array([0.0]), np.arange(n)[None, :] < n - 1),
         # G_{n-2} about 3e-205 (2e-199 ergodic), below sqrt(tiny) but not 0:
-        # the block sweep at one regime, with coupling
+        # the block solve at one regime, with coupling, and its general Schur border
         "one-regime-faint": (single_regime_chain(), np.array([1e-7]), below_top),
         "two-regime": (two, two_rates, np.arange(n) < np.array([[2], [6]])),
         "dense-contiguous": (dense, np.array([0.02, 0.0, 0.3, 0.1]), contiguous),
@@ -794,7 +811,11 @@ class TestHowardFactorization:
         for delta in (0.2, 0.0):
             costs = CostSpec(delta=delta, c=0.02, d=0.01, lam=0.5)
             sweep = _Howard(chain, rates, costs, Grid(replenish.shape[1])).factor(replenish)
-            assert sweep.prefix == (case in ("one-regime", "one-regime-empty", "one-regime-wide"))
+            prefix = case in ("one-regime", "one-regime-empty", "one-regime-wide")
+            assert sweep.prefix == prefix
+            # only the prefix solve holds the closed-form border's four scalars;
+            # every other factorization, one regime or more, a Schur inverse
+            assert np.shape(sweep.schur_inverse) == ((4,) if prefix else (2, 2))
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_singular_system_raises(self, count):
@@ -808,14 +829,28 @@ class TestHowardFactorization:
 
     def test_singular_one_regime_border_raises(self):
         # ergodic, no transport: the interior replenishes, so every D_k = lam,
-        # but empty storage does not, so x_0 is free and the border's
-        # determinant is exactly 0; the suite turns a numpy warning into an error
+        # but empty storage does not, so x_0 is free and the border is
+        # singular. Every gain is 0, so the block solve's general Schur code
+        # meets it
         costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=0.5)
         replenish = np.ones((1, 7), dtype=bool)
         replenish[0, [0, -1]] = False
         factor = _Howard(single_regime_chain(), np.zeros(1), costs, Grid(7)).factor
         with pytest.raises(StructureError, match="singular"):
             factor(replenish)
+
+    def test_prefix_border_singular_to_working_precision_raises(self):
+        # ergodic, empty storage idle: the closed-form border's determinant is
+        # s P_1. Only the vertex below the top replenishes, at lam = 1e-50,
+        # so G_{n-2} = P_1 is about 1e-150, above sqrt(tiny), and the prefix
+        # solve runs; but s P_1, with s = 1e-200, underflows to 0
+        costs = CostSpec(delta=0.0, c=0.02, d=0.01, lam=1e-50)
+        replenish = np.zeros((1, 7), dtype=bool)
+        replenish[0, 5] = True
+        howard = _Howard(single_regime_chain(), np.array([1e-200 / 6]), costs, Grid(7))
+        with pytest.raises(StructureError, match="singular"):
+            howard.factor(replenish)
+        assert howard.prefix
 
     def test_singular_block_reached_by_update_raises(self):
         # uncoupled regimes, no transport, no discount: D_k = lam R_k. The

@@ -11,7 +11,11 @@ ergodic `simulate`, `exact --samples 33` and an ergodic `exact`,
 solves a seeded 43-regime nearest-neighbour chain at n = 301, discounted
 and ergodic, and simulates 500 paths of the discounted policy. A seeded
 one-regime chain under a one-threshold policy runs the engine's still
-branch, taken by a start regime with no way out (`simulate-single`). Each
+branch, taken by a start regime with no way out (`simulate-single`). The
+same chain under a store 1000 times larger drains about 5.2e-5 a day, so at
+n = 301 its factorizations' summation factors underflow and the one-regime
+system takes the block solve (`solve-single-faint`, discounted and
+ergodic; the ergodic one also takes the prefix solve). Each
 run writes into its own outdir, named after the run. The JSON maps each
 `run/file` to its digest and each run to its exit status. The temporary
 path is masked in each `run_config.json`, so digests of two checkouts, or
@@ -34,7 +38,8 @@ POLICY = "solve/free_boundary.csv"
 PAPER_POLICY = "solve-paper/free_boundary.csv"
 SINGLE = "single_chain.json"
 SINGLE_POLICY = "free_boundary.csv"
-INPUTS = (CHAIN, SERIES, PAPER, POLICY, PAPER_POLICY, SINGLE, SINGLE_POLICY)
+FAINT = "faint_props.json"
+INPUTS = (CHAIN, SERIES, PAPER, POLICY, PAPER_POLICY, SINGLE, SINGLE_POLICY, FAINT)
 
 # run name -> argv; a run's name starts with its command
 RUNS = {
@@ -55,6 +60,9 @@ RUNS = {
                        "--paths", "500", "--horizon", "50", "--seed", "7"],
     "simulate-single": ["simulate", "--chain", SINGLE, "--policy", SINGLE_POLICY,
                         "--paths", "200", "--horizon", "50", "--seed", "7", "--per-path"],
+    "solve-single-faint": ["solve", "--chain", SINGLE, "--props", FAINT, "--n", "301"],
+    "solve-single-faint-ergodic": ["solve", "--chain", SINGLE, "--props", FAINT,
+                                   "--delta", "0", "--n", "301"],
 }
 
 
@@ -81,6 +89,8 @@ def write_inputs(root: Path) -> None:
     single = {"discharges": [5.0], "rates": [[0.0]]}
     (root / SINGLE).write_text(json.dumps(single) + "\n")
     (root / SINGLE_POLICY).write_text("regime,q,Ybar\n0,5,0.6\n")
+    # a store 1000 times larger drains about 5.2e-5 a day
+    (root / FAINT).write_text(json.dumps({"capacity": 1e5}) + "\n")
 
 
 def digest(tree: Path) -> dict:

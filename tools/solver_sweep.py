@@ -18,10 +18,10 @@ checkouts can be compared seed by seed.
 Those entries form the `grids` list. The `single` list sweeps one-regime
 problems the same way: seed s draws S log-uniform on [1e-4, 10] and
 lambda log-uniform on [1/56, 16], with c 0.2 and d 0.3, wide enough that
-one-regime factorizations take both forward sweeps of `pde._Howard`:
-the scaled prefix sum, and the block sweep where the summation factors
-underflow. `block_sweep_seeds` lists the seeds whose solve ran at least
-one one-regime factorization on the block sweep (none in `grids`).
+one-regime factorizations take both solves of `pde._Howard`: the prefix
+solve, and the block solve where the summation factors underflow.
+`block_sweep_seeds` lists the seeds whose solve ran at least one
+one-regime factorization on the block solve (none in `grids`).
 Every solve runs under a stall window of `WIDE_WINDOW` instead of
 `pde._STALL_WINDOW`; the window only decides when to stop, so a solve
 that converges under both has the same history under both. A seed that
@@ -84,8 +84,8 @@ def single_problem(seed: int, delta: float):
 
 def solve_watched(chain, rates, costs, grid, config):
     """`solve_stationary` under the stall window `WIDE_WINDOW`, and whether
-    a one-regime factorization of the solve took the block sweep instead
-    of the prefix sum."""
+    a one-regime factorization of the solve took the block solve instead
+    of the prefix solve."""
     factor, block = pde._Howard.factor, []
 
     def watched(sweep, replenish):
