@@ -130,15 +130,10 @@ def _load_chain_and_rates(config: RunConfig):
 
 def _run_solve(config: RunConfig):
     chain, rates = _load_chain_and_rates(config)
-    costs = config.costs()
-    grid = pde.Grid(config.n)
-    solver = pde.SolverConfig(tol=config.tol)
-    if config.lam_upper is not None:
-        result = pde.solve_with_ambiguity(
-            chain, rates, costs, (config.lam, config.lam_upper), grid, solver
-        )
-    else:
-        result = pde.solve_stationary(chain, rates, costs, grid, solver)
+    # an unset --lambda-upper is the degenerate interval [lam, lam]: the plain solve
+    upper = config.lam if config.lam_upper is None else config.lam_upper
+    result = pde.solve_with_ambiguity(chain, rates, config.costs(), (config.lam, upper),
+                                      pde.Grid(config.n), pde.SolverConfig(tol=config.tol))
     yield "solve_result.json", lambda p: regime.write_json_fields(p, result, drop=("field",))
     result.check_converged()
     policy = pde.extract_policy(result.field)

@@ -689,16 +689,18 @@ def solve_with_ambiguity(
 
     The worst case maximizes over the intensity, but the nonlocal term is
     nonpositive inside the sup, so the saddle collapses to the plain system
-    at the lower intensity; the result records the reduction.
+    at the lower intensity; the result records the reduction. A degenerate
+    interval reduces nothing: it is the plain solve, notes included.
     """
     lo, hi = (float(x) for x in lambda_interval)
     if not lo <= hi < math.inf:
         raise InputError(f"invalid intensity interval [{lo}, {hi}]")
     reduced = replace(costs, lam=lo)  # validates lo
     result = solve_stationary(chain, rates, reduced, grid, config)
-    result.notes = result.notes + (
-        f"ambiguity interval [{lo:.6g}, {hi:.6g}] reduced to intensity {lo:.6g}",
-    )
+    if lo < hi:
+        result.notes = result.notes + (
+            f"ambiguity interval [{lo:.6g}, {hi:.6g}] reduced to intensity {lo:.6g}",
+        )
     return result
 
 

@@ -408,7 +408,7 @@ class RegimePath:
     start_times: NDArray[np.float64]
     regimes: NDArray[np.int64]
     horizon: float
-    count: int = 0  # regimes of the generating chain; derived if omitted
+    count: int  # regimes of the generating chain, visited or not
 
     def __post_init__(self):
         t = np.asarray(self.start_times, dtype=float)
@@ -425,10 +425,9 @@ class RegimePath:
             raise InputError("consecutive segments must hold different regimes")
         if check_horizon(self.horizon) <= t[-1]:
             raise InputError("horizon must exceed the last segment start")
-        n = check_integer(self.count, "regime count") or int(r.max()) + 1
-        object.__setattr__(self, "count", n)
-        if r.min() < 0 or r.max() >= n:
-            raise InputError("regime indices out of range")
+        object.__setattr__(self, "count", check_integer(self.count, "regime count"))
+        if r.min() < 0 or r.max() >= self.count:
+            raise InputError(f"regime indices out of range for {self.count} regimes")
 
     def spans(self):
         """Yield (t_start, t_end, regime) covering [0, horizon]."""

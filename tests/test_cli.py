@@ -355,7 +355,7 @@ class TestSolveSimulate:
     def solve(self, chain_file, out):
         return run_cli(
             "solve", "--chain", chain_file, "--delta", "0.2", "--c", "0.02",
-            "--d", "0.01", "--lambda", "1/7", "--n", "21", "--t-end", "150",
+            "--d", "0.01", "--lambda", "1/7", "--n", "21",
             "--tol", "1e-8", "--outdir", out,
         )
 
@@ -506,7 +506,7 @@ class TestSolveSimulate:
         out = tmp_path / "ergodic"
         status = run_cli(
             "solve", "--chain", chain_file, "--delta", "0", "--c", "0.02",
-            "--d", "0.01", "--lambda", "1/7", "--n", "21", "--t-end", "30",
+            "--d", "0.01", "--lambda", "1/7", "--n", "21",
             "--outdir", out,
         )
         assert status == 0
@@ -518,12 +518,22 @@ class TestSolveSimulate:
         out = tmp_path / "amb"
         status = run_cli(
             "solve", "--chain", chain_file, "--lambda", "1/7",
-            "--lambda-upper", "1", "--n", "21", "--t-end", "150",
+            "--lambda-upper", "1", "--n", "21",
             "--tol", "1e-8", "--outdir", out,
         )
         assert status == 0
         summary = json.loads((out / "solve_result.json").read_text())
         assert any("reduced" in note for note in summary["notes"])
+
+    def test_degenerate_ambiguity_is_plain_solve(self, chain_file, tmp_path):
+        # --lambda-upper equal to --lambda reduces nothing: the same result,
+        # notes included, as leaving the flag unset
+        plain, degenerate = tmp_path / "plain", tmp_path / "degenerate"
+        argv = ["solve", "--chain", chain_file, "--lambda", "1/7", "--n", "21"]
+        assert run_cli(*argv, "--outdir", plain) == 0
+        assert run_cli(*argv, "--lambda-upper", "1/7", "--outdir", degenerate) == 0
+        assert ((degenerate / "solve_result.json").read_bytes()
+                == (plain / "solve_result.json").read_bytes())
 
     def test_simulate_with_policy_file(self, chain_file, tmp_path):
         out = tmp_path / "solve"
@@ -776,7 +786,7 @@ class TestConvergenceCommand:
         status = run_cli(
             "convergence", "--S", "0.05", "--delta", "0.1", "--c", "0.3",
             "--d", "0.2", "--lambda", "1/7", "--resolutions", "21,41",
-            "--dt", "0.01", "--t-end", "250", "--tol", "1e-8", "--outdir", out,
+            "--tol", "1e-8", "--outdir", out,
         )
         assert status == 0
         lines = (out / "convergence.csv").read_text().splitlines()

@@ -171,7 +171,7 @@ def integrated_rate_oracle(path: RegimePath, rates, t):
 @pytest.mark.parametrize("entry", [
     lambda r: estimate_cost(CHAIN_1, r, None, BENCH_COSTS, 1.0, 50.0, 8, seed=0),
     lambda r: simulate_controlled(CHAIN_1, r, None, BENCH_COSTS, 1.0, 50.0, seed=0),
-    lambda r: simulate_storage(RegimePath(np.array([0.0]), np.array([0]), 50.0), r, 1.0),
+    lambda r: simulate_storage(RegimePath(np.array([0.0]), np.array([0]), 50.0, 1), r, 1.0),
     lambda r: solve_stationary(CHAIN_1, r, BENCH_COSTS, Grid(11)),
     lambda r: ValueField(np.zeros((1, 11)), Grid(11), CHAIN_1, r, BENCH_COSTS),
 ], ids=["estimate_cost", "simulate_controlled", "simulate_storage", "solve_stationary",
@@ -188,7 +188,7 @@ def test_bad_drain_rates_rejected(entry, rates, error):
     lambda h: estimate_cost(CHAIN_1, BENCH_RATES, None, BENCH_COSTS, 1.0, h, 8, seed=0),
     lambda h: simulate_controlled(CHAIN_1, BENCH_RATES, None, BENCH_COSTS, 1.0, h, seed=0),
     lambda h: sample_regime_path(three_regime_chain(), 0, h, seed=0),
-    lambda h: RegimePath(np.array([0.0]), np.array([0]), h),
+    lambda h: RegimePath(np.array([0.0]), np.array([0]), h, 1),
 ], ids=["estimate_cost", "simulate_controlled", "sample_regime_path", "RegimePath"])
 def test_bad_horizon_rejected(entry, horizon):
     with pytest.raises(InputError):
@@ -259,7 +259,7 @@ def test_sample_regime_path_is_the_engine_regime_path(case):
 class TestSimulateStorage:
     def test_single_regime_depletion_time(self):
         path = RegimePath(start_times=np.array([0.0]), regimes=np.array([0]),
-                          horizon=40.0)
+                          horizon=40.0, count=1)
         storage = simulate_storage(path, np.array([0.05]), y0=1.0)
         # hits zero exactly at y0 / S = 20 days and stays there
         assert storage.at(20.0) == 0.0
@@ -269,7 +269,7 @@ class TestSimulateStorage:
 
     def test_zero_rate_constant(self):
         path = RegimePath(start_times=np.array([0.0]), regimes=np.array([0]),
-                          horizon=10.0)
+                          horizon=10.0, count=1)
         storage = simulate_storage(path, np.array([0.0]), y0=0.7)
         assert np.all(storage.values == 0.7)
 
@@ -307,16 +307,34 @@ class TestSimulateStorage:
         storage = simulate_storage(path, np.array([0.0, 0.08, 0.5]), y0=1.0)
         assert np.all(np.diff(storage.values) <= 1e-15)
 
+    def test_hand_built_path_of_the_paper_chain(self):
+        # a path that never enters regime 42 still belongs to the 43-regime
+        # chain: it states the chain's size, which its regimes cannot give,
+        # so the chain's rates replay it and its occupancy has 43 entries
+        chain = realistic_chain(0)
+        segments = dict(start_times=np.array([0.0, 2.0, 5.0]), regimes=np.array([2, 3, 2]),
+                        horizon=10.0)
+        with pytest.raises(TypeError, match="count"):
+            RegimePath(**segments)
+        path = RegimePath(**segments, count=chain.count)
+        rates = rates_for_chain(chain, SedimentProperties())
+        storage = simulate_storage(path, rates, y0=1.0)
+        assert storage.at(1.0) == pytest.approx(1.0 - rates[2])
+        occupancy = path.occupancy()
+        assert occupancy.shape == (43,)
+        np.testing.assert_array_equal(occupancy[[2, 3]], [7.0, 3.0])
+        assert occupancy.sum() == 10.0
+
     def test_bad_initial(self):
         path = RegimePath(start_times=np.array([0.0]), regimes=np.array([0]),
-                          horizon=1.0)
+                          horizon=1.0, count=1)
         with pytest.raises(InputError):
             simulate_storage(path, np.array([0.1]), y0=1.5)
 
     def test_drain_too_small_to_empty_raises_no_warning(self):
         # y / rate overflows at a drain of 1e-310, inside the replay: the
         # store never empties, and no RuntimeWarning (an error here) escapes
-        path = RegimePath(np.array([0.0]), np.array([0]), 10.0)
+        path = RegimePath(np.array([0.0]), np.array([0]), 10.0, 1)
         assert np.all(simulate_storage(path, np.array([1e-310]), 1.0).values == 1.0)
         policy = ThresholdPolicy(boundaries=np.array([0.5]))
         record = simulate_controlled(CHAIN_1, np.array([1e-310]), policy, BENCH_COSTS,
@@ -335,13 +353,14 @@ class TestSimulateStorage:
 ONE_SWITCH_AT = 0.11277678848227612
 ONE_SWITCH = dict(
     regime_path=RegimePath(start_times=np.array([0.0, ONE_SWITCH_AT]), regimes=np.array([0, 1]),
-                           horizon=ONE_SWITCH_AT + 5.0),
+                           horizon=ONE_SWITCH_AT + 5.0, count=2),
     rates=np.array([4.75479529681338, 0.3]), y0=0.5362305434652439, observations=(),
     limits=np.full(2, -np.inf), costs=CostSpec(delta=0.2, c=0.1, d=0.05, lam=0.5))
 MIRROR_SWITCH_AT = 1.0 / 49.0
 MIRROR_SWITCH = dict(
     ONE_SWITCH, regime_path=RegimePath(start_times=np.array([0.0, MIRROR_SWITCH_AT]),
-                                       regimes=np.array([0, 1]), horizon=MIRROR_SWITCH_AT + 5.0),
+                                       regimes=np.array([0, 1]), horizon=MIRROR_SWITCH_AT + 5.0,
+                                       count=2),
     rates=np.array([49.0, 0.0]), y0=1.0)
 
 
@@ -506,7 +525,7 @@ class TestSimulateControlled:
         # a null event for continuous draws, but the event order relies on it
         costs = CostSpec(delta=0.2, c=0.1, d=0.1, lam=1.0)
         path = RegimePath(start_times=np.array([0.0, 1.0]), regimes=np.array([0, 1]),
-                          horizon=10.0)
+                          horizon=10.0, count=2)
         with pytest.raises(StructureError, match="coincides"):
             mc._replay(path, np.full(2, 0.1), 1.0, [1.0], np.full(2, 0.5), costs)
 

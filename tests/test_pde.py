@@ -981,6 +981,7 @@ class TestAmbiguity:
             (BENCH_COSTS.lam, BENCH_COSTS.lam), Grid(41), config
         )
         np.testing.assert_array_equal(plain.field.values, amb.field.values)
+        assert amb.notes == plain.notes  # nothing was reduced, so nothing is noted
 
     def test_reduction_to_lower_intensity(self):
         chain, rates = two_regime_setup()

@@ -570,7 +570,7 @@ class TestSparseJump:
 class TestRegimePathValidation:
     def test_first_segment_must_start_at_zero(self):
         with pytest.raises(InputError):
-            RegimePath(start_times=np.array([1.0]), regimes=np.array([0]), horizon=2.0)
+            RegimePath(start_times=np.array([1.0]), regimes=np.array([0]), horizon=2.0, count=1)
 
     def test_consecutive_regimes_differ(self):
         with pytest.raises(InputError):
@@ -578,6 +578,7 @@ class TestRegimePathValidation:
                 start_times=np.array([0.0, 1.0]),
                 regimes=np.array([0, 0]),
                 horizon=2.0,
+                count=1,
             )
 
     @pytest.mark.parametrize("start_times, regimes, horizon", [
@@ -590,6 +591,16 @@ class TestRegimePathValidation:
         with pytest.raises(InputError):
             RegimePath(start_times=np.array(start_times), regimes=np.array(regimes),
                        horizon=horizon, count=2)
+
+    @pytest.mark.parametrize("regimes, count", [
+        ([0], 0),
+        ([0, 1], 1),
+    ], ids=["zero", "at-largest-regime"])
+    def test_count_must_exceed_every_regime(self, regimes, count):
+        # the count is the generating chain's, never guessed from the regimes
+        with pytest.raises(InputError):
+            RegimePath(start_times=np.arange(len(regimes), dtype=float),
+                       regimes=np.array(regimes), horizon=5.0, count=count)
 
     def test_occupancy_sums_segment_lengths(self):
         path = RegimePath(
@@ -605,6 +616,7 @@ class TestRegimePathValidation:
             start_times=np.array([0.0, 1.0, 2.5]),
             regimes=np.array([0, 1, 0]),
             horizon=4.0,
+            count=2,
         )
         assert path.regime_at(0.5) == 0
         assert path.regime_at(1.0) == 1
